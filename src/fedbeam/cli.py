@@ -26,6 +26,8 @@ from .errors import (
     IncompatibleWeightsError,
     IngestionError,
     NumericsError,
+    require_finite,
+    require_int,
 )
 from .federation import ExperimentReport, FederationConfig, run_experiment
 from .model import KIND_FED_KAN, KIND_FED_MLP, ModelConfig
@@ -57,10 +59,11 @@ def _parse_data_section(raw: dict) -> tuple[int, float, tuple[str, ...] | None, 
     extra = set(raw) - known
     if extra:
         raise ConfigurationError(f"unknown data config keys: {sorted(extra)}")
-    window_hours = int(raw.get("window_hours", 5))
-    if window_hours < 1:
-        raise ConfigurationError(f"window_hours must be >= 1, got {window_hours}")
-    train_fraction = float(raw.get("train_fraction", 0.8))
+    window_hours = raw.get("window_hours", 5)
+    require_int("window_hours", window_hours, 1)
+    train_fraction = raw.get("train_fraction", 0.8)
+    require_finite("train_fraction", train_fraction)
+    train_fraction = float(train_fraction)
     beam_files = raw.get("beam_files")
     synthetic = raw.get("synthetic")
     if (beam_files is None) == (synthetic is None):
@@ -68,23 +71,28 @@ def _parse_data_section(raw: dict) -> tuple[int, float, tuple[str, ...] | None, 
             "data config needs exactly one of 'beam_files' or 'synthetic'"
         )
     if beam_files is not None:
-        if not isinstance(beam_files, list) or not beam_files:
+        if (
+            not isinstance(beam_files, list)
+            or not beam_files
+            or not all(isinstance(p, str) for p in beam_files)
+        ):
             raise ConfigurationError("'beam_files' must be a non-empty list of paths")
-        beam_files = tuple(str(p) for p in beam_files)
+        beam_files = tuple(beam_files)
     if synthetic is not None:
+        if not isinstance(synthetic, dict):
+            raise ConfigurationError(f"'synthetic' must be a JSON object, got {synthetic!r}")
         syn_known = {"seed", "hours", "beams"}
         syn_extra = set(synthetic) - syn_known
         if syn_extra:
             raise ConfigurationError(f"unknown synthetic keys: {sorted(syn_extra)}")
         synthetic = {
-            "seed": int(synthetic.get("seed", 7)),
-            "hours": int(synthetic.get("hours", 743)),
-            "beams": int(synthetic.get("beams", 4)),
+            "seed": synthetic.get("seed", 7),
+            "hours": synthetic.get("hours", 743),
+            "beams": synthetic.get("beams", 4),
         }
-        if synthetic["hours"] < 1 or synthetic["beams"] < 1:
-            raise ConfigurationError(
-                f"synthetic hours and beams must be >= 1, got {synthetic}"
-            )
+        require_int("synthetic seed", synthetic["seed"], 0)
+        require_int("synthetic hours", synthetic["hours"], 1)
+        require_int("synthetic beams", synthetic["beams"], 1)
     return window_hours, train_fraction, beam_files, synthetic
 
 
@@ -108,6 +116,10 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
     if extra:
         raise ConfigurationError(f"unknown config sections: {sorted(extra)}")
 
+    for name in ("model", "federation", "data"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ConfigurationError(f"config section {name!r} must be a JSON object")
+
     model_raw = dict(raw.get("model", {}))
     if "kind" not in model_raw:
         if require_kind:
@@ -118,7 +130,9 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
     window_hours, train_fraction, beam_files, synthetic = _parse_data_section(
         raw.get("data", {})
     )
-    out_dir = str(raw.get("out_dir", "."))
+    out_dir = raw.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigurationError(f"out_dir must be a path, got {out_dir!r}")
     return RunConfig(
         model=model,
         federation=federation,
@@ -157,10 +171,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.hours < 1 or args.beams < 1:
-        raise ConfigurationError(
-            f"hours and beams must be >= 1, got hours={args.hours} beams={args.beams}"
-        )
+    require_int("seed", args.seed, 0)
+    require_int("hours", args.hours, 1)
+    require_int("beams", args.beams, 1)
     out_dir = Path(args.out)
     profiles = default_profiles(args.beams)
     rendered = [

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all fedbeam modules."""
+"""Exception hierarchy shared by all fedbeam modules, and the checks that
+config values are of the right type."""
+
+import math
+from numbers import Integral, Real
 
 
 class FedbeamError(Exception):
@@ -23,3 +27,18 @@ class IngestionError(FedbeamError):
 
 class NumericsError(FedbeamError):
     """Training or evaluation produced a non-finite value."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless value is an integer >= minimum.
+
+    Booleans are rejected although Python counts them as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ConfigurationError unless value is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")

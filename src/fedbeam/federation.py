@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BeamSeries, apply_scaler, chrono_split, fit_scaler, make_windows
-from .errors import ConfigurationError, ContractViolationError, NumericsError
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    NumericsError,
+    require_finite,
+    require_int,
+)
 from .layers import MODE_EVAL, MODE_TRAIN
 from .model import (
     Model,
@@ -26,9 +32,9 @@ from .model import (
     export_weights,
     forward,
     forward_with_caches,
-    gradient_vector,
     import_weights,
     model_backward,
+    segment_views,
 )
 from .optim import AdamState, adam_step, clip_gradient_norm, mse_loss
 from .params import ParameterVector
@@ -54,14 +60,12 @@ class FederationConfig:
     max_grad_norm: float = 1.0
 
     def validate(self) -> None:
-        if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_epochs < 1:
-            raise ConfigurationError(
-                f"local_epochs must be >= 1, got {self.local_epochs}"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_int("rounds", self.rounds, 1)
+        require_int("local_epochs", self.local_epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("seed", self.seed, 0)
+        for name in ("availability_prob", "learning_rate", "weight_decay", "max_grad_norm"):
+            require_finite(name, getattr(self, name))
         if self.aggregation not in (AGG_UNIFORM, AGG_SAMPLE_WEIGHTED):
             raise ConfigurationError(
                 f"aggregation must be {AGG_UNIFORM!r} or {AGG_SAMPLE_WEIGHTED!r}, "
@@ -208,11 +212,12 @@ def local_train(
     """
     if client.sample_count < 1:
         raise ConfigurationError(f"client {client.client_id!r} has no training data")
-    layout = global_weights.layout()
-    flat = global_weights.to_flat()
+    # The client's own copy: every step updates its weight buffer in place.
     model = import_weights(template, global_weights)
+    grads = np.empty_like(model.weights)
+    grad_segments = segment_views(model.layout, grads)
     state = AdamState.initial(
-        flat.shape[0], fed_config.learning_rate, fed_config.weight_decay
+        grads.shape[0], fed_config.learning_rate, fed_config.weight_decay
     )
     slices = minibatch_slices(client.sample_count, fed_config.batch_size)
 
@@ -229,11 +234,10 @@ def local_train(
                 raise NumericsError(
                     f"client {client.client_id!r} produced a non-finite loss"
                 )
-            _, grads = model_backward(model, caches, loss_grad)
-            grads = clip_gradient_norm(grads, fed_config.max_grad_norm)
-            grad_flat = gradient_vector(model, grads).to_flat()
-            flat, state = adam_step(flat, grad_flat, state)
-            model = import_weights(model, ParameterVector.from_flat(layout, flat))
+            model_backward(model, caches, loss_grad, grads)
+            clip_gradient_norm(grads, fed_config.max_grad_norm, grad_segments)
+            new_weights, state = adam_step(model.weights, grads, state)
+            model.weights[:] = new_weights
             if last_epoch:
                 final_epoch_losses.append(loss)
                 final_epoch_sizes.append(xb.shape[0])
@@ -243,7 +247,7 @@ def local_train(
     )
     return ClientUpdate(
         client_id=client.client_id,
-        weights=ParameterVector.from_flat(layout, flat),
+        weights=export_weights(model),
         sample_count=client.sample_count,
         local_train_loss=train_loss,
     )

@@ -9,12 +9,11 @@ matching forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
-from .splines import SplineGrid, basis_and_derivative, basis_matrix
+from .splines import SplineGrid, basis_and_derivative
 
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
@@ -86,48 +85,6 @@ class LinearLayerParams:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class KanLayerGrads:
-    spline_coeffs: np.ndarray
-    base_weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinearLayerGrads:
-    weights: np.ndarray
-    biases: np.ndarray
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Per-layer gradients in model order."""
-
-    layers: tuple
-
-    def arrays(self) -> Iterator[np.ndarray]:
-        """Yield every gradient array in a fixed canonical order."""
-        for layer in self.layers:
-            if isinstance(layer, KanLayerGrads):
-                yield layer.spline_coeffs
-                yield layer.base_weights
-            elif isinstance(layer, LinearLayerGrads):
-                yield layer.weights
-                yield layer.biases
-            else:
-                raise ContractViolationError(f"unknown gradient entry {type(layer)!r}")
-
-    def scaled(self, factor: float) -> "GradientBundle":
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, KanLayerGrads):
-                out.append(
-                    KanLayerGrads(layer.spline_coeffs * factor, layer.base_weights * factor)
-                )
-            else:
-                out.append(LinearLayerGrads(layer.weights * factor, layer.biases * factor))
-        return GradientBundle(tuple(out))
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     out = np.empty_like(x, dtype=np.float64)
@@ -175,8 +132,8 @@ def kan_layer_forward(
 
 def kan_layer_backward(
     upstream: np.ndarray, params: KanLayerParams, cache: dict
-) -> tuple[np.ndarray, KanLayerGrads]:
-    """Backward pass; returns (input gradient, parameter gradients)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward pass; returns the gradients of (inputs, spline_coeffs, base_weights)."""
     if upstream.shape != (cache["inputs"].shape[0], params.out_width):
         raise ContractViolationError(
             f"upstream shape {upstream.shape} does not match layer output "
@@ -194,7 +151,7 @@ def kan_layer_backward(
     silu_prime = sig * (1.0 + x * (1.0 - sig))
     d_inputs = (upstream @ params.base_weights.T) * silu_prime
     d_inputs = d_inputs + np.einsum("bo,iom,bim->bi", upstream, params.spline_coeffs, dbases)
-    return d_inputs, KanLayerGrads(d_coeffs, d_base)
+    return d_inputs, d_coeffs, d_base
 
 
 def linear_forward(
@@ -210,7 +167,8 @@ def linear_forward(
 
 def linear_backward(
     upstream: np.ndarray, params: LinearLayerParams, cache: dict
-) -> tuple[np.ndarray, LinearLayerGrads]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward pass; returns the gradients of (inputs, weights, biases)."""
     x = cache["inputs"]
     if upstream.shape != (x.shape[0], params.out_width):
         raise ContractViolationError(
@@ -220,7 +178,7 @@ def linear_backward(
     d_weights = upstream.T @ x
     d_biases = upstream.sum(axis=0)
     d_inputs = upstream @ params.weights
-    return d_inputs, LinearLayerGrads(d_weights, d_biases)
+    return d_inputs, d_weights, d_biases
 
 
 def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +192,10 @@ def relu_backward(upstream: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def dropout(
-    inputs: np.ndarray, drop_prob: float, mode: str, rng: np.random.Generator
+    inputs: np.ndarray, drop_prob: float, mode: str, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout.  Eval mode is the identity with an all-ones mask."""
+    """Inverted dropout.  Eval mode (or drop_prob 0) is the identity with an
+    all-ones mask and draws nothing from rng."""
     if not 0.0 <= drop_prob < 1.0:
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {drop_prob}")
     if mode == MODE_EVAL or drop_prob == 0.0:

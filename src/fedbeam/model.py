@@ -5,25 +5,34 @@ over [input] + kan_hidden_widths, then a fully connected head (ReLU and
 dropout after every head layer except the last).  ``fed_mlp`` is a plain
 multilayer perceptron with ReLU and dropout after each hidden layer.  Both
 end in a linear readout of ``output_width`` traffic shares.
+
+A built model owns one flat float64 weight buffer; every layer array is a
+reshaped view into it.  ``parameter_layout`` fixes the order and shape of
+those arrays (the segments), and the same layout serves the gradient
+buffer ``model_backward`` fills and the ``ParameterVector`` that
+``export_weights`` and ``import_weights`` exchange with the federation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    require_finite,
+    require_int,
+)
 from .layers import (
     MODE_EVAL,
     MODE_TRAIN,
-    GradientBundle,
-    KanLayerGrads,
     KanLayerParams,
-    LinearLayerGrads,
     LinearLayerParams,
     dropout,
     dropout_backward,
@@ -68,31 +77,24 @@ class ModelConfig:
             raise ConfigurationError(
                 f"kind must be {KIND_FED_KAN!r} or {KIND_FED_MLP!r}, got {self.kind!r}"
             )
-        if self.input_width < 1:
-            raise ConfigurationError(f"input_width must be >= 1, got {self.input_width}")
-        if self.output_width < 1:
-            raise ConfigurationError(f"output_width must be >= 1, got {self.output_width}")
+        require_int("input_width", self.input_width, 1)
+        require_int("output_width", self.output_width, 1)
         for name, widths in (
             ("kan_hidden_widths", self.kan_hidden_widths),
             ("mlp_hidden_widths", self.mlp_hidden_widths),
             ("fc_head_widths", self.fc_head_widths),
         ):
-            if any(w < 1 for w in widths):
-                raise ConfigurationError(f"{name} entries must be >= 1, got {widths}")
+            for w in widths:
+                require_int(f"{name} entries", w, 1)
         if self.kind == KIND_FED_KAN and self.fc_head_widths:
             if self.fc_head_widths[-1] != self.output_width:
                 raise ConfigurationError(
                     f"fc_head_widths must end in output_width "
                     f"({self.output_width}), got {self.fc_head_widths}"
                 )
-        if self.grid_intervals < 1:
-            raise ConfigurationError(
-                f"grid_intervals must be >= 1, got {self.grid_intervals}"
-            )
-        if self.spline_order < 0:
-            raise ConfigurationError(
-                f"spline_order must be >= 0, got {self.spline_order}"
-            )
+        require_int("grid_intervals", self.grid_intervals, 1)
+        require_int("spline_order", self.spline_order, 0)
+        require_finite("dropout_p", self.dropout_p)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(
                 f"dropout_p must be in [0, 1), got {self.dropout_p}"
@@ -132,7 +134,11 @@ class ModelConfig:
         kwargs = dict(raw)
         for key in ("kan_hidden_widths", "mlp_hidden_widths", "fc_head_widths"):
             if key in kwargs:
-                kwargs[key] = tuple(int(w) for w in kwargs[key])
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ConfigurationError(
+                        f"{key} must be a list of integers, got {kwargs[key]!r}"
+                    )
+                kwargs[key] = tuple(kwargs[key])
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -176,16 +182,39 @@ def count_parameters(config: ModelConfig) -> int:
     plus in*out base weights; affine layers carry in*out weights plus out
     biases.
     """
+    return sum(math.prod(shape) for _, shape in parameter_layout(config))
+
+
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def parameter_layout(config: ModelConfig) -> Layout:
+    """Name and shape of every trainable array, in buffer order.
+
+    Each layer contributes two segments: spline_coeffs then base_weights
+    for a spline layer, weights then biases for an affine layer.
+    """
     bases = config.grid_intervals + config.spline_order
-    total = 0
-    for entry in layer_plan(config):
-        if entry[0] == "kan":
-            _, a, b = entry
-            total += a * b * bases + a * b
+    layout: list[tuple[str, tuple[int, ...]]] = []
+    for i, entry in enumerate(layer_plan(config)):
+        kind, a, b = entry[:3]
+        name = f"layer{i:02d}"
+        if kind == "kan":
+            layout += [(f"{name}.spline_coeffs", (a, b, bases)), (f"{name}.base_weights", (a, b))]
         else:
-            _, a, b, _, _ = entry
-            total += a * b + b
-    return total
+            layout += [(f"{name}.weights", (b, a)), (f"{name}.biases", (b,))]
+    return tuple(layout)
+
+
+def segment_views(layout: Layout, flat: np.ndarray) -> list[np.ndarray]:
+    """One view into ``flat`` per segment of the layout, in its shape."""
+    views = []
+    offset = 0
+    for _, shape in layout:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 @dataclass(frozen=True)
@@ -205,27 +234,45 @@ Block = Union[KanBlock, LinearBlock]
 
 @dataclass(frozen=True)
 class Model:
-    """A built network: config plus concrete layer parameters."""
+    """A built network: config, flat weight buffer, and blocks viewing it."""
 
     config: ModelConfig
     blocks: tuple[Block, ...]
+    weights: np.ndarray
+    layout: Layout
+
+
+def _assemble(config: ModelConfig, weights: np.ndarray) -> Model:
+    """Wrap a flat weight buffer in blocks whose arrays are views into it."""
+    layout = parameter_layout(config)
+    views = iter(segment_views(layout, weights))
+    grid = SplineGrid.uniform(config.grid_intervals, config.spline_order)
+    blocks: list[Block] = []
+    for entry in layer_plan(config):
+        first, second = next(views), next(views)
+        if entry[0] == "kan":
+            blocks.append(KanBlock(KanLayerParams(first, second, grid)))
+        else:
+            _, _, _, use_relu, use_dropout = entry
+            blocks.append(LinearBlock(LinearLayerParams(first, second), use_relu, use_dropout))
+    return Model(config, tuple(blocks), weights, layout)
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
     """Initialize a model deterministically from a seed."""
     rng = np.random.default_rng(seed)
     grid = SplineGrid.uniform(config.grid_intervals, config.spline_order)
-    blocks: list[Block] = []
+    arrays: list[np.ndarray] = []
     for entry in layer_plan(config):
         if entry[0] == "kan":
             _, a, b = entry
-            blocks.append(KanBlock(KanLayerParams.initialized(a, b, grid, rng)))
+            params = KanLayerParams.initialized(a, b, grid, rng)
+            arrays += [params.spline_coeffs, params.base_weights]
         else:
-            _, a, b, use_relu, use_dropout = entry
-            blocks.append(
-                LinearBlock(LinearLayerParams.initialized(a, b, rng), use_relu, use_dropout)
-            )
-    return Model(config, tuple(blocks))
+            _, a, b, _, _ = entry
+            params = LinearLayerParams.initialized(a, b, rng)
+            arrays += [params.weights, params.biases]
+    return _assemble(config, np.concatenate([a.reshape(-1) for a in arrays]))
 
 
 def forward(
@@ -245,6 +292,11 @@ def forward_with_caches(
     mode: str = MODE_EVAL,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
+    """Forward pass keeping what model_backward needs.
+
+    Dropout is the identity in eval mode, so no rng is needed and no mask
+    is recorded there.
+    """
     if batch.ndim != 2 or batch.shape[1] != model.config.input_width:
         raise ContractViolationError(
             f"expected batch of shape (n, {model.config.input_width}), got {batch.shape}"
@@ -263,101 +315,54 @@ def forward_with_caches(
             if block.apply_relu:
                 x, mask = relu(x)
                 entry["relu_mask"] = mask
-            if block.apply_dropout:
-                x, mask = dropout(x, model.config.dropout_p, mode, rng or np.random.default_rng(0))
+            if block.apply_dropout and mode != MODE_EVAL:
+                x, mask = dropout(x, model.config.dropout_p, mode, rng)
                 entry["drop_mask"] = mask
             caches.append(entry)
     return x, caches
 
 
 def model_backward(
-    model: Model, caches: list[dict], upstream: np.ndarray
-) -> tuple[np.ndarray, GradientBundle]:
-    """Backpropagate the loss gradient through every block."""
+    model: Model, caches: list[dict], upstream: np.ndarray, grads: np.ndarray
+) -> np.ndarray:
+    """Backpropagate the loss gradient through every block.
+
+    Parameter gradients are written into ``grads``, a flat buffer in the
+    model's layout; the gradient with respect to the batch is returned.
+    """
     if len(caches) != len(model.blocks):
         raise ContractViolationError(
             f"cache list of length {len(caches)} does not match {len(model.blocks)} blocks"
         )
-    grads: list = [None] * len(model.blocks)
+    if grads.shape != model.weights.shape:
+        raise ContractViolationError(
+            f"gradient buffer of shape {grads.shape} does not match "
+            f"{model.weights.shape[0]} parameters"
+        )
+    views = segment_views(model.layout, grads)
     u = upstream
     for i in range(len(model.blocks) - 1, -1, -1):
         block = model.blocks[i]
         entry = caches[i]
         if isinstance(block, KanBlock):
-            u, g = kan_layer_backward(u, block.params, entry["layer"])
+            u, d_first, d_second = kan_layer_backward(u, block.params, entry["layer"])
         else:
             if entry["drop_mask"] is not None:
                 u = dropout_backward(u, entry["drop_mask"])
             if entry["relu_mask"] is not None:
                 u = relu_backward(u, entry["relu_mask"])
-            u, g = linear_backward(u, block.params, entry["layer"])
-        grads[i] = g
-    return u, GradientBundle(tuple(grads))
-
-
-def _segment_names(index: int, block: Block) -> list[str]:
-    if isinstance(block, KanBlock):
-        return [f"layer{index:02d}.spline_coeffs", f"layer{index:02d}.base_weights"]
-    return [f"layer{index:02d}.weights", f"layer{index:02d}.biases"]
+            u, d_first, d_second = linear_backward(u, block.params, entry["layer"])
+        views[2 * i][...] = d_first
+        views[2 * i + 1][...] = d_second
+    return u
 
 
 def export_weights(model: Model) -> ParameterVector:
     """Snapshot all trainable arrays as a named parameter vector."""
-    named: list[tuple[str, np.ndarray]] = []
-    for i, block in enumerate(model.blocks):
-        names = _segment_names(i, block)
-        if isinstance(block, KanBlock):
-            named.append((names[0], block.params.spline_coeffs))
-            named.append((names[1], block.params.base_weights))
-        else:
-            named.append((names[0], block.params.weights))
-            named.append((names[1], block.params.biases))
-    return ParameterVector.from_arrays(named)
+    return ParameterVector.from_flat(model.layout, model.weights)
 
 
 def import_weights(model: Model, vector: ParameterVector) -> Model:
     """Return a copy of the model carrying the vector's values."""
-    expected = export_weights(model)
-    expected.require_same_layout(vector)
-    blocks: list[Block] = []
-    seg = 0
-    for block in model.blocks:
-        if isinstance(block, KanBlock):
-            coeffs = vector.segments[seg].reshaped()
-            base = vector.segments[seg + 1].reshaped()
-            blocks.append(KanBlock(replace(block.params, spline_coeffs=coeffs, base_weights=base)))
-        else:
-            weights = vector.segments[seg].reshaped()
-            biases = vector.segments[seg + 1].reshaped()
-            blocks.append(
-                LinearBlock(
-                    replace(block.params, weights=weights, biases=biases),
-                    block.apply_relu,
-                    block.apply_dropout,
-                )
-            )
-        seg += 2
-    return Model(model.config, tuple(blocks))
-
-
-def gradient_vector(model: Model, grads: GradientBundle) -> ParameterVector:
-    """Name-align a gradient bundle with the model's weight layout."""
-    if len(grads.layers) != len(model.blocks):
-        raise ContractViolationError(
-            f"gradient bundle of length {len(grads.layers)} does not match "
-            f"{len(model.blocks)} blocks"
-        )
-    named: list[tuple[str, np.ndarray]] = []
-    for i, (block, layer) in enumerate(zip(model.blocks, grads.layers)):
-        names = _segment_names(i, block)
-        if isinstance(block, KanBlock):
-            if not isinstance(layer, KanLayerGrads):
-                raise ContractViolationError(f"block {i} expected spline gradients")
-            named.append((names[0], layer.spline_coeffs))
-            named.append((names[1], layer.base_weights))
-        else:
-            if not isinstance(layer, LinearLayerGrads):
-                raise ContractViolationError(f"block {i} expected affine gradients")
-            named.append((names[0], layer.weights))
-            named.append((names[1], layer.biases))
-    return ParameterVector.from_arrays(named)
+    export_weights(model).require_same_layout(vector)
+    return _assemble(model.config, vector.to_flat())

@@ -1,19 +1,19 @@
 """Loss, gradient clipping, and the Adam update rule.
 
-adam_step operates on flat float64 vectors: the training loop extracts the
-model parameters into one flat vector (the same layout the parameter-vector
-serialization uses), updates it, and writes it back.
+Clipping and adam_step work on flat float64 vectors in the model's
+parameter layout: the training loop clips the flat gradient buffer in
+place and writes adam_step's result back into the model's weight buffer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .layers import GradientBundle
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -34,21 +34,31 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, grad
 
 
-def gradient_global_norm(grads: GradientBundle) -> float:
+def gradient_global_norm(segments: Iterable[np.ndarray]) -> float:
+    """L2 norm over all segments, adding one partial sum per segment in order.
+
+    The per-segment sums fix the floating-point summation order; a single
+    sum over the flat buffer would round differently.
+    """
     total = 0.0
-    for arr in grads.arrays():
-        total += float(np.sum(arr * arr))
+    for seg in segments:
+        total += float(np.sum(seg * seg))
     return math.sqrt(total)
 
 
-def clip_gradient_norm(grads: GradientBundle, max_norm: float) -> GradientBundle:
-    """Scale all gradients together so their global L2 norm is <= max_norm."""
+def clip_gradient_norm(
+    grads: np.ndarray, max_norm: float, segments: Iterable[np.ndarray]
+) -> None:
+    """Scale the flat gradient in place so its global L2 norm is <= max_norm.
+
+    ``segments`` are the per-segment views of ``grads`` (see
+    ``fedbeam.model.segment_views``); the norm is summed over them.
+    """
     if max_norm <= 0.0:
         raise ContractViolationError(f"max_norm must be positive, got {max_norm}")
-    norm = gradient_global_norm(grads)
-    if norm <= max_norm:
-        return grads
-    return grads.scaled(max_norm / norm)
+    norm = gradient_global_norm(segments)
+    if norm > max_norm:
+        grads *= max_norm / norm
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,23 @@
-"""Flat parameter vectors with named segments, plus a text weights format.
+"""Flat parameter vectors with named segments.
 
-A ParameterVector is the unit the federation layer passes around: every
-trainable array of a model becomes one named segment, in a fixed layer
-order.  Aggregation and serialization both key off the layout (names and
-shapes in order), so two vectors are only combinable when their layouts
-match exactly.
-
-The weights file format is line oriented:
-
-    fedbeam-weights 1
-    config <sha256 hex>
-    segment <name> <d0>x<d1>x... <offset>
-    ...
-    values
-    <one float per line, repr() encoded>
+A ParameterVector is the unit the federation layer passes around: client
+updates, aggregated global weights and the final weights of a report.
+Every trainable array of a model becomes one named segment, in the order
+``fedbeam.model.parameter_layout`` fixes.  Aggregation keys off the layout
+(names and shapes in order), so two vectors are only combinable when their
+layouts match exactly.  Inside a client's training loop the weights live
+in the model's own flat buffer instead; a vector is built from it once,
+when the client's update is returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleWeightsError, IngestionError
-
-FORMAT_NAME = "fedbeam-weights"
-FORMAT_VERSION = 1
+from .errors import IncompatibleWeightsError
 
 
 @dataclass(frozen=True)
@@ -37,17 +29,12 @@ class Segment:
     values: np.ndarray
 
     def __post_init__(self):
-        expected = 1
-        for d in self.shape:
-            expected *= d
+        expected = math.prod(self.shape)
         if self.values.ndim != 1 or self.values.shape[0] != expected:
             raise IncompatibleWeightsError(
                 f"segment {self.name!r} declares shape {self.shape} "
                 f"but stores {self.values.shape[0] if self.values.ndim == 1 else self.values.shape} values"
             )
-
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -82,17 +69,14 @@ class ParameterVector:
         layout: tuple[tuple[str, tuple[int, ...]], ...],
         flat: np.ndarray,
     ) -> "ParameterVector":
-        total = sum(int(np.prod(shape, dtype=np.int64)) if shape else 1 for _, shape in layout)
-        if flat.ndim != 1 or flat.shape[0] != total:
+        sizes = [math.prod(shape) for _, shape in layout]
+        if flat.ndim != 1 or flat.shape[0] != sum(sizes):
             raise IncompatibleWeightsError(
-                f"flat vector of length {flat.shape} does not fit layout of length {total}"
+                f"flat vector of length {flat.shape} does not fit layout of length {sum(sizes)}"
             )
         segs = []
         offset = 0
-        for name, shape in layout:
-            size = 1
-            for d in shape:
-                size *= d
+        for (name, shape), size in zip(layout, sizes):
             segs.append(Segment(name, shape, flat[offset : offset + size].copy()))
             offset += size
         return cls(tuple(segs))
@@ -102,91 +86,3 @@ class ParameterVector:
             raise IncompatibleWeightsError(
                 f"parameter layouts differ: {self.layout()} vs {other.layout()}"
             )
-
-
-def render_weights(vector: ParameterVector, config_hash: str) -> str:
-    """Serialize a vector to the text weights format."""
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"config {config_hash}"]
-    offset = 0
-    for seg in vector.segments:
-        dims = "x".join(str(d) for d in seg.shape)
-        lines.append(f"segment {seg.name} {dims} {offset}")
-        offset += seg.values.shape[0]
-    lines.append("values")
-    for seg in vector.segments:
-        for v in seg.values:
-            lines.append(repr(float(v)))
-    lines.append("")
-    return "\n".join(lines)
-
-
-def parse_weights(text: str) -> tuple[ParameterVector, str]:
-    """Parse the text weights format; returns (vector, config hash)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"{FORMAT_NAME} "):
-        raise IngestionError(f"weights file does not start with '{FORMAT_NAME} <version>'")
-    version = lines[0].split(" ", 1)[1]
-    if version != str(FORMAT_VERSION):
-        raise IngestionError(f"unsupported weights format version {version!r}")
-    if len(lines) < 2 or not lines[1].startswith("config "):
-        raise IngestionError("weights file is missing the config line")
-    config_hash = lines[1].split(" ", 1)[1].strip()
-
-    layout: list[tuple[str, tuple[int, ...], int]] = []
-    i = 2
-    while i < len(lines) and lines[i].startswith("segment "):
-        parts = lines[i].split()
-        if len(parts) != 4:
-            raise IngestionError(f"malformed segment line {i + 1}: {lines[i]!r}")
-        _, name, dims, offset = parts
-        try:
-            shape = tuple(int(d) for d in dims.split("x"))
-            layout.append((name, shape, int(offset)))
-        except ValueError as exc:
-            raise IngestionError(f"malformed segment line {i + 1}: {lines[i]!r}") from exc
-        i += 1
-    if i >= len(lines) or lines[i] != "values":
-        raise IngestionError("weights file is missing the 'values' marker")
-    i += 1
-
-    raw = [ln for ln in lines[i:] if ln.strip()]
-    try:
-        flat = np.array([float(v) for v in raw], dtype=np.float64)
-    except ValueError as exc:
-        raise IngestionError(f"non-numeric value in weights file: {exc}") from exc
-
-    expected = 0
-    segs = []
-    for name, shape, offset in layout:
-        size = 1
-        for d in shape:
-            size *= d
-        if offset != expected:
-            raise IngestionError(
-                f"segment {name!r} declares offset {offset}, expected {expected}"
-            )
-        expected += size
-    if flat.shape[0] != expected:
-        raise IngestionError(
-            f"weights file holds {flat.shape[0]} values but segments declare {expected}"
-        )
-    for name, shape, offset in layout:
-        size = 1
-        for d in shape:
-            size *= d
-        segs.append(Segment(name, shape, flat[offset : offset + size].copy()))
-    return ParameterVector(tuple(segs)), config_hash
-
-
-def save_weights(path: str, vector: ParameterVector, config_hash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_weights(vector, config_hash))
-
-
-def load_weights(path: str) -> tuple[ParameterVector, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IngestionError(f"cannot read weights file {path}: {exc}") from exc
-    return parse_weights(text)

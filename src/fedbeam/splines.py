@@ -124,8 +124,3 @@ def basis_and_derivative(x: np.ndarray, grid: SplineGrid) -> tuple[np.ndarray, n
         deriv = k * (b_lower[:, :-1] / denom_left - b_lower[:, 1:] / denom_right)
         deriv = deriv * inside[:, None]
     return b, deriv
-
-
-def bspline_basis(x: float, grid: SplineGrid) -> np.ndarray:
-    """Basis values at a single point, as a vector of length grid.num_bases."""
-    return basis_matrix(np.asarray([x], dtype=np.float64), grid)[0]

@@ -197,3 +197,46 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value, extra",
+    [
+        ("train", "federation", "rounds", '"2"', []),
+        ("train", "federation", "rounds", "1.5", []),
+        ("train", "federation", "rounds", "true", []),
+        ("train", "federation", "batch_size", "1e400", []),
+        ("train", "federation", "learning_rate", "NaN", []),
+        ("train", "federation", "seed", "-1", []),
+        ("train", "model", "kan_hidden_widths", "5", []),
+        ("train", "model", "kan_hidden_widths", "[2.7, 4]", []),
+        ("train", "model", "dropout_p", '"0.5"', []),
+        ("train", "model", "input_width", "10.0", []),
+        ("train", "data", "window_hours", '"x"', []),
+        ("train", "data", "train_fraction", '"a"', []),
+        ("train", "data", "synthetic", "5", []),
+        ("train", "data", "synthetic", '{"seed": -3, "hours": 90, "beams": 2}', []),
+        ("train", "data", "beam_files", "[5]", []),
+        ("train", None, "out_dir", '["x"]', []),
+        ("train", None, "seed", None, ["--seed", "-1"]),
+        ("generate", None, "seed", None, ["--seed", "-1"]),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, command, section, key, value, extra):
+    cfg_path = tmp_path / "cfg.json"
+    config = write_config(cfg_path)
+    if value is not None:
+        # Spliced in as raw JSON text, so values like 1e400 and NaN arrive as json.load reads them.
+        target = config if section is None else config[section]
+        if key == "beam_files":
+            del target["synthetic"]  # a config names exactly one data source
+        target[key] = "@VALUE@"
+        cfg_path.write_text(json.dumps(config).replace('"@VALUE@"', value), encoding="utf-8")
+    if command == "generate":
+        argv = ["generate", "--out", str(tmp_path / "beams")]
+    else:
+        argv = [command, "--config", str(cfg_path)]
+    assert main(argv + extra) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err

@@ -25,7 +25,14 @@ from fedbeam.federation import (
     run_round,
 )
 from fedbeam.layers import MODE_EVAL
-from fedbeam.model import ModelConfig, build_model, export_weights, forward
+from fedbeam.model import (
+    KanBlock,
+    ModelConfig,
+    build_model,
+    export_weights,
+    forward,
+    import_weights,
+)
 from fedbeam.params import ParameterVector
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
@@ -135,6 +142,42 @@ def test_local_train_is_deterministic():
     assert a.local_train_loss == b.local_train_loss
     c = local_train(clients[0], template, global_weights, FAST_FED, np.random.default_rng(5))
     assert not np.array_equal(a.weights.to_flat(), c.weights.to_flat())
+
+
+def layer_arrays(model) -> list[np.ndarray]:
+    arrays = []
+    for block in model.blocks:
+        if isinstance(block, KanBlock):
+            arrays += [block.params.spline_coeffs, block.params.base_weights]
+        else:
+            arrays += [block.params.weights, block.params.biases]
+    return arrays
+
+
+def test_layer_arrays_are_views_into_the_weight_buffer():
+    for cfg in (ModelConfig.fed_kan(), ModelConfig.fed_mlp()):
+        model = build_model(cfg, seed=3)
+        imported = import_weights(model, export_weights(model))
+        for m in (model, imported):
+            assert all(np.shares_memory(a, m.weights) for a in layer_arrays(m))
+        assert not np.shares_memory(imported.weights, model.weights)
+
+
+def test_training_leaves_template_and_global_weights_unchanged():
+    clients = small_clients(3)
+    template = build_model(ModelConfig.fed_kan(), seed=5)
+    global_weights = export_weights(template)
+
+    def snapshot() -> list[bytes]:
+        arrays = [template.weights, *layer_arrays(template)]
+        arrays += [seg.values for seg in global_weights.segments]
+        return [a.tobytes() for a in arrays]
+
+    before = snapshot()
+    local_train(clients[0], template, global_weights, FAST_FED, np.random.default_rng(0))
+    assert snapshot() == before
+    run_round(global_weights, clients, template, FAST_FED, 1, parallel=True)
+    assert snapshot() == before
 
 
 def test_federation_config_validation():

@@ -82,10 +82,10 @@ def test_zero_upstream_gives_zero_grads():
     params = KanLayerParams.initialized(2, 3, GRID, np.random.default_rng(5))
     x = np.random.default_rng(6).uniform(-1, 1, (4, 2))
     _, cache = kan_layer_forward(x, params)
-    d_in, grads = kan_layer_backward(np.zeros((4, 3)), params, cache)
+    d_in, d_coeffs, d_base = kan_layer_backward(np.zeros((4, 3)), params, cache)
     assert np.array_equal(d_in, np.zeros((4, 2)))
-    assert np.array_equal(grads.spline_coeffs, np.zeros_like(params.spline_coeffs))
-    assert np.array_equal(grads.base_weights, np.zeros_like(params.base_weights))
+    assert np.array_equal(d_coeffs, np.zeros_like(params.spline_coeffs))
+    assert np.array_equal(d_base, np.zeros_like(params.base_weights))
 
 
 def test_kan_backward_matches_finite_differences():
@@ -95,7 +95,7 @@ def test_kan_backward_matches_finite_differences():
     probe = rng.standard_normal((4, 3))
 
     out, cache = kan_layer_forward(x, params)
-    d_in, grads = kan_layer_backward(probe, params, cache)
+    d_in, d_coeffs, d_base = kan_layer_backward(probe, params, cache)
 
     n_coeffs = params.spline_coeffs.size
 
@@ -110,7 +110,7 @@ def test_kan_backward_matches_finite_differences():
 
     flat0 = np.concatenate([params.spline_coeffs.reshape(-1), params.base_weights.reshape(-1)])
     fd = finite_difference_gradient(loss_of_params, flat0)
-    analytic = np.concatenate([grads.spline_coeffs.reshape(-1), grads.base_weights.reshape(-1)])
+    analytic = np.concatenate([d_coeffs.reshape(-1), d_base.reshape(-1)])
     assert rel_err(analytic, fd) < 1e-4
 
     def loss_of_inputs(flat: np.ndarray) -> float:
@@ -127,9 +127,9 @@ def test_base_weight_grad_closed_form():
     x = rng.uniform(-0.8, 0.8, (6, 1))
     upstream = rng.standard_normal((6, 1))
     _, cache = kan_layer_forward(x, params)
-    _, grads = kan_layer_backward(upstream, params, cache)
+    _, _, d_base = kan_layer_backward(upstream, params, cache)
     expected = float(np.sum(upstream[:, 0] * silu(x[:, 0])))
-    assert grads.base_weights[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert d_base[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_linear_identity():
@@ -145,7 +145,7 @@ def test_linear_backward_matches_finite_differences():
     x = rng.standard_normal((5, 3))
     probe = rng.standard_normal((5, 2))
     out, cache = linear_forward(x, params)
-    d_in, grads = linear_backward(probe, params, cache)
+    d_in, d_weights, d_biases = linear_backward(probe, params, cache)
 
     n_w = params.weights.size
 
@@ -156,7 +156,7 @@ def test_linear_backward_matches_finite_differences():
 
     flat0 = np.concatenate([params.weights.reshape(-1), params.biases])
     fd = finite_difference_gradient(loss_of_params, flat0)
-    analytic = np.concatenate([grads.weights.reshape(-1), grads.biases])
+    analytic = np.concatenate([d_weights.reshape(-1), d_biases])
     assert rel_err(analytic, fd) < 1e-4
 
     def loss_of_inputs(flat: np.ndarray) -> float:
@@ -173,8 +173,8 @@ def test_bias_grad_is_upstream_column_sum():
     x = rng.standard_normal((5, 3))
     probe = rng.standard_normal((5, 2))
     _, cache = linear_forward(x, params)
-    _, grads = linear_backward(probe, params, cache)
-    assert np.allclose(grads.biases, probe.sum(axis=0), rtol=0, atol=0)
+    _, _, d_biases = linear_backward(probe, params, cache)
+    assert np.allclose(d_biases, probe.sum(axis=0), rtol=0, atol=0)
 
 
 def test_relu_values_and_backward():

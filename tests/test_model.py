@@ -9,7 +9,6 @@ from fedbeam.errors import (
     ConfigurationError,
     ContractViolationError,
     IncompatibleWeightsError,
-    IngestionError,
 )
 from fedbeam.layers import MODE_EVAL, MODE_TRAIN
 from fedbeam.model import (
@@ -23,14 +22,7 @@ from fedbeam.model import (
     import_weights,
     layer_plan,
 )
-from fedbeam.params import (
-    ParameterVector,
-    Segment,
-    load_weights,
-    parse_weights,
-    render_weights,
-    save_weights,
-)
+from fedbeam.params import ParameterVector, Segment
 
 
 def test_fed_mlp_plan_is_four_linear_layers():
@@ -186,35 +178,6 @@ def test_import_rejects_renamed_segment():
         import_weights(model, ParameterVector(tuple(segments)))
     assert "layer00.mystery" in str(err.value)
     assert "layer00.spline_coeffs" in str(err.value)
-
-
-def test_weights_file_round_trip(tmp_path):
-    model = build_model(ModelConfig.fed_kan(), seed=8)
-    vec = export_weights(model)
-    digest = model.config.config_hash()
-    path = tmp_path / "weights.txt"
-    save_weights(str(path), vec, digest)
-    loaded, loaded_digest = load_weights(str(path))
-    assert loaded_digest == digest
-    assert loaded.layout() == vec.layout()
-    assert np.array_equal(loaded.to_flat(), vec.to_flat())
-    # Re-render is byte-identical.
-    assert render_weights(loaded, loaded_digest) == path.read_text(encoding="utf-8")
-
-
-def test_weights_parser_rejects_malformed_input():
-    model = build_model(ModelConfig.fed_mlp(), seed=8)
-    vec = export_weights(model)
-    good = render_weights(vec, "abc123")
-    with pytest.raises(IngestionError):
-        parse_weights("not a weights file\n")
-    with pytest.raises(IngestionError):
-        parse_weights(good.replace("fedbeam-weights 1", "fedbeam-weights 9"))
-    truncated = "\n".join(good.splitlines()[:-10]) + "\n"
-    with pytest.raises(IngestionError):
-        parse_weights(truncated)
-    with pytest.raises(IngestionError):
-        parse_weights(good.replace("values", "payload", 1))
 
 
 def test_from_flat_rejects_wrong_length():

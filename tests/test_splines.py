@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ConfigurationError
-from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix, bspline_basis
+from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix
 
 
 def naive_cox_de_boor(x: float, k: int, i: int, knots: np.ndarray) -> float:
@@ -65,7 +65,7 @@ def test_order_zero_is_interval_indicator():
 
 def test_partition_of_unity_at_center():
     g = SplineGrid.uniform(5, 3)
-    values = bspline_basis(0.0, g)
+    values = basis_matrix(np.array([0.0]), g)[0]
     assert values.shape == (8,)
     assert abs(values.sum() - 1.0) < 1e-12
 
@@ -86,11 +86,6 @@ def test_matches_naive_recursive_oracle():
     for row, x in zip(b, xs):
         expected = [naive_cox_de_boor(float(x), 3, i, g.knots) for i in range(g.num_bases)]
         assert np.max(np.abs(row - np.array(expected))) < 1e-12
-
-
-def test_single_point_matches_matrix():
-    g = SplineGrid.uniform(5, 3)
-    assert np.array_equal(bspline_basis(0.3, g), basis_matrix(np.array([0.3]), g)[0])
 
 
 def test_out_of_range_inputs_are_clamped():
