@@ -99,6 +99,12 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * sigmoid(x)
 
 
+def _flat_coeffs(params: KanLayerParams) -> np.ndarray:
+    """Spline coefficients as an (in_width * num_bases, out_width) matrix."""
+    coeffs = params.spline_coeffs
+    return coeffs.transpose(0, 2, 1).reshape(-1, coeffs.shape[1])
+
+
 def kan_layer_forward(
     inputs: np.ndarray, params: KanLayerParams
 ) -> tuple[np.ndarray, dict]:
@@ -111,15 +117,15 @@ def kan_layer_forward(
         raise ContractViolationError(
             f"expected inputs of shape (batch, {params.in_width}), got {inputs.shape}"
         )
-    flat = inputs.reshape(-1)
-    bases_flat, dbases_flat = basis_and_derivative(flat, params.grid)
-    n, w = inputs.shape
-    bases = bases_flat.reshape(n, w, params.grid.num_bases)
-    dbases = dbases_flat.reshape(n, w, params.grid.num_bases)
+    n = inputs.shape[0]
+    bases, dbases = basis_and_derivative(inputs.reshape(-1), params.grid)
+    # (batch, in_width * num_bases), matching the rows of _flat_coeffs.
+    bases = bases.reshape(n, -1)
+    dbases = dbases.reshape(n, -1)
     sig = sigmoid(inputs)
     silu_x = inputs * sig
     out = silu_x @ params.base_weights
-    out = out + np.einsum("bim,iom->bo", bases, params.spline_coeffs)
+    out = out + bases @ _flat_coeffs(params)
     cache = {
         "inputs": inputs,
         "sigmoid": sig,
@@ -144,13 +150,18 @@ def kan_layer_backward(
     bases = cache["bases"]
     dbases = cache["dbases"]
 
+    n, w = x.shape
+    m = params.grid.num_bases
+
     d_base = cache["silu"].T @ upstream
-    d_coeffs = np.einsum("bo,bim->iom", upstream, bases)
+    # (in_width * num_bases, out_width) -> (in_width, out_width, num_bases)
+    d_coeffs = (bases.T @ upstream).reshape(w, m, -1).transpose(0, 2, 1)
 
     # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
     silu_prime = sig * (1.0 + x * (1.0 - sig))
     d_inputs = (upstream @ params.base_weights.T) * silu_prime
-    d_inputs = d_inputs + np.einsum("bo,iom,bim->bi", upstream, params.spline_coeffs, dbases)
+    d_spline = (upstream @ _flat_coeffs(params).T) * dbases
+    d_inputs = d_inputs + d_spline.reshape(n, w, m).sum(axis=2)
     return d_inputs, d_coeffs, d_base
 
 

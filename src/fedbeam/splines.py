@@ -3,14 +3,22 @@
 A grid with ``intervals`` segments and spline order ``order`` over
 [range_min, range_max] carries an extended knot sequence (``order`` extra
 knots padded beyond each end with the same spacing) and therefore
-``intervals + order`` basis functions.  Bases are evaluated with the
-Cox-de Boor recurrence; inputs outside the grid range are clamped to the
-range boundary before evaluation.
+``intervals + order`` basis functions.
+
+On uniform knots every basis is a shifted copy of one cardinal B-spline,
+and on each knot interval only ``order + 1`` bases are nonzero.  Evaluation
+clamps inputs to the grid range, finds each input's knot interval and its
+local coordinate ``u`` in [0, 1], and evaluates the nonzero bases as
+polynomials in ``u`` whose coefficients come from the truncated-power form
+of the cardinal B-spline.  The last real interval is closed, so
+``range_max`` and every input clamped there get a full set of bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb, factorial
 
 import numpy as np
 
@@ -22,13 +30,23 @@ _SPACING_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SplineGrid:
-    """Extended uniform knot grid for B-splines on [range_min, range_max]."""
+    """Extended uniform knot grid for B-splines on [range_min, range_max].
+
+    The knots are checked once, when the grid is built, and stored as a
+    read-only array, so a grid that exists is well-formed.
+    """
 
     range_min: float
     range_max: float
     intervals: int
     order: int
     knots: np.ndarray
+
+    def __post_init__(self) -> None:
+        knots = np.array(self.knots, dtype=np.float64)
+        knots.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
+        self.validate()
 
     @classmethod
     def uniform(
@@ -57,6 +75,10 @@ class SplineGrid:
     def num_bases(self) -> int:
         return self.intervals + self.order
 
+    @property
+    def spacing(self) -> float:
+        return (self.range_max - self.range_min) / self.intervals
+
     def validate(self) -> None:
         """Raise ConfigurationError unless the knot sequence is well-formed."""
         expected = self.intervals + 2 * self.order + 1
@@ -67,9 +89,85 @@ class SplineGrid:
         steps = np.diff(self.knots)
         if not np.all(steps > 0):
             raise ConfigurationError("knot sequence must be strictly increasing")
-        spacing = (self.range_max - self.range_min) / self.intervals
-        if np.max(np.abs(steps - spacing)) > _SPACING_RTOL * max(abs(spacing), 1.0):
+        spacing = self.spacing
+        tol = _SPACING_RTOL * max(abs(spacing), 1.0)
+        if np.max(np.abs(steps - spacing)) > tol:
             raise ConfigurationError("knots must be evenly spaced")
+        ends = self.knots[[self.order, self.order + self.intervals]]
+        if np.max(np.abs(ends - (self.range_min, self.range_max))) > tol * self.intervals:
+            raise ConfigurationError(
+                f"knots must place the grid range [{self.range_min}, {self.range_max}] "
+                f"at knots {self.order} and {self.order + self.intervals}"
+            )
+
+
+@cache
+def _piece_matrix(order: int) -> np.ndarray:
+    """Polynomial pieces of the cardinal B-spline of the given order.
+
+    On a knot interval with local coordinate u, the r-th nonzero basis is
+    N(u + order - r), where N is the cardinal B-spline supported on
+    [0, order + 1].  Row p holds the coefficients of ``u**p``: column r for
+    the value of that basis, column order + 1 + r for its d/du.  They come
+    from the truncated-power form
+    N(t) = sum_j (-1)**j C(order+1, j) (t - j)_+**order / order!,
+    whose terms are integers until the final division.
+    """
+    k = order
+    scaled = np.array(
+        [
+            [
+                sum(
+                    (-1) ** j * comb(k + 1, j) * comb(k, p) * (k - r - j) ** (k - p)
+                    for j in range(k - r + 1)
+                )
+                for r in range(k + 1)
+            ]
+            for p in range(k + 1)
+        ],
+        dtype=np.float64,
+    )
+    derivs = np.zeros_like(scaled)
+    derivs[:-1] = scaled[1:] * np.arange(1, k + 1)[:, None]
+    pieces = np.hstack([scaled, derivs]) / factorial(k)
+    pieces.flags.writeable = False
+    return pieces
+
+
+def basis_and_derivative(x: np.ndarray, grid: SplineGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate bases and their derivatives with respect to the input.
+
+    Returns two arrays of shape (len(x), grid.num_bases).  Clamped points
+    contribute zero derivative (the clamp is flat outside the range), which
+    is what a layer backward pass needs.  On a knot the derivative is the
+    one-sided derivative of the interval the point belongs to.
+    """
+    k = grid.order
+    m = grid.num_bases
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    xc = np.minimum(np.maximum(x, grid.range_min), grid.range_max)
+    # Interval s holds knots[s] <= xc < knots[s + 1]; range_max joins the
+    # last real interval.
+    s = np.searchsorted(grid.knots, xc, side="right") - 1
+    np.minimum(np.maximum(s, k, out=s), k + grid.intervals - 1, out=s)
+    u = (xc - grid.knots[s]) / grid.spacing
+
+    pieces = (u[:, None] ** np.arange(k + 1)) @ _piece_matrix(k)
+    # A piece that vanishes at an interval end can round to -1e-17 there;
+    # the bases are non-negative.
+    values = pieces[:, : k + 1]
+    np.maximum(values, 0.0, out=values)
+    # d/du -> d/dx; clamped points get zero.
+    pieces[:, k + 1 :] *= ((x == xc) / grid.spacing)[:, None]
+
+    # Value r of row i lands on basis s[i] - k + r of plane 0, its
+    # derivative on the same basis of plane 1.
+    first = s + np.arange(-k, n * m - k, m)
+    offsets = np.concatenate([np.arange(k + 1), np.arange(n * m, n * m + k + 1)])
+    planes = np.zeros((2, n, m))
+    planes.reshape(-1)[first[:, None] + offsets] = pieces
+    return planes[0], planes[1]
 
 
 def basis_matrix(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
@@ -79,48 +177,4 @@ def basis_matrix(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
     non-negative and sum to 1 for points inside the grid range; points
     outside are clamped first.
     """
-    grid.validate()
-    t = grid.knots
-    xc = np.clip(np.asarray(x, dtype=np.float64), grid.range_min, grid.range_max)
-    # Order-0 indicators over the half-open knot intervals.  The padding
-    # knots beyond range_max keep the indicator at x == range_max inside
-    # the recursion's reach.
-    b = ((xc[:, None] >= t[None, :-1]) & (xc[:, None] < t[None, 1:])).astype(np.float64)
-    for d in range(1, grid.order + 1):
-        left = (xc[:, None] - t[None, : -(d + 1)]) / (t[None, d:-1] - t[None, : -(d + 1)])
-        right = (t[None, d + 1 :] - xc[:, None]) / (t[None, d + 1 :] - t[None, 1:-d])
-        b = left * b[:, :-1] + right * b[:, 1:]
-    return b
-
-
-def basis_and_derivative(x: np.ndarray, grid: SplineGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate bases and their derivatives with respect to the input.
-
-    The derivative uses the standard order-lowering difference formula.
-    Clamped points contribute zero derivative (the clamp is flat outside
-    the range), which is what a layer backward pass needs.
-    """
-    grid.validate()
-    t = grid.knots
-    k = grid.order
-    x = np.asarray(x, dtype=np.float64)
-    inside = (x >= grid.range_min) & (x <= grid.range_max)
-    xc = np.clip(x, grid.range_min, grid.range_max)
-
-    b = ((xc[:, None] >= t[None, :-1]) & (xc[:, None] < t[None, 1:])).astype(np.float64)
-    b_lower = b
-    for d in range(1, k + 1):
-        b_lower = b
-        left = (xc[:, None] - t[None, : -(d + 1)]) / (t[None, d:-1] - t[None, : -(d + 1)])
-        right = (t[None, d + 1 :] - xc[:, None]) / (t[None, d + 1 :] - t[None, 1:-d])
-        b = left * b[:, :-1] + right * b[:, 1:]
-
-    if k == 0:
-        deriv = np.zeros_like(b)
-    else:
-        # b_lower holds the order-(k-1) bases, one column wider than b.
-        denom_left = t[k:-1] - t[: -(k + 1)]
-        denom_right = t[k + 1 :] - t[1:-k]
-        deriv = k * (b_lower[:, :-1] / denom_left - b_lower[:, 1:] / denom_right)
-        deriv = deriv * inside[:, None]
-    return b, deriv
+    return basis_and_derivative(x, grid)[0]

@@ -20,7 +20,7 @@ from fedbeam.layers import (
     relu_backward,
     silu,
 )
-from fedbeam.splines import SplineGrid, basis_matrix
+from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix
 
 GRID = SplineGrid.uniform(5, 3)
 
@@ -130,6 +130,33 @@ def test_base_weight_grad_closed_form():
     _, _, d_base = kan_layer_backward(upstream, params, cache)
     expected = float(np.sum(upstream[:, 0] * silu(x[:, 0])))
     assert d_base[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "batch,in_width,out_width",
+    [(1, 3, 2), (5, 1, 2), (5, 3, 1), (16, 10, 2), (16, 2, 4), (16, 4, 8)],
+)
+def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
+    rng = np.random.default_rng(batch * 100 + in_width * 10 + out_width)
+    params = KanLayerParams.initialized(in_width, out_width, GRID, rng)
+    x = rng.uniform(-1.2, 1.2, (batch, in_width))
+    upstream = rng.standard_normal((batch, out_width))
+    out, cache = kan_layer_forward(x, params)
+    d_in, d_coeffs, d_base = kan_layer_backward(upstream, params, cache)
+
+    shape = (batch, in_width, GRID.num_bases)
+    bases, dbases = (b.reshape(shape) for b in basis_and_derivative(x.reshape(-1), GRID))
+    coeffs = params.spline_coeffs
+    sig = 1.0 / (1.0 + np.exp(-x))
+    expected_out = (x * sig) @ params.base_weights + np.einsum("bim,iom->bo", bases, coeffs)
+    expected_d_coeffs = np.einsum("bo,bim->iom", upstream, bases)
+    expected_d_in = (upstream @ params.base_weights.T) * sig * (1.0 + x * (1.0 - sig))
+    expected_d_in += np.einsum("bo,iom,bim->bi", upstream, coeffs, dbases)
+
+    assert np.max(np.abs(out - expected_out)) < 1e-12
+    assert np.max(np.abs(d_coeffs - expected_d_coeffs)) < 1e-12
+    assert np.max(np.abs(d_in - expected_d_in)) < 1e-12
+    assert np.max(np.abs(d_base - (x * sig).T @ upstream)) < 1e-12
 
 
 def test_linear_identity():

@@ -1,4 +1,8 @@
-"""B-spline grid and basis tests against an independent recursive oracle."""
+"""B-spline grid and basis tests against an independent recursive oracle.
+
+The package evaluates bases from the cardinal B-spline's polynomial pieces;
+the textbook Cox-de Boor recursion below is the reference it must match.
+"""
 
 import dataclasses
 
@@ -48,11 +52,45 @@ def test_validate_rejects_tampered_knots():
     g = SplineGrid.uniform(5, 3)
     bad = g.knots.copy()
     bad[4] = bad[6]
-    tampered = dataclasses.replace(g, knots=bad)
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(g, knots=bad)
+    # validate() still checks whatever knots a grid carries.
+    tampered = SplineGrid.uniform(5, 3)
+    object.__setattr__(tampered, "knots", bad)
     with pytest.raises(ConfigurationError):
         tampered.validate()
+
+
+def test_grid_rejects_knots_off_its_range():
+    g = SplineGrid.uniform(5, 3)
     with pytest.raises(ConfigurationError):
-        basis_matrix(np.zeros(1), tampered)
+        dataclasses.replace(g, knots=g.knots + 0.5 * g.spacing)
+
+
+def test_knots_are_read_only():
+    g = SplineGrid.uniform(5, 3)
+    with pytest.raises(ValueError):
+        g.knots[0] = 0.0
+
+
+def test_evaluation_never_revalidates(monkeypatch):
+    g = SplineGrid.uniform(5, 3)
+
+    def refuse(self):
+        raise AssertionError("validate() called after the grid was built")
+
+    monkeypatch.setattr(SplineGrid, "validate", refuse)
+    x = np.linspace(-1.5, 1.5, 7)
+    basis_and_derivative(x, g)
+    basis_matrix(x, g)
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_range_ends_and_clamped_inputs_sum_to_one(order):
+    g = SplineGrid.uniform(5, order)
+    x = np.array([-1.0, 1.0, -3.0, 3.0])
+    b = basis_matrix(x, g)
+    assert np.max(np.abs(b.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_order_zero_is_interval_indicator():
@@ -86,6 +124,42 @@ def test_matches_naive_recursive_oracle():
     for row, x in zip(b, xs):
         expected = [naive_cox_de_boor(float(x), 3, i, g.knots) for i in range(g.num_bases)]
         assert np.max(np.abs(row - np.array(expected))) < 1e-12
+
+
+GRID_SHAPES = [
+    (order, intervals, lo, hi)
+    for order in range(5)
+    for intervals in (1, 3, 5, 7)
+    for lo, hi in ((-1.0, 1.0), (0.0, 2.0), (-0.3, 0.9))
+]
+
+
+@pytest.mark.parametrize("order,intervals,lo,hi", GRID_SHAPES)
+def test_matches_oracle_on_knots_and_range_ends(order, intervals, lo, hi):
+    g = SplineGrid.uniform(intervals, order, lo, hi)
+    real_knots = g.knots[order : order + intervals + 1]
+    rng = np.random.default_rng(intervals)
+    xs = np.concatenate([real_knots, [lo, hi], rng.uniform(lo, hi, size=20)])
+    if order == 0:
+        # The oracle's order-0 indicators are half-open, so it leaves the
+        # last real knot (and anything past it) without a basis.
+        xs = xs[xs < real_knots[-1]]
+    b = basis_matrix(xs, g)
+    for row, x in zip(b, xs):
+        expected = [naive_cox_de_boor(float(x), order, i, g.knots) for i in range(g.num_bases)]
+        assert np.max(np.abs(row - np.array(expected))) < 1e-12
+
+
+@pytest.mark.parametrize("order,intervals,lo,hi", [s for s in GRID_SHAPES if s[0] > 0])
+def test_derivative_matches_finite_differences_off_knots(order, intervals, lo, hi):
+    g = SplineGrid.uniform(intervals, order, lo, hi)
+    rng = np.random.default_rng(order * 10 + intervals)
+    xs = rng.uniform(lo, hi, size=50)
+    xs = xs[np.min(np.abs(xs[:, None] - g.knots[None, :]), axis=1) > 1e-3]
+    _, analytic = basis_and_derivative(xs, g)
+    h = 1e-6
+    numeric = (basis_matrix(xs + h, g) - basis_matrix(xs - h, g)) / (2 * h)
+    assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 
 def test_out_of_range_inputs_are_clamped():
