@@ -187,9 +187,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(
-    config: RunConfig, kind: str, beams: list[BeamSeries], parallel: bool
-) -> ExperimentReport:
+def _run_one(config: RunConfig, kind: str, beams: list[BeamSeries]) -> ExperimentReport:
     model = dataclasses.replace(config.model, kind=kind)
     model.validate()
     return run_experiment(
@@ -198,7 +196,6 @@ def _run_one(
         beams,
         window_hours=config.window_hours,
         train_fraction=config.train_fraction,
-        parallel=parallel,
     )
 
 
@@ -211,7 +208,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         beams,
         window_hours=config.window_hours,
         train_fraction=config.train_fraction,
-        parallel=args.parallel_clients,
     )
     text = render_experiment_csv(report)
     out_dir = Path(config.out_dir)
@@ -226,8 +222,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=False), args)
     beams = _load_beams(config)
-    kan_report = _run_one(config, KIND_FED_KAN, beams, args.parallel_clients)
-    mlp_report = _run_one(config, KIND_FED_MLP, beams, args.parallel_clients)
+    kan_report = _run_one(config, KIND_FED_KAN, beams)
+    mlp_report = _run_one(config, KIND_FED_MLP, beams)
 
     kan_text = render_experiment_csv(kan_report)
     mlp_text = render_experiment_csv(mlp_report)
@@ -268,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--parallel-clients",
             action="store_true",
-            help="train clients of a round in a thread pool",
+            help="accepted for compatibility and has no effect: clients of equal "
+            "length always train in lockstep",
         )
         cmd.add_argument(
             "--availability",

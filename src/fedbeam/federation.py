@@ -3,15 +3,19 @@
 One round: broadcast the global weights, train each available client for
 local_epochs over its own windowed series, aggregate the returned weight
 vectors, then evaluate the new global model on every client's test set.
-Everything is seeded; per-client rng streams are derived ahead of dispatch
-so a thread pool cannot change results.
+
+Clients with the same number of training samples share a minibatch
+schedule, so a round trains each such group in lockstep: one stacked
+model, one row per client, stepping all of them per NumPy call.  Every
+client keeps its own Adam moments and its own seeded dropout stream, and
+each row's arithmetic is the same as training that client alone, so the
+grouping cannot change results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,59 +202,77 @@ def minibatch_slices(n: int, batch_size: int) -> list[slice]:
 
 
 def local_train(
-    client: ClientState,
+    clients: list[ClientState],
     template: Model,
     global_weights: ParameterVector,
     fed_config: FederationConfig,
-    rng: np.random.Generator,
-) -> ClientUpdate:
-    """Train one client from the global weights for local_epochs.
+    rngs: list[np.random.Generator],
+) -> list[ClientUpdate]:
+    """Train a group of clients from the global weights for local_epochs.
 
-    Adam state starts fresh (moments are not carried across rounds).  The
-    reported loss is the element-weighted mean of the batch losses seen
-    during the final epoch, dropout active.
+    The clients must share a sample count; they train in lockstep as one
+    stacked model, client ``i`` drawing its dropout masks from ``rngs[i]``.
+    Adam state starts fresh (moments are not carried across rounds).  Each
+    reported loss is the element-weighted mean of the client's batch
+    losses during the final epoch, dropout active.  Updates come back in
+    the order of ``clients``.
     """
-    if client.sample_count < 1:
-        raise ConfigurationError(f"client {client.client_id!r} has no training data")
-    # The client's own copy: every step updates its weight buffer in place.
-    model = import_weights(template, global_weights)
+    if not clients or len(rngs) != len(clients):
+        raise ContractViolationError(
+            f"need a non-empty group and one rng per client, got {len(rngs)} rngs "
+            f"for {len(clients)} clients"
+        )
+    n = clients[0].sample_count
+    if any(c.sample_count != n for c in clients):
+        counts = {c.client_id: c.sample_count for c in clients}
+        raise ContractViolationError(
+            f"clients trained together must share a sample count, got {counts}"
+        )
+    if n < 1:
+        raise ConfigurationError(f"client {clients[0].client_id!r} has no training data")
+    # The group's own copy: every step updates its weight rows in place.
+    model = import_weights(template, global_weights, copies=len(clients))
     grads = np.empty_like(model.weights)
     grad_segments = segment_views(model.layout, grads)
     state = AdamState.initial(
-        grads.shape[0], fed_config.learning_rate, fed_config.weight_decay
+        grads.shape, fed_config.learning_rate, fed_config.weight_decay
     )
-    slices = minibatch_slices(client.sample_count, fed_config.batch_size)
+    features = np.stack([c.train_features for c in clients])
+    targets = np.stack([c.train_targets for c in clients])
+    slices = minibatch_slices(n, fed_config.batch_size)
 
-    final_epoch_losses: list[float] = []
+    final_epoch_losses: list[np.ndarray] = []
     final_epoch_sizes: list[int] = []
     for epoch in range(fed_config.local_epochs):
         last_epoch = epoch == fed_config.local_epochs - 1
         for sl in slices:
-            xb = client.train_features[sl]
-            yb = client.train_targets[sl]
-            preds, caches = forward_with_caches(model, xb, MODE_TRAIN, rng)
-            loss, loss_grad = mse_loss(preds, yb)
-            if not np.isfinite(loss):
-                raise NumericsError(
-                    f"client {client.client_id!r} produced a non-finite loss"
-                )
+            xb = features[:, sl]
+            preds, caches = forward_with_caches(model, xb, MODE_TRAIN, rngs)
+            losses, loss_grad = mse_loss(preds, targets[:, sl])
+            finite = np.isfinite(losses)
+            if not finite.all():
+                bad = ", ".join(repr(c.client_id) for c, ok in zip(clients, finite) if not ok)
+                raise NumericsError(f"client {bad} produced a non-finite loss")
             model_backward(model, caches, loss_grad, grads)
             clip_gradient_norm(grads, fed_config.max_grad_norm, grad_segments)
             new_weights, state = adam_step(model.weights, grads, state)
-            model.weights[:] = new_weights
+            model.weights[...] = new_weights
             if last_epoch:
-                final_epoch_losses.append(loss)
-                final_epoch_sizes.append(xb.shape[0])
+                final_epoch_losses.append(losses)
+                final_epoch_sizes.append(xb.shape[1])
 
-    train_loss = float(
-        np.average(np.array(final_epoch_losses), weights=np.array(final_epoch_sizes))
-    )
-    return ClientUpdate(
-        client_id=client.client_id,
-        weights=export_weights(model),
-        sample_count=client.sample_count,
-        local_train_loss=train_loss,
-    )
+    sizes = np.array(final_epoch_sizes)
+    return [
+        ClientUpdate(
+            client_id=client.client_id,
+            weights=ParameterVector.from_flat(model.layout, row),
+            sample_count=n,
+            local_train_loss=float(np.average(client_losses, weights=sizes)),
+        )
+        for client, row, client_losses in zip(
+            clients, model.weights, np.array(final_epoch_losses).T
+        )
+    ]
 
 
 def aggregate(updates: list[ClientUpdate], scheme: str = AGG_UNIFORM) -> ParameterVector:
@@ -291,7 +313,7 @@ def evaluate_global(
             raise NumericsError(
                 f"client {client.client_id!r} produced a non-finite test loss"
             )
-        per_client[client.client_id] = loss
+        per_client[client.client_id] = float(loss)
     avg = float(np.mean(list(per_client.values())))
     return per_client, avg
 
@@ -312,9 +334,13 @@ def run_round(
     template: Model,
     fed_config: FederationConfig,
     round_index: int,
-    parallel: bool = False,
 ) -> tuple[ParameterVector, RoundReport]:
-    """One synchronous round; evaluates the new weights on every client."""
+    """One synchronous round; evaluates the new weights on every client.
+
+    Participants are trained in groups of equal sample count, one
+    local_train call per group; a client whose count no other participant
+    shares is a group of one.
+    """
     if not clients:
         raise ContractViolationError("cannot run a round with zero clients")
     ordered = sorted(clients, key=lambda c: c.client_id)
@@ -323,24 +349,22 @@ def run_round(
     )
     participants = _availability_draw(ordered, fed_config.availability_prob, avail_rng)
 
-    # Derive every rng up front so dispatch order cannot matter.
+    # Each client's stream is fixed by its index, so grouping cannot matter.
     rngs = {
         client.client_id: np.random.default_rng(
             np.random.SeedSequence((fed_config.seed, round_index, 1, idx))
         )
         for idx, client in enumerate(ordered)
     }
-
-    def train_one(client: ClientState) -> ClientUpdate:
-        return local_train(
-            client, template, global_weights, fed_config, rngs[client.client_id]
-        )
-
-    if parallel and len(participants) > 1:
-        with ThreadPoolExecutor(max_workers=len(participants)) as pool:
-            updates = list(pool.map(train_one, participants))
-    else:
-        updates = [train_one(c) for c in participants]
+    groups: dict[int, list[ClientState]] = {}
+    for client in participants:
+        groups.setdefault(client.sample_count, []).append(client)
+    trained: dict[str, ClientUpdate] = {}
+    for group in groups.values():
+        group_rngs = [rngs[c.client_id] for c in group]
+        for update in local_train(group, template, global_weights, fed_config, group_rngs):
+            trained[update.client_id] = update
+    updates = [trained[c.client_id] for c in participants]
 
     new_weights = aggregate(updates, fed_config.aggregation)
     per_client, avg_test = evaluate_global(new_weights, ordered, template)
@@ -368,7 +392,6 @@ def run_experiment(
     beams: list[BeamSeries],
     window_hours: int = 5,
     train_fraction: float = 0.8,
-    parallel: bool = False,
 ) -> ExperimentReport:
     """Full FedAvg run: build clients, train for rounds, report."""
     model_config.validate()
@@ -392,7 +415,7 @@ def run_experiment(
     reports = []
     for round_index in range(1, fed_config.rounds + 1):
         global_weights, report = run_round(
-            global_weights, clients, template, fed_config, round_index, parallel
+            global_weights, clients, template, fed_config, round_index
         )
         reports.append(report)
     return ExperimentReport(

@@ -4,11 +4,19 @@ Two trainable layer kinds exist: spline layers whose per-edge activation is
 ``w_base * silu(x) + sum_m c_m * B_m(x)``, and plain affine layers.  All
 arithmetic is float64 and every backward consumes the cache produced by the
 matching forward.
+
+Every layer also accepts a stack of batches: inputs of shape
+``(clients, batch, width)`` with parameters carrying the same leading
+``clients`` axis train that many independent models at once.  Each
+contraction is a stacked ``matmul`` that runs the same BLAS call per
+client as the unstacked layer, so client ``c``'s slice of every result is
+bitwise equal to running client ``c`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,12 +27,12 @@ MODE_TRAIN = "train"
 MODE_EVAL = "eval"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KanLayerParams:
     """Parameters of one spline layer.
 
-    spline_coeffs has shape (in_width, out_width, num_bases) and
-    base_weights has shape (in_width, out_width).
+    spline_coeffs has shape (..., in_width, out_width, num_bases) and
+    base_weights has shape (..., in_width, out_width).
     """
 
     spline_coeffs: np.ndarray
@@ -49,16 +57,19 @@ class KanLayerParams:
 
     @property
     def in_width(self) -> int:
-        return self.base_weights.shape[0]
+        return self.base_weights.shape[-2]
 
     @property
     def out_width(self) -> int:
-        return self.base_weights.shape[1]
+        return self.base_weights.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearLayerParams:
-    """Affine layer: out = x @ weights.T + biases."""
+    """Affine layer: out = x @ weights.T + biases.
+
+    weights has shape (..., out_width, in_width) and biases (..., out_width).
+    """
 
     weights: np.ndarray
     biases: np.ndarray
@@ -78,31 +89,47 @@ class LinearLayerParams:
 
     @property
     def in_width(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_width(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+    """Numerically stable logistic function.
+
+    exp only ever sees -|x|: 1 / (1 + e) for x >= 0, e / (1 + e) below.
+    ``minimum(x, -x)`` rather than ``-abs(x)`` passes a NaN through with
+    its sign.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     return x * sigmoid(x)
 
 
+def _check_inputs(inputs: np.ndarray, in_width: int) -> None:
+    if inputs.ndim < 2 or inputs.shape[-1] != in_width:
+        raise ContractViolationError(
+            f"expected inputs of shape (..., batch, {in_width}), got {inputs.shape}"
+        )
+
+
+def _check_upstream(upstream: np.ndarray, inputs: np.ndarray, out_width: int) -> None:
+    expected = (*inputs.shape[:-1], out_width)
+    if upstream.shape != expected:
+        raise ContractViolationError(
+            f"upstream shape {upstream.shape} does not match layer output {expected}"
+        )
+
+
 def _flat_coeffs(params: KanLayerParams) -> np.ndarray:
-    """Spline coefficients as an (in_width * num_bases, out_width) matrix."""
+    """Spline coefficients as an (..., in_width * num_bases, out_width) matrix."""
     coeffs = params.spline_coeffs
-    return coeffs.transpose(0, 2, 1).reshape(-1, coeffs.shape[1])
+    return coeffs.swapaxes(-1, -2).reshape(*coeffs.shape[:-3], -1, coeffs.shape[-2])
 
 
 def kan_layer_forward(
@@ -110,28 +137,26 @@ def kan_layer_forward(
 ) -> tuple[np.ndarray, dict]:
     """Forward pass of a spline layer.
 
-    inputs has shape (batch, in_width); the result has shape
-    (batch, out_width).  The returned cache feeds kan_layer_backward.
+    inputs has shape (..., batch, in_width); the result has shape
+    (..., batch, out_width).  The returned cache feeds kan_layer_backward.
     """
-    if inputs.ndim != 2 or inputs.shape[1] != params.in_width:
-        raise ContractViolationError(
-            f"expected inputs of shape (batch, {params.in_width}), got {inputs.shape}"
-        )
-    n = inputs.shape[0]
+    _check_inputs(inputs, params.in_width)
     bases, dbases = basis_and_derivative(inputs.reshape(-1), params.grid)
-    # (batch, in_width * num_bases), matching the rows of _flat_coeffs.
-    bases = bases.reshape(n, -1)
-    dbases = dbases.reshape(n, -1)
+    # (..., batch, in_width * num_bases), matching the rows of _flat_coeffs.
+    bases = bases.reshape(*inputs.shape[:-1], -1)
+    dbases = dbases.reshape(bases.shape)
+    flat_coeffs = _flat_coeffs(params)
     sig = sigmoid(inputs)
     silu_x = inputs * sig
     out = silu_x @ params.base_weights
-    out = out + bases @ _flat_coeffs(params)
+    out = out + bases @ flat_coeffs
     cache = {
         "inputs": inputs,
         "sigmoid": sig,
         "silu": silu_x,
         "bases": bases,
         "dbases": dbases,
+        "flat_coeffs": flat_coeffs,
     }
     return out, cache
 
@@ -140,39 +165,31 @@ def kan_layer_backward(
     upstream: np.ndarray, params: KanLayerParams, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass; returns the gradients of (inputs, spline_coeffs, base_weights)."""
-    if upstream.shape != (cache["inputs"].shape[0], params.out_width):
-        raise ContractViolationError(
-            f"upstream shape {upstream.shape} does not match layer output "
-            f"({cache['inputs'].shape[0]}, {params.out_width})"
-        )
     x = cache["inputs"]
+    _check_upstream(upstream, x, params.out_width)
     sig = cache["sigmoid"]
     bases = cache["bases"]
     dbases = cache["dbases"]
-
-    n, w = x.shape
     m = params.grid.num_bases
 
-    d_base = cache["silu"].T @ upstream
-    # (in_width * num_bases, out_width) -> (in_width, out_width, num_bases)
-    d_coeffs = (bases.T @ upstream).reshape(w, m, -1).transpose(0, 2, 1)
+    d_base = cache["silu"].swapaxes(-1, -2) @ upstream
+    # (..., in_width * num_bases, out_width) -> (..., in_width, out_width, num_bases)
+    d_flat = bases.swapaxes(-1, -2) @ upstream
+    d_coeffs = d_flat.reshape(*d_base.shape[:-1], m, -1).swapaxes(-1, -2)
 
     # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
     silu_prime = sig * (1.0 + x * (1.0 - sig))
-    d_inputs = (upstream @ params.base_weights.T) * silu_prime
-    d_spline = (upstream @ _flat_coeffs(params).T) * dbases
-    d_inputs = d_inputs + d_spline.reshape(n, w, m).sum(axis=2)
+    d_inputs = (upstream @ params.base_weights.swapaxes(-1, -2)) * silu_prime
+    d_spline = (upstream @ cache["flat_coeffs"].swapaxes(-1, -2)) * dbases
+    d_inputs = d_inputs + d_spline.reshape(*x.shape, m).sum(axis=-1)
     return d_inputs, d_coeffs, d_base
 
 
 def linear_forward(
     inputs: np.ndarray, params: LinearLayerParams
 ) -> tuple[np.ndarray, dict]:
-    if inputs.ndim != 2 or inputs.shape[1] != params.in_width:
-        raise ContractViolationError(
-            f"expected inputs of shape (batch, {params.in_width}), got {inputs.shape}"
-        )
-    out = inputs @ params.weights.T + params.biases
+    _check_inputs(inputs, params.in_width)
+    out = inputs @ params.weights.swapaxes(-1, -2) + params.biases[..., None, :]
     return out, {"inputs": inputs}
 
 
@@ -181,13 +198,9 @@ def linear_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass; returns the gradients of (inputs, weights, biases)."""
     x = cache["inputs"]
-    if upstream.shape != (x.shape[0], params.out_width):
-        raise ContractViolationError(
-            f"upstream shape {upstream.shape} does not match layer output "
-            f"({x.shape[0]}, {params.out_width})"
-        )
-    d_weights = upstream.T @ x
-    d_biases = upstream.sum(axis=0)
+    _check_upstream(upstream, x, params.out_width)
+    d_weights = upstream.swapaxes(-1, -2) @ x
+    d_biases = upstream.sum(axis=-2)
     d_inputs = upstream @ params.weights
     return d_inputs, d_weights, d_biases
 
@@ -203,10 +216,18 @@ def relu_backward(upstream: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def dropout(
-    inputs: np.ndarray, drop_prob: float, mode: str, rng: np.random.Generator | None
+    inputs: np.ndarray,
+    drop_prob: float,
+    mode: str,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout.  Eval mode (or drop_prob 0) is the identity with an
-    all-ones mask and draws nothing from rng."""
+    all-ones mask and draws nothing from rng.
+
+    For a stack of batches, ``rng`` may be one generator per entry of the
+    leading axis; each then draws its own batch's mask, exactly as it would
+    for that batch alone.
+    """
     if not 0.0 <= drop_prob < 1.0:
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {drop_prob}")
     if mode == MODE_EVAL or drop_prob == 0.0:
@@ -215,7 +236,17 @@ def dropout(
     if mode != MODE_TRAIN:
         raise ConfigurationError(f"unknown mode {mode!r}")
     keep = 1.0 - drop_prob
-    mask = (rng.random(inputs.shape) < keep).astype(np.float64) / keep
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(inputs.shape)
+    else:
+        if len(rng) != inputs.shape[0]:
+            raise ContractViolationError(
+                f"{len(rng)} generators cannot draw masks for a stack of {inputs.shape[0]}"
+            )
+        draws = np.empty(inputs.shape)
+        for row, r in zip(draws, rng):
+            r.random(out=row)
+    mask = (draws < keep).astype(np.float64) / keep
     return inputs * mask, mask
 
 

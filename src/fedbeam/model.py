@@ -11,6 +11,11 @@ reshaped view into it.  ``parameter_layout`` fixes the order and shape of
 those arrays (the segments), and the same layout serves the gradient
 buffer ``model_backward`` fills and the ``ParameterVector`` that
 ``export_weights`` and ``import_weights`` exchange with the federation.
+
+The buffer may also be a stack of shape ``(clients, parameters)``: one row
+per model, every layer array then carrying a leading ``clients`` axis.  Such
+a model runs a stack of batches, ``(clients, batch, width)``, one batch per
+row, and is how the federation trains a round's clients in lockstep.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
     ContractViolationError,
+    IncompatibleWeightsError,
     require_finite,
     require_int,
 )
@@ -207,12 +213,17 @@ def parameter_layout(config: ModelConfig) -> Layout:
 
 
 def segment_views(layout: Layout, flat: np.ndarray) -> list[np.ndarray]:
-    """One view into ``flat`` per segment of the layout, in its shape."""
+    """One view into ``flat`` per segment of the layout, in its shape.
+
+    ``flat`` may carry leading axes, ``(*lead, parameters)``; each view then
+    has shape ``(*lead, *segment_shape)``.
+    """
+    lead = flat.shape[:-1]
     views = []
     offset = 0
     for _, shape in layout:
         size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
+        views.append(flat[..., offset : offset + size].reshape(*lead, *shape))
         offset += size
     return views
 
@@ -234,7 +245,11 @@ Block = Union[KanBlock, LinearBlock]
 
 @dataclass(frozen=True)
 class Model:
-    """A built network: config, flat weight buffer, and blocks viewing it."""
+    """A built network: config, flat weight buffer, and blocks viewing it.
+
+    ``weights`` is ``(parameters,)`` for one model or ``(clients,
+    parameters)`` for a stack of models.
+    """
 
     config: ModelConfig
     blocks: tuple[Block, ...]
@@ -243,7 +258,7 @@ class Model:
 
 
 def _assemble(config: ModelConfig, weights: np.ndarray) -> Model:
-    """Wrap a flat weight buffer in blocks whose arrays are views into it."""
+    """Wrap a flat (or stacked) weight buffer in blocks whose arrays view it."""
     layout = parameter_layout(config)
     views = iter(segment_views(layout, weights))
     grid = SplineGrid.uniform(config.grid_intervals, config.spline_order)
@@ -279,7 +294,7 @@ def forward(
     model: Model,
     batch: np.ndarray,
     mode: str = MODE_EVAL,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Plain forward pass; training mode needs an rng for dropout."""
     out, _ = forward_with_caches(model, batch, mode, rng)
@@ -290,16 +305,25 @@ def forward_with_caches(
     model: Model,
     batch: np.ndarray,
     mode: str = MODE_EVAL,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
     """Forward pass keeping what model_backward needs.
 
+    ``batch`` is ``(n, input_width)`` for one model and ``(clients, n,
+    input_width)`` for a stack of models; a stack draws its dropout masks
+    from one generator per client (see ``fedbeam.layers.dropout``).
     Dropout is the identity in eval mode, so no rng is needed and no mask
     is recorded there.
     """
-    if batch.ndim != 2 or batch.shape[1] != model.config.input_width:
+    lead = model.weights.shape[:-1]
+    if (
+        batch.ndim != len(lead) + 2
+        or batch.shape[:-2] != lead
+        or batch.shape[-1] != model.config.input_width
+    ):
         raise ContractViolationError(
-            f"expected batch of shape (n, {model.config.input_width}), got {batch.shape}"
+            f"expected batch of shape {(*lead, 'n', model.config.input_width)}, "
+            f"got {batch.shape}"
         )
     if mode == MODE_TRAIN and model.config.dropout_p > 0.0 and rng is None:
         raise ContractViolationError("training mode with dropout needs an rng")
@@ -337,7 +361,7 @@ def model_backward(
     if grads.shape != model.weights.shape:
         raise ContractViolationError(
             f"gradient buffer of shape {grads.shape} does not match "
-            f"{model.weights.shape[0]} parameters"
+            f"weights of shape {model.weights.shape}"
         )
     views = segment_views(model.layout, grads)
     u = upstream
@@ -358,11 +382,19 @@ def model_backward(
 
 
 def export_weights(model: Model) -> ParameterVector:
-    """Snapshot all trainable arrays as a named parameter vector."""
+    """Snapshot all trainable arrays of one model as a named parameter vector."""
     return ParameterVector.from_flat(model.layout, model.weights)
 
 
-def import_weights(model: Model, vector: ParameterVector) -> Model:
-    """Return a copy of the model carrying the vector's values."""
-    export_weights(model).require_same_layout(vector)
-    return _assemble(model.config, vector.to_flat())
+def import_weights(model: Model, vector: ParameterVector, copies: int | None = None) -> Model:
+    """Return a copy of the model carrying the vector's values.
+
+    With ``copies`` set, the result is a stack of that many models, each
+    starting from the vector's values.
+    """
+    if model.layout != vector.layout():
+        raise IncompatibleWeightsError(
+            f"parameter layouts differ: {model.layout} vs {vector.layout()}"
+        )
+    flat = vector.to_flat()
+    return _assemble(model.config, flat if copies is None else np.tile(flat, (copies, 1)))

@@ -3,11 +3,13 @@
 Clipping and adam_step work on flat float64 vectors in the model's
 parameter layout: the training loop clips the flat gradient buffer in
 place and writes adam_step's result back into the model's weight buffer.
+A stack of models, ``(clients, parameters)``, is one row per client: every
+loss, norm and clip decision is per row, and each row's arithmetic is the
+same as for that client's flat vector alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -16,11 +18,13 @@ import numpy as np
 from .errors import ContractViolationError
 
 
-def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over every element, plus its gradient.
+def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error per batch, plus its gradient.
 
-    The gradient has the shape of ``predictions``: 2 * (p - t) / N where N
-    is the total element count.
+    For (..., n, out) predictions the loss has the leading shape (a float
+    for a single (n, out) batch): the mean over each batch's n * out
+    elements.  The gradient has the shape of ``predictions``:
+    2 * (p - t) / (n * out).
     """
     if predictions.shape != targets.shape:
         raise ContractViolationError(
@@ -29,36 +33,44 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     if predictions.size == 0:
         raise ContractViolationError("cannot take the loss of an empty batch")
     diff = predictions - targets
-    loss = float(np.mean(diff * diff))
-    grad = (2.0 / diff.size) * diff
+    squares = (diff * diff).reshape(*diff.shape[:-2], -1)
+    loss = np.mean(squares, axis=-1)
+    grad = (2.0 / squares.shape[-1]) * diff
     return loss, grad
 
 
-def gradient_global_norm(segments: Iterable[np.ndarray]) -> float:
+def gradient_global_norm(
+    segments: Iterable[np.ndarray], lead: tuple[int, ...] = ()
+) -> np.ndarray:
     """L2 norm over all segments, adding one partial sum per segment in order.
 
-    The per-segment sums fix the floating-point summation order; a single
-    sum over the flat buffer would round differently.
+    Each segment is ``(*lead, *shape)``; the result has the ``lead`` shape,
+    one norm per row.  The per-segment sums fix the floating-point
+    summation order; a single sum over the flat buffer would round
+    differently.
     """
     total = 0.0
     for seg in segments:
-        total += float(np.sum(seg * seg))
-    return math.sqrt(total)
+        total = total + (seg * seg).reshape(*lead, -1).sum(axis=-1)
+    return np.sqrt(total)
 
 
 def clip_gradient_norm(
     grads: np.ndarray, max_norm: float, segments: Iterable[np.ndarray]
 ) -> None:
-    """Scale the flat gradient in place so its global L2 norm is <= max_norm.
+    """Scale each row of the gradient in place so its L2 norm is <= max_norm.
 
-    ``segments`` are the per-segment views of ``grads`` (see
-    ``fedbeam.model.segment_views``); the norm is summed over them.
+    ``grads`` is ``(parameters,)`` or ``(clients, parameters)`` and
+    ``segments`` are its per-segment views (see
+    ``fedbeam.model.segment_views``); the norm is summed over them.  Rows
+    whose norm is within ``max_norm`` are left untouched.
     """
     if max_norm <= 0.0:
         raise ContractViolationError(f"max_norm must be positive, got {max_norm}")
-    norm = gradient_global_norm(segments)
-    if norm > max_norm:
-        grads *= max_norm / norm
+    norm = gradient_global_norm(segments, grads.shape[:-1])
+    over = norm > max_norm
+    if over.any():
+        grads[over] *= (max_norm / norm[over])[:, None]
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,7 @@ class AdamState:
     @classmethod
     def initial(
         cls,
-        size: int,
+        size: int | tuple[int, ...],
         learning_rate: float,
         weight_decay: float = 0.0,
         beta1: float = 0.9,
@@ -99,19 +111,22 @@ class AdamState:
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState
 ) -> tuple[np.ndarray, AdamState]:
-    """One Adam update on a flat parameter vector.
+    """One Adam update on a flat parameter vector, or on a stack of them.
 
-    Weight decay is folded into the gradient (decoupled decay is not used):
-    g <- g + wd * theta.
+    A stack, ``(clients, parameters)``, updates every row by the same rule;
+    its rows have all taken the same number of steps, so one step count
+    serves them all.  Weight decay is folded into the gradient (decoupled
+    decay is not used): g <- g + wd * theta.
     """
-    if params.shape != grads.shape or params.ndim != 1:
+    if params.shape != grads.shape or params.ndim not in (1, 2):
         raise ContractViolationError(
-            f"params {params.shape} and grads {grads.shape} must be flat and equal"
+            f"params {params.shape} and grads {grads.shape} must be flat (or "
+            "stacked flat) and equal"
         )
-    if params.shape[0] != state.first_moment.shape[0]:
+    if params.shape != state.first_moment.shape:
         raise ContractViolationError(
-            f"optimizer state sized {state.first_moment.shape[0]} cannot update "
-            f"{params.shape[0]} parameters"
+            f"optimizer state shaped {state.first_moment.shape} cannot update "
+            f"parameters shaped {params.shape}"
         )
     g = grads + state.weight_decay * params
     t = state.step_count + 1

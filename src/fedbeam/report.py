@@ -3,7 +3,7 @@
 Both formats start with a '# '-prefixed metadata block (version, configs as
 sorted-key JSON, dataset digest) followed by a plain CSV table.  Floats are
 written with repr() so identical runs produce identical bytes; execution
-details like output paths or the parallel flag never enter the content.
+details like output paths or command-line flags never enter the content.
 """
 
 from __future__ import annotations

@@ -28,12 +28,13 @@ from .errors import ConfigurationError
 _SPACING_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineGrid:
     """Extended uniform knot grid for B-splines on [range_min, range_max].
 
     The knots are checked once, when the grid is built, and stored as a
-    read-only array, so a grid that exists is well-formed.
+    read-only array, so a grid that exists is well-formed.  Grids compare
+    and hash by identity: an array field has no single truth value.
     """
 
     range_min: float

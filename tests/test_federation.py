@@ -10,6 +10,7 @@ from fedbeam.errors import (
     ConfigurationError,
     ContractViolationError,
     IncompatibleWeightsError,
+    NumericsError,
 )
 from fedbeam.federation import (
     ClientState,
@@ -126,7 +127,7 @@ def test_local_train_zero_lr_returns_global_bitwise():
     fed = dataclasses.replace(FAST_FED, local_epochs=1, learning_rate=0.0)
     template = build_model(cfg, seed=5)
     global_weights = export_weights(template)
-    update = local_train(clients[0], template, global_weights, fed, np.random.default_rng(0))
+    [update] = local_train([clients[0]], template, global_weights, fed, [np.random.default_rng(0)])
     assert np.array_equal(update.weights.to_flat(), global_weights.to_flat())
     assert update.sample_count == clients[0].sample_count
 
@@ -136,11 +137,11 @@ def test_local_train_is_deterministic():
     cfg = ModelConfig.fed_mlp()
     template = build_model(cfg, seed=5)
     global_weights = export_weights(template)
-    a = local_train(clients[0], template, global_weights, FAST_FED, np.random.default_rng(4))
-    b = local_train(clients[0], template, global_weights, FAST_FED, np.random.default_rng(4))
+    [a] = local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(4)])
+    [b] = local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(4)])
     assert np.array_equal(a.weights.to_flat(), b.weights.to_flat())
     assert a.local_train_loss == b.local_train_loss
-    c = local_train(clients[0], template, global_weights, FAST_FED, np.random.default_rng(5))
+    [c] = local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(5)])
     assert not np.array_equal(a.weights.to_flat(), c.weights.to_flat())
 
 
@@ -174,9 +175,9 @@ def test_training_leaves_template_and_global_weights_unchanged():
         return [a.tobytes() for a in arrays]
 
     before = snapshot()
-    local_train(clients[0], template, global_weights, FAST_FED, np.random.default_rng(0))
+    local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(0)])
     assert snapshot() == before
-    run_round(global_weights, clients, template, FAST_FED, 1, parallel=True)
+    run_round(global_weights, clients, template, FAST_FED, 1)
     assert snapshot() == before
 
 
@@ -214,7 +215,7 @@ def test_run_round_single_client_adopts_its_update():
     weights = export_weights(template)
     new_weights, report = run_round(weights, clients, template, FAST_FED, round_index=1)
     rng = np.random.default_rng(np.random.SeedSequence((FAST_FED.seed, 1, 1, 0)))
-    update = local_train(clients[0], template, weights, FAST_FED, rng)
+    [update] = local_train([clients[0]], template, weights, FAST_FED, [rng])
     assert np.array_equal(new_weights.to_flat(), update.weights.to_flat())
     assert report.avg_train_loss == update.local_train_loss
 
@@ -251,17 +252,77 @@ def test_run_round_skipped_clients_still_evaluated():
     assert saw_partial
 
 
-def test_run_round_parallel_matches_serial():
+@pytest.mark.parametrize("cfg", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()], ids=["kan", "mlp"])
+def test_lockstep_group_matches_each_client_alone(cfg):
     clients = small_clients(3)
-    cfg = ModelConfig.fed_kan()
+    assert len({c.sample_count for c in clients}) == 1
     template = build_model(cfg, seed=7)
     weights = export_weights(template)
-    serial_weights, serial_report = run_round(weights, clients, template, FAST_FED, 1)
-    parallel_weights, parallel_report = run_round(
-        weights, clients, template, FAST_FED, 1, parallel=True
+    together = local_train(
+        clients, template, weights, FAST_FED, [np.random.default_rng(i) for i in range(3)]
     )
-    assert np.array_equal(serial_weights.to_flat(), parallel_weights.to_flat())
-    assert serial_report == parallel_report
+    assert [u.client_id for u in together] == [c.client_id for c in clients]
+    for i, (client, update) in enumerate(zip(clients, together)):
+        [alone] = local_train([client], template, weights, FAST_FED, [np.random.default_rng(i)])
+        assert np.array_equal(update.weights.to_flat(), alone.weights.to_flat())
+        assert update.local_train_loss == alone.local_train_loss
+        assert update.sample_count == alone.sample_count
+
+
+def test_run_round_mixed_lengths_match_clients_trained_alone(monkeypatch):
+    profiles = default_profiles(3)
+    clients = [
+        build_client(generate_synthetic(3, hours, p), 5, 0.8)
+        for hours, p in zip((80, 80, 95), profiles)
+    ]
+    assert clients[0].sample_count == clients[1].sample_count != clients[2].sample_count
+    template = build_model(ModelConfig.fed_kan(), seed=7)
+    weights = export_weights(template)
+    fed = dataclasses.replace(FAST_FED, aggregation="sample_weighted")
+
+    group_sizes = []
+
+    def recording_local_train(group, *args):
+        group_sizes.append(len(group))
+        return local_train(group, *args)
+
+    monkeypatch.setattr("fedbeam.federation.local_train", recording_local_train)
+    new_weights, report = run_round(weights, clients, template, fed, 1)
+    assert sorted(group_sizes) == [1, 2]
+
+    updates = [
+        local_train([c], template, weights, fed, [
+            np.random.default_rng(np.random.SeedSequence((fed.seed, 1, 1, idx)))
+        ])[0]
+        for idx, c in enumerate(clients)
+    ]
+    expected = aggregate(updates, fed.aggregation)
+    assert np.array_equal(new_weights.to_flat(), expected.to_flat())
+    assert report.avg_train_loss == float(np.mean([u.local_train_loss for u in updates]))
+
+
+def test_local_train_rejects_unequal_sample_counts():
+    clients = small_clients(1) + [small_clients(2, hours=95)[1]]
+    template = build_model(ModelConfig.fed_mlp(), seed=5)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ContractViolationError):
+        local_train(clients, template, export_weights(template), FAST_FED, rngs)
+    with pytest.raises(ContractViolationError):
+        local_train(clients[:1], template, export_weights(template), FAST_FED, rngs)
+
+
+def test_non_finite_targets_name_their_client():
+    clients = small_clients(3)
+    poisoned = clients[1].train_targets.copy()
+    poisoned[3, 0] = np.nan
+    clients[1] = dataclasses.replace(clients[1], train_targets=poisoned)
+    template = build_model(ModelConfig.fed_kan(), seed=5)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    with pytest.raises(NumericsError) as err:
+        local_train(clients, template, export_weights(template), FAST_FED, rngs)
+    message = str(err.value)
+    assert clients[1].client_id in message
+    assert clients[0].client_id not in message and clients[2].client_id not in message
 
 
 def test_evaluate_global_zero_loss_on_matching_targets():

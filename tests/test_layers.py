@@ -18,6 +18,7 @@ from fedbeam.layers import (
     linear_forward,
     relu,
     relu_backward,
+    sigmoid,
     silu,
 )
 from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix
@@ -249,3 +250,72 @@ def test_dropout_mask_replays_with_same_seed():
     assert np.array_equal(mask_a, mask_b)
     back = dropout_backward(np.ones_like(x), mask_a)
     assert np.array_equal(back, mask_a)
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The earlier masked formula, kept as the oracle."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(16, 10), (64, 10), (16, 2), (1000,)])
+def test_sigmoid_is_bitwise_the_two_branch_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * 10.0
+    edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300])
+    x.reshape(-1)[: edges.size] = edges
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+
+
+def test_array_holding_params_compare_by_identity():
+    rng = np.random.default_rng(0)
+    for make in (
+        lambda: SplineGrid.uniform(5, 3),
+        lambda: KanLayerParams.initialized(2, 3, GRID, rng),
+        lambda: LinearLayerParams.initialized(2, 3, rng),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
+def test_stacked_layers_match_each_batch_alone():
+    rng = np.random.default_rng(31)
+    clients, batch = 3, 7
+    kan = [KanLayerParams.initialized(4, 3, GRID, rng) for _ in range(clients)]
+    lin = [LinearLayerParams.initialized(4, 3, rng) for _ in range(clients)]
+    stacked_kan = KanLayerParams(
+        np.stack([p.spline_coeffs for p in kan]), np.stack([p.base_weights for p in kan]), GRID
+    )
+    stacked_lin = LinearLayerParams(
+        np.stack([p.weights for p in lin]), np.stack([p.biases for p in lin])
+    )
+    x = rng.uniform(-1.2, 1.2, (clients, batch, 4))
+    upstream = rng.standard_normal((clients, batch, 3))
+    for fwd, bwd, stacked, alone in (
+        (kan_layer_forward, kan_layer_backward, stacked_kan, kan),
+        (linear_forward, linear_backward, stacked_lin, lin),
+    ):
+        out, cache = fwd(x, stacked)
+        grads = bwd(upstream, stacked, cache)
+        for c in range(clients):
+            out_c, cache_c = fwd(x[c], alone[c])
+            assert np.array_equal(out[c], out_c)
+            for g, g_c in zip(grads, bwd(upstream[c], alone[c], cache_c)):
+                assert np.array_equal(g[c], g_c)
+
+
+def test_stacked_dropout_draws_each_mask_from_its_own_rng():
+    x = np.ones((3, 5, 4))
+    _, mask = dropout(x, 0.5, MODE_TRAIN, [np.random.default_rng(s) for s in range(3)])
+    for c in range(3):
+        _, alone = dropout(x[c], 0.5, MODE_TRAIN, np.random.default_rng(c))
+        assert np.array_equal(mask[c], alone)
+    with pytest.raises(ContractViolationError):
+        dropout(x, 0.5, MODE_TRAIN, [np.random.default_rng(0)])

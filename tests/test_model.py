@@ -144,6 +144,20 @@ def test_forward_rejects_bad_batch_width():
         forward(model, np.zeros((2, 9)), MODE_EVAL)
 
 
+def test_stacked_copies_run_a_stack_of_batches():
+    model = build_model(ModelConfig.fed_kan(), seed=4)
+    stacked = import_weights(model, export_weights(model), copies=2)
+    assert stacked.weights.shape == (2, model.weights.shape[0])
+    batch = np.random.default_rng(1).random((5, 10))
+    with pytest.raises(ContractViolationError):
+        forward(stacked, batch, MODE_EVAL)
+    with pytest.raises(ContractViolationError):
+        forward(model, np.stack([batch, batch]), MODE_EVAL)
+    out = forward(stacked, np.stack([batch, batch]), MODE_EVAL)
+    expected = forward(model, batch, MODE_EVAL)
+    assert np.array_equal(out[0], expected) and np.array_equal(out[1], expected)
+
+
 def test_zeroed_final_layer_gives_zero_outputs():
     model = build_model(ModelConfig.fed_mlp(), seed=3)
     vec = export_weights(model)

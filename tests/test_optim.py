@@ -160,6 +160,34 @@ def test_adam_rejects_length_mismatch():
         adam_step(np.zeros(3), np.zeros(4), state)
 
 
+def test_stacked_rows_match_each_row_alone():
+    rng = np.random.default_rng(41)
+    layout = (("a", (3, 4)), ("b", (4,)))
+    # Row 0 is clipped, row 1 is left alone, row 2 is clipped.
+    grads = rng.standard_normal((3, 16)) * np.array([[5.0], [0.01], [3.0]])
+    params = rng.standard_normal((3, 16))
+    preds, targets = rng.standard_normal((2, 3, 7, 4))
+
+    losses, loss_grad = mse_loss(preds, targets)
+    stacked = grads.copy()
+    clip_gradient_norm(stacked, 1.0, segment_views(layout, stacked))
+    new_params, state = adam_step(
+        params, stacked, AdamState.initial((3, 16), learning_rate=0.01, weight_decay=1e-5)
+    )
+    assert losses.shape == (3,) and state.step_count == 1
+    for c in range(3):
+        loss_c, grad_c = mse_loss(preds[c], targets[c])
+        assert losses[c] == loss_c and np.array_equal(loss_grad[c], grad_c)
+        row = grads[c].copy()
+        clip_gradient_norm(row, 1.0, segment_views(layout, row))
+        assert np.array_equal(stacked[c], row)
+        params_c, _ = adam_step(
+            params[c], row, AdamState.initial(16, learning_rate=0.01, weight_decay=1e-5)
+        )
+        assert np.array_equal(new_params[c], params_c)
+    assert np.array_equal(stacked[1], grads[1])
+
+
 def test_finite_differences_on_quadratic():
     grad = finite_difference_gradient(lambda p: float(p[0] ** 2), np.array([3.0]))
     assert abs(grad[0] - 6.0) < 1e-6
