@@ -5,8 +5,9 @@ Subcommands:
   train      run one federated experiment from a config file
   compare    train fed_kan and fed_mlp on identical data and report both
 
-Exit codes: 0 success, 2 configuration problem, 3 I/O problem, 4 numeric
-failure (non-finite loss).  FEDBEAM_LOG controls log verbosity.
+Exit codes: 0 success, 2 configuration problem (including a config whose
+arrays do not fit in memory), 3 I/O problem, 4 numeric failure (non-finite
+loss).  FEDBEAM_LOG controls log verbosity.
 """
 
 from __future__ import annotations
@@ -188,10 +189,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _run_one(config: RunConfig, kind: str, beams: list[BeamSeries]) -> ExperimentReport:
-    model = dataclasses.replace(config.model, kind=kind)
-    model.validate()
     return run_experiment(
-        model,
+        dataclasses.replace(config.model, kind=kind),
         config.federation,
         beams,
         window_hours=config.window_hours,
@@ -202,13 +201,7 @@ def _run_one(config: RunConfig, kind: str, beams: list[BeamSeries]) -> Experimen
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=True), args)
     beams = _load_beams(config)
-    report = run_experiment(
-        config.model,
-        config.federation,
-        beams,
-        window_hours=config.window_hours,
-        train_fraction=config.train_fraction,
-    )
+    report = _run_one(config, config.model.kind, beams)
     text = render_experiment_csv(report)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,6 +285,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # Only config values (widths, grid size, batch size) size the arrays.
+        print(f"error: the config needs more memory than is available: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -292,7 +292,7 @@ def aggregate(updates: list[ClientUpdate], scheme: str = AGG_UNIFORM) -> Paramet
         if total <= 0:
             raise ContractViolationError("sample_weighted aggregation needs samples")
         coefficients = [u.sample_count / total for u in ordered]
-    acc = np.zeros(ordered[0].weights.total_len, dtype=np.float64)
+    acc = np.zeros_like(ordered[0].weights.to_flat())
     for coef, update in zip(coefficients, ordered):
         acc = acc + coef * update.weights.to_flat()
     return ParameterVector.from_flat(layout, acc)
@@ -321,11 +321,11 @@ def evaluate_global(
 def _availability_draw(
     clients: list[ClientState], prob: float, rng: np.random.Generator
 ) -> list[ClientState]:
-    # Redraw until at least one client is available; prob 1.0 keeps all.
-    while True:
-        mask = rng.random(len(clients)) < prob
-        if mask.any():
-            return [c for c, keep in zip(clients, mask) if keep]
+    # prob 1.0 keeps all; an empty draw falls back to one uniformly chosen client.
+    mask = rng.random(len(clients)) < prob
+    if not mask.any():
+        mask[rng.integers(len(clients))] = True
+    return [c for c, keep in zip(clients, mask) if keep]
 
 
 def run_round(

@@ -12,6 +12,11 @@ those arrays (the segments), and the same layout serves the gradient
 buffer ``model_backward`` fills and the ``ParameterVector`` that
 ``export_weights`` and ``import_weights`` exchange with the federation.
 
+``build_model`` is the only step that plans: it validates the config, lays
+out the blocks and builds the spline grid.  Every later model is the built
+one re-viewed over a new buffer (``with_weights``): the same blocks, grids
+and relu/dropout flags, only the arrays they view change.
+
 The buffer may also be a stack of shape ``(clients, parameters)``: one row
 per model, every layer array then carrying a leading ``clients`` axis.  Such
 a model runs a stack of batches, ``(clients, batch, width)``, one batch per
@@ -23,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -49,7 +54,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .params import ParameterVector
+from .params import Layout, ParameterVector
 from .splines import SplineGrid
 
 KIND_FED_KAN = "fed_kan"
@@ -191,18 +196,18 @@ def count_parameters(config: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape in parameter_layout(config))
 
 
-Layout = tuple[tuple[str, tuple[int, ...]], ...]
-
-
 def parameter_layout(config: ModelConfig) -> Layout:
     """Name and shape of every trainable array, in buffer order.
 
     Each layer contributes two segments: spline_coeffs then base_weights
     for a spline layer, weights then biases for an affine layer.
     """
-    bases = config.grid_intervals + config.spline_order
+    return _plan_layout(layer_plan(config), config.grid_intervals + config.spline_order)
+
+
+def _plan_layout(plan: list[tuple], bases: int) -> Layout:
     layout: list[tuple[str, tuple[int, ...]]] = []
-    for i, entry in enumerate(layer_plan(config)):
+    for i, entry in enumerate(plan):
         kind, a, b = entry[:3]
         name = f"layer{i:02d}"
         if kind == "kan":
@@ -257,37 +262,49 @@ class Model:
     layout: Layout
 
 
-def _assemble(config: ModelConfig, weights: np.ndarray) -> Model:
-    """Wrap a flat (or stacked) weight buffer in blocks whose arrays view it."""
-    layout = parameter_layout(config)
-    views = iter(segment_views(layout, weights))
-    grid = SplineGrid.uniform(config.grid_intervals, config.spline_order)
+def with_weights(model: Model, weights: np.ndarray) -> Model:
+    """The model's blocks re-viewed over another ``(P,)`` or ``(m, P)`` buffer.
+
+    Grids and relu/dropout flags are the model's own; nothing is re-planned
+    and nothing is copied, so the result trains ``weights`` in place.
+    """
+    if weights.shape[-1:] != model.weights.shape[-1:]:
+        raise ContractViolationError(
+            f"weight buffer of shape {weights.shape} does not hold "
+            f"{model.weights.shape[-1]} parameters per row"
+        )
+    views = iter(segment_views(model.layout, weights))
     blocks: list[Block] = []
-    for entry in layer_plan(config):
+    for block in model.blocks:
         first, second = next(views), next(views)
-        if entry[0] == "kan":
-            blocks.append(KanBlock(KanLayerParams(first, second, grid)))
+        if isinstance(block, KanBlock):
+            params = KanLayerParams(first, second, block.params.grid)
         else:
-            _, _, _, use_relu, use_dropout = entry
-            blocks.append(LinearBlock(LinearLayerParams(first, second), use_relu, use_dropout))
-    return Model(config, tuple(blocks), weights, layout)
+            params = LinearLayerParams(first, second)
+        blocks.append(replace(block, params=params))
+    return Model(model.config, tuple(blocks), weights, model.layout)
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
     """Initialize a model deterministically from a seed."""
     rng = np.random.default_rng(seed)
     grid = SplineGrid.uniform(config.grid_intervals, config.spline_order)
+    plan = layer_plan(config)
+    blocks: list[Block] = []
     arrays: list[np.ndarray] = []
-    for entry in layer_plan(config):
+    for entry in plan:
         if entry[0] == "kan":
-            _, a, b = entry
-            params = KanLayerParams.initialized(a, b, grid, rng)
+            params = KanLayerParams.initialized(*entry[1:], grid, rng)
+            blocks.append(KanBlock(params))
             arrays += [params.spline_coeffs, params.base_weights]
         else:
-            _, a, b, _, _ = entry
-            params = LinearLayerParams.initialized(a, b, rng)
+            params = LinearLayerParams.initialized(*entry[1:3], rng)
+            blocks.append(LinearBlock(params, *entry[3:]))
             arrays += [params.weights, params.biases]
-    return _assemble(config, np.concatenate([a.reshape(-1) for a in arrays]))
+    weights = np.concatenate([a.reshape(-1) for a in arrays])
+    layout = _plan_layout(plan, grid.num_bases)
+    # The initial blocks hold the drawn arrays; re-view them over the buffer.
+    return with_weights(Model(config, tuple(blocks), weights, layout), weights)
 
 
 def forward(
@@ -397,4 +414,4 @@ def import_weights(model: Model, vector: ParameterVector, copies: int | None = N
             f"parameter layouts differ: {model.layout} vs {vector.layout()}"
         )
     flat = vector.to_flat()
-    return _assemble(model.config, flat if copies is None else np.tile(flat, (copies, 1)))
+    return with_weights(model, flat.copy() if copies is None else np.tile(flat, (copies, 1)))

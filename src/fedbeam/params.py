@@ -1,13 +1,15 @@
-"""Flat parameter vectors with named segments.
+"""Flat parameter vectors with a named layout.
 
 A ParameterVector is the unit the federation layer passes around: client
 updates, aggregated global weights and the final weights of a report.
-Every trainable array of a model becomes one named segment, in the order
-``fedbeam.model.parameter_layout`` fixes.  Aggregation keys off the layout
-(names and shapes in order), so two vectors are only combinable when their
-layouts match exactly.  Inside a client's training loop the weights live
-in the model's own flat buffer instead; a vector is built from it once,
-when the client's update is returned.
+It is one pair: a layout, the name and shape of every trainable array in
+the order ``fedbeam.model.parameter_layout`` fixes, and one flat float64
+buffer holding those arrays back to back.  The vector owns its buffer and
+keeps it read-only, so ``to_flat`` hands it out without a copy.
+Aggregation keys off the layout, so two vectors are only combinable when
+their layouts match exactly.  Inside a client's training loop the weights
+live in the model's own flat buffer instead; a vector is copied from it
+once, when the client's update is returned.
 """
 
 from __future__ import annotations
@@ -19,70 +21,44 @@ import numpy as np
 
 from .errors import IncompatibleWeightsError
 
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
-@dataclass(frozen=True)
-class Segment:
-    """One named parameter array, stored flat."""
 
-    name: str
-    shape: tuple[int, ...]
-    values: np.ndarray
+@dataclass(frozen=True, eq=False)
+class ParameterVector:
+    """A layout and an owned, read-only flat buffer in that layout."""
+
+    _layout: Layout
+    _flat: np.ndarray
 
     def __post_init__(self):
-        expected = math.prod(self.shape)
-        if self.values.ndim != 1 or self.values.shape[0] != expected:
+        flat = np.array(self._flat, dtype=np.float64)
+        expected = sum(math.prod(shape) for _, shape in self._layout)
+        if flat.ndim != 1 or flat.shape[0] != expected:
             raise IncompatibleWeightsError(
-                f"segment {self.name!r} declares shape {self.shape} "
-                f"but stores {self.values.shape[0] if self.values.ndim == 1 else self.values.shape} values"
+                f"flat vector of shape {flat.shape} does not fit layout of length {expected}"
             )
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """Ordered collection of segments behaving like one flat vector."""
-
-    segments: tuple[Segment, ...]
+        flat.flags.writeable = False
+        object.__setattr__(self, "_flat", flat)
 
     @classmethod
     def from_arrays(cls, named: list[tuple[str, np.ndarray]]) -> "ParameterVector":
-        segs = tuple(
-            Segment(name, arr.shape, np.asarray(arr, dtype=np.float64).reshape(-1).copy())
-            for name, arr in named
-        )
-        return cls(segs)
-
-    @property
-    def total_len(self) -> int:
-        return sum(s.values.shape[0] for s in self.segments)
-
-    def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((s.name, s.shape) for s in self.segments)
-
-    def to_flat(self) -> np.ndarray:
-        if not self.segments:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([s.values for s in self.segments])
+        layout = tuple((name, np.shape(arr)) for name, arr in named)
+        flat = [np.asarray(arr, dtype=np.float64).reshape(-1) for _, arr in named]
+        return cls(layout, np.concatenate(flat) if flat else np.zeros(0))
 
     @classmethod
-    def from_flat(
-        cls,
-        layout: tuple[tuple[str, tuple[int, ...]], ...],
-        flat: np.ndarray,
-    ) -> "ParameterVector":
-        sizes = [math.prod(shape) for _, shape in layout]
-        if flat.ndim != 1 or flat.shape[0] != sum(sizes):
-            raise IncompatibleWeightsError(
-                f"flat vector of length {flat.shape} does not fit layout of length {sum(sizes)}"
-            )
-        segs = []
-        offset = 0
-        for (name, shape), size in zip(layout, sizes):
-            segs.append(Segment(name, shape, flat[offset : offset + size].copy()))
-            offset += size
-        return cls(tuple(segs))
+    def from_flat(cls, layout: Layout, flat: np.ndarray) -> "ParameterVector":
+        return cls(layout, flat)
+
+    def layout(self) -> Layout:
+        return self._layout
+
+    def to_flat(self) -> np.ndarray:
+        return self._flat
 
     def require_same_layout(self, other: "ParameterVector") -> None:
-        if self.layout() != other.layout():
+        if self._layout != other._layout:
             raise IncompatibleWeightsError(
-                f"parameter layouts differ: {self.layout()} vs {other.layout()}"
+                f"parameter layouts differ: {self._layout} vs {other._layout}"
             )

@@ -56,11 +56,16 @@ def render_experiment_csv(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
-def parse_experiment_csv(text: str) -> dict:
-    """Round-trip reader; returns metadata plus the numeric table."""
+def _parse_report(text: str, magic: str, name: str, row_name: str, leading: list[str]) -> dict:
+    """Shared reader: the magic line, '# key value' metadata, then the table.
+
+    The header must start with the ``leading`` columns and every row must
+    have as many cells as the header.
+    """
     lines = text.splitlines()
-    if not lines or lines[0] != _REPORT_MAGIC:
-        raise IngestionError(f"not an experiment report (missing {_REPORT_MAGIC!r})")
+    if not lines or lines[0] != magic:
+        article = "an" if name[0] in "aeiou" else "a"
+        raise IngestionError(f"not {article} {name} (missing {magic!r})")
     meta: dict = {}
     i = 1
     while i < len(lines) and lines[i].startswith("# "):
@@ -71,9 +76,9 @@ def parse_experiment_csv(text: str) -> dict:
             meta[key] = value
         i += 1
     if i >= len(lines):
-        raise IngestionError("experiment report has no table")
+        raise IngestionError(f"{name} has no table")
     columns = lines[i].split(",")
-    if columns[:3] != ["round", "avg_train_loss", "avg_test_loss"]:
+    if columns[: len(leading)] != leading:
         raise IngestionError(f"unexpected report columns: {columns}")
     rows = []
     for line in lines[i + 1 :]:
@@ -81,9 +86,22 @@ def parse_experiment_csv(text: str) -> dict:
             continue
         cells = line.split(",")
         if len(cells) != len(columns):
-            raise IngestionError(f"report row has {len(cells)} cells, expected {len(columns)}")
+            raise IngestionError(
+                f"{row_name} row has {len(cells)} cells, expected {len(columns)}"
+            )
         rows.append([float(c) for c in cells])
     return {"meta": meta, "columns": columns, "rows": np.array(rows, dtype=np.float64)}
+
+
+def parse_experiment_csv(text: str) -> dict:
+    """Round-trip reader; returns metadata plus the numeric table."""
+    return _parse_report(
+        text,
+        _REPORT_MAGIC,
+        "experiment report",
+        "report",
+        ["round", "avg_train_loss", "avg_test_loss"],
+    )
 
 
 def render_comparison_csv(
@@ -136,32 +154,7 @@ def render_comparison_csv(
 
 
 def parse_comparison_csv(text: str) -> dict:
-    lines = text.splitlines()
-    if not lines or lines[0] != _COMPARISON_MAGIC:
-        raise IngestionError(f"not a comparison report (missing {_COMPARISON_MAGIC!r})")
-    meta: dict = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("# "):
-        key, _, value = lines[i][2:].partition(" ")
-        try:
-            meta[key] = json.loads(value)
-        except json.JSONDecodeError:
-            meta[key] = value
-        i += 1
-    if i >= len(lines):
-        raise IngestionError("comparison report has no table")
-    columns = lines[i].split(",")
-    rows = []
-    for line in lines[i + 1 :]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise IngestionError(
-                f"comparison row has {len(cells)} cells, expected {len(columns)}"
-            )
-        rows.append([float(c) for c in cells])
-    return {"meta": meta, "columns": columns, "rows": np.array(rows, dtype=np.float64)}
+    return _parse_report(text, _COMPARISON_MAGIC, "comparison report", "comparison", [])
 
 
 def summary_table(kan_report: ExperimentReport, mlp_report: ExperimentReport) -> str:

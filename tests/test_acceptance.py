@@ -25,7 +25,7 @@ from fedbeam.data import (
     make_windows,
 )
 from fedbeam.federation import ClientUpdate, FederationConfig, aggregate, run_experiment
-from fedbeam.gradcheck import finite_difference_gradient
+from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 from fedbeam.layers import (
     MODE_EVAL,
     KanLayerParams,
@@ -39,10 +39,9 @@ from fedbeam.model import (
     ModelConfig,
     build_model,
     count_parameters,
-    export_weights,
     forward_with_caches,
-    import_weights,
     model_backward,
+    with_weights,
 )
 from fedbeam.optim import mse_loss
 from fedbeam.params import ParameterVector
@@ -116,23 +115,26 @@ def test_criterion1_budget_parity():
 
 def full_model_gradcheck(config: ModelConfig, seed: int) -> float:
     template = build_model(config, seed=seed)
-    layout = export_weights(template).layout()
     rng = np.random.default_rng(seed + 1000)
     batch = rng.random((2, config.input_width))
     targets = rng.random((2, config.output_width))
     targets = targets / targets.sum(axis=1, keepdims=True)
 
-    def loss_fn(flat: np.ndarray) -> float:
-        model = import_weights(template, ParameterVector.from_flat(layout, flat))
-        preds, _ = forward_with_caches(model, batch, MODE_EVAL)
-        value, _ = mse_loss(preds, targets)
-        return value
+    def stacked_loss(rows: np.ndarray) -> np.ndarray:
+        # One eval forward over every probe: a stack of len(rows) models,
+        # each seeing the same batch.
+        model = with_weights(template, rows)
+        preds, _ = forward_with_caches(
+            model, np.broadcast_to(batch, (len(rows), *batch.shape)), MODE_EVAL
+        )
+        values, _ = mse_loss(preds, np.broadcast_to(targets, preds.shape))
+        return values
 
     preds, caches = forward_with_caches(template, batch, MODE_EVAL)
     _, loss_grad = mse_loss(preds, targets)
     analytic = np.empty_like(template.weights)
     model_backward(template, caches, loss_grad, analytic)
-    numeric = finite_difference_gradient(loss_fn, export_weights(template).to_flat())
+    numeric = stacked_finite_difference_gradient(stacked_loss, template.weights)
     return max_rel_err(analytic, numeric)
 
 

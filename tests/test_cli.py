@@ -240,3 +240,16 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, section, key, value
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert key in err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr("fedbeam.cli.run_experiment", oversized)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "14.9 GiB" in err

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fedbeam.model
 from fedbeam.data import default_profiles, generate_synthetic
 from fedbeam.errors import (
     ConfigurationError,
@@ -35,6 +36,7 @@ from fedbeam.model import (
     import_weights,
 )
 from fedbeam.params import ParameterVector
+from fedbeam.splines import SplineGrid
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
 
@@ -164,6 +166,26 @@ def test_layer_arrays_are_views_into_the_weight_buffer():
         assert not np.shares_memory(imported.weights, model.weights)
 
 
+def test_training_after_build_never_replans(monkeypatch):
+    clients = small_clients(2)
+    for cfg in (ModelConfig.fed_kan(), ModelConfig.fed_mlp()):
+        template = build_model(cfg, seed=5)
+        global_weights = export_weights(template)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("re-planned a built model")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ModelConfig, "validate", forbidden)
+            patch.setattr(SplineGrid, "uniform", forbidden)
+            patch.setattr(fedbeam.model, "layer_plan", forbidden)
+            import_weights(template, global_weights)
+            import_weights(template, global_weights, copies=2)
+            rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+            updates = local_train(clients, template, global_weights, FAST_FED, rngs)
+            evaluate_global(updates[0].weights, clients, template)
+
+
 def test_training_leaves_template_and_global_weights_unchanged():
     clients = small_clients(3)
     template = build_model(ModelConfig.fed_kan(), seed=5)
@@ -171,7 +193,7 @@ def test_training_leaves_template_and_global_weights_unchanged():
 
     def snapshot() -> list[bytes]:
         arrays = [template.weights, *layer_arrays(template)]
-        arrays += [seg.values for seg in global_weights.segments]
+        arrays.append(global_weights.to_flat())
         return [a.tobytes() for a in arrays]
 
     before = snapshot()
@@ -233,6 +255,16 @@ def test_run_round_averages_are_consistent():
     assert report.avg_test_loss == pytest.approx(avg, abs=1e-12)
     for cid, loss in per_client.items():
         assert report.per_client_test_loss[cid] == pytest.approx(loss, abs=1e-12)
+
+
+def test_run_round_with_no_client_drawn_trains_exactly_one():
+    clients = small_clients(3)
+    template = build_model(ModelConfig.fed_mlp(), seed=5)
+    fed = dataclasses.replace(FAST_FED, availability_prob=1e-300)
+    _, report = run_round(export_weights(template), clients, template, fed, round_index=1)
+    assert len(report.participants) == 1
+    assert report.participants[0] in {c.client_id for c in clients}
+    assert set(report.per_client_test_loss) == {c.client_id for c in clients}
 
 
 def test_run_round_skipped_clients_still_evaluated():

@@ -10,6 +10,7 @@ from fedbeam.errors import (
     ContractViolationError,
     IncompatibleWeightsError,
 )
+from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 from fedbeam.layers import MODE_EVAL, MODE_TRAIN
 from fedbeam.model import (
     KanBlock,
@@ -21,8 +22,11 @@ from fedbeam.model import (
     forward,
     import_weights,
     layer_plan,
+    segment_views,
+    with_weights,
 )
-from fedbeam.params import ParameterVector, Segment
+from fedbeam.optim import mse_loss
+from fedbeam.params import ParameterVector
 
 
 def test_fed_mlp_plan_is_four_linear_layers():
@@ -70,7 +74,7 @@ def test_export_length_equals_count():
         ModelConfig.fed_mlp(mlp_hidden_widths=(5, 6)),
     ):
         model = build_model(cfg, seed=2)
-        assert export_weights(model).total_len == count_parameters(cfg)
+        assert export_weights(model).to_flat().size == count_parameters(cfg)
 
 
 def test_build_is_deterministic():
@@ -161,11 +165,11 @@ def test_stacked_copies_run_a_stack_of_batches():
 def test_zeroed_final_layer_gives_zero_outputs():
     model = build_model(ModelConfig.fed_mlp(), seed=3)
     vec = export_weights(model)
-    segments = list(vec.segments)
-    for i, seg in enumerate(segments):
-        if seg.name.startswith("layer03."):
-            segments[i] = Segment(seg.name, seg.shape, np.zeros_like(seg.values))
-    zeroed = import_weights(model, ParameterVector(tuple(segments)))
+    flat = vec.to_flat().copy()
+    for (name, _), view in zip(vec.layout(), segment_views(vec.layout(), flat)):
+        if name.startswith("layer03."):
+            view[...] = 0.0
+    zeroed = import_weights(model, ParameterVector.from_flat(vec.layout(), flat))
     out = forward(zeroed, np.random.default_rng(0).random((3, 10)), MODE_EVAL)
     assert np.array_equal(out, np.zeros((3, 4)))
 
@@ -183,13 +187,74 @@ def test_import_export_round_trip_is_bitwise():
     )
 
 
+def test_vector_owns_a_read_only_buffer():
+    model = build_model(ModelConfig.fed_mlp(), seed=4)
+    vec = export_weights(model)
+    flat = vec.to_flat()
+    assert flat is vec.to_flat()
+    assert not flat.flags.writeable
+    assert not np.shares_memory(flat, model.weights)
+    before = flat.copy()
+    model.weights[...] = 0.0
+    assert np.array_equal(vec.to_flat(), before)
+
+
+def test_import_copies_the_vector_buffer():
+    model = build_model(ModelConfig.fed_kan(), seed=4)
+    vec = export_weights(model)
+    for imported in (import_weights(model, vec), import_weights(model, vec, copies=3)):
+        assert imported.weights.flags.writeable
+        assert not np.shares_memory(imported.weights, vec.to_flat())
+        imported.weights[...] = 1.0
+    assert np.array_equal(vec.to_flat(), model.weights)
+
+
+def test_with_weights_reuses_the_blocks_plan():
+    model = build_model(ModelConfig.fed_kan(), seed=4)
+    stacked = with_weights(model, np.tile(model.weights, (2, 1)))
+    assert stacked.layout is model.layout
+    for block, again in zip(model.blocks, stacked.blocks):
+        assert type(block) is type(again)
+        if isinstance(block, KanBlock):
+            assert again.params.grid is block.params.grid
+        else:
+            assert again.apply_relu == block.apply_relu
+            assert again.apply_dropout == block.apply_dropout
+    with pytest.raises(ContractViolationError):
+        with_weights(model, model.weights[:-1])
+
+
+@pytest.mark.parametrize("config", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()])
+def test_stacked_differences_match_the_serial_helper(config):
+    template = build_model(config, seed=3)
+    rng = np.random.default_rng(7)
+    batch = rng.random((2, config.input_width))
+    targets = rng.random((2, config.output_width))
+
+    def serial_loss(flat):
+        vector = ParameterVector.from_flat(template.layout, flat)
+        model = import_weights(template, vector)
+        value, _ = mse_loss(forward(model, batch, MODE_EVAL), targets)
+        return value
+
+    def stacked_loss(rows):
+        model = with_weights(template, rows)
+        preds = forward(model, np.broadcast_to(batch, (len(rows), *batch.shape)), MODE_EVAL)
+        values, _ = mse_loss(preds, np.broadcast_to(targets, preds.shape))
+        return values
+
+    serial = finite_difference_gradient(serial_loss, template.weights)
+    stacked = stacked_finite_difference_gradient(stacked_loss, template.weights)
+    assert stacked.tobytes() == serial.tobytes()
+
+
 def test_import_rejects_renamed_segment():
     model = build_model(ModelConfig.fed_kan(), seed=12)
     vec = export_weights(model)
-    segments = list(vec.segments)
-    segments[0] = Segment("layer00.mystery", segments[0].shape, segments[0].values)
+    layout = list(vec.layout())
+    layout[0] = ("layer00.mystery", layout[0][1])
     with pytest.raises(IncompatibleWeightsError) as err:
-        import_weights(model, ParameterVector(tuple(segments)))
+        import_weights(model, ParameterVector.from_flat(tuple(layout), vec.to_flat()))
     assert "layer00.mystery" in str(err.value)
     assert "layer00.spline_coeffs" in str(err.value)
 
@@ -198,7 +263,7 @@ def test_from_flat_rejects_wrong_length():
     model = build_model(ModelConfig.fed_mlp(), seed=8)
     vec = export_weights(model)
     with pytest.raises(IncompatibleWeightsError):
-        ParameterVector.from_flat(vec.layout(), np.zeros(vec.total_len + 1))
+        ParameterVector.from_flat(vec.layout(), np.zeros(vec.to_flat().size + 1))
 
 
 def test_degenerate_fed_kan_is_single_linear():
