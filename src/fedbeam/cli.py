@@ -257,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--parallel-clients",
             action="store_true",
-            help="accepted for compatibility and has no effect: clients of equal "
-            "length always train in lockstep",
+            help="accepted for compatibility and has no effect: a round's clients "
+            "always train in lockstep, whatever their lengths",
         )
         cmd.add_argument(
             "--availability",

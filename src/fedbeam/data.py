@@ -9,6 +9,11 @@ with hour a 0-based consecutive integer and the four shares fractions that
 sum to 1.  Share sums off by more than 1e-3 are rejected with their line
 number; smaller deviations are renormalized.  Rejecting (rather than
 dropping rows) keeps the consecutive-timestamp invariant intact.
+
+A loaded beam is two column arrays, volumes and shares, not one object
+per hour: ``load_csv`` parses every cell, then validates whole columns and
+reports the first offending line.  Windows are one strided view of the
+volume column, and a client's features are scaled in one expression.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, IngestionError
 
@@ -28,29 +34,32 @@ SHARE_SUM_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
-class TrafficRecord:
-    """One hour of one beam: volumes plus category shares."""
-
-    timestamp: int
-    downlink: float
-    uplink: float
-    shares: np.ndarray
-
-
-@dataclass(frozen=True)
 class BeamSeries:
+    """One beam's hourly series as column arrays; row t is hour t.
+
+    ``hourly_volumes`` is ``(n, 2)`` [downlink, uplink] and ``hourly_shares``
+    is ``(n, 4)``, one column per category.  Both are kept read-only.
+    """
+
     beam_id: str
-    records: tuple[TrafficRecord, ...]
+    hourly_volumes: np.ndarray
+    hourly_shares: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("hourly_volumes", "hourly_shares"):
+            view = np.asarray(getattr(self, name), dtype=np.float64).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.hourly_volumes.shape[0]
 
     def volumes(self) -> np.ndarray:
         """(n, 2) array of [downlink, uplink] per hour."""
-        return np.array([[r.downlink, r.uplink] for r in self.records], dtype=np.float64)
+        return self.hourly_volumes
 
     def shares_matrix(self) -> np.ndarray:
-        return np.array([r.shares for r in self.records], dtype=np.float64)
+        return self.hourly_shares
 
 
 @dataclass(frozen=True)
@@ -68,19 +77,71 @@ class Scaler:
     feature_min: np.ndarray
     feature_max: np.ndarray
 
+    @classmethod
+    def fit(cls, features: np.ndarray) -> "Scaler":
+        """Ranges of the columns of a ``(samples, features)`` array."""
+        return cls(features.min(axis=0), features.max(axis=0))
 
-def _parse_share(raw: str, column: str, line_no: int) -> float:
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        """Min-max scale the last axis; degenerate columns map to 0."""
+        span = self.feature_max - self.feature_min
+        safe = np.where(span > 0, span, 1.0)
+        return np.where(span > 0, (features - self.feature_min) / safe, 0.0)
+
+
+_VALUE_COLUMNS = ("downlink", "uplink", *CATEGORIES)
+
+
+def _row_error(path: str, line_no: int, fields: list[str], expected_hour: int) -> str:
+    """The message for the first check a data line fails, in column order.
+
+    ``fields`` must fail one of them; the share sum is the last check, so
+    a line that passes every other check is reported for its sum.
+    """
+    where = f"{path} line {line_no}"
+    if len(fields) != 7:
+        return f"{where}: expected 7 columns, got {len(fields)}"
     try:
-        value = float(raw)
-    except ValueError as exc:
-        raise IngestionError(f"line {line_no}: {column} is not a number: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise IngestionError(f"line {line_no}: {column} is not finite: {raw!r}")
-    return value
+        hour = int(fields[0])
+    except ValueError:
+        return f"{where}: hour is not an integer: {fields[0]!r}"
+    if hour != expected_hour:
+        return (
+            f"{where}: hour {hour} breaks the 0-based consecutive sequence "
+            f"(expected {expected_hour})"
+        )
+    values: list[float] = []
+    for column, raw in zip(_VALUE_COLUMNS, fields[1:]):
+        # The volumes are checked before any share is parsed.
+        if len(values) == 2 and (values[0] < 0 or values[1] < 0):
+            return f"{where}: volumes must be non-negative"
+        try:
+            value = float(raw)
+        except ValueError:
+            return f"{where}: {column} is not a number: {raw!r}"
+        if not math.isfinite(value):
+            return f"{where}: {column} is not finite: {raw!r}"
+        values.append(value)
+    shares = np.array(values[2:])
+    if np.any(shares < -SHARE_SUM_TOLERANCE) or np.any(shares > 1 + SHARE_SUM_TOLERANCE):
+        return f"{where}: shares must lie in [0, 1], got {shares.tolist()}"
+    total = float(np.clip(shares, 0.0, 1.0).sum())
+    return f"{where}: shares sum to {total:.6f}, outside 1 +/- {SHARE_SUM_TOLERANCE}"
+
+
+def _parsed(convert, raw: str, fallback):
+    try:
+        return convert(raw)
+    except ValueError:
+        return fallback
 
 
 def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
-    """Read and validate one beam CSV."""
+    """Read and validate one beam CSV.
+
+    Cells are parsed with Python's ``int`` (hour) and ``float`` (the rest)
+    and checked column-wise; the first offending line is reported.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -92,61 +153,42 @@ def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
         raise IngestionError(
             f"{path}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
         )
-    records = []
-    for i, line in enumerate(lines[1:]):
-        line_no = i + 2
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise IngestionError(
-                f"{path} line {line_no}: expected 7 columns, got {len(fields)}"
-            )
-        try:
-            hour = int(fields[0])
-        except ValueError as exc:
-            raise IngestionError(
-                f"{path} line {line_no}: hour is not an integer: {fields[0]!r}"
-            ) from exc
-        if hour != len(records):
-            raise IngestionError(
-                f"{path} line {line_no}: hour {hour} breaks the 0-based "
-                f"consecutive sequence (expected {len(records)})"
-            )
-        downlink = _parse_share(fields[1], "downlink", line_no)
-        uplink = _parse_share(fields[2], "uplink", line_no)
-        if downlink < 0 or uplink < 0:
-            raise IngestionError(f"{path} line {line_no}: volumes must be non-negative")
-        shares = np.array(
-            [_parse_share(fields[3 + j], CATEGORIES[j], line_no) for j in range(4)],
-            dtype=np.float64,
-        )
-        if np.any(shares < -SHARE_SUM_TOLERANCE) or np.any(shares > 1 + SHARE_SUM_TOLERANCE):
-            raise IngestionError(
-                f"{path} line {line_no}: shares must lie in [0, 1], got {shares.tolist()}"
-            )
-        shares = np.clip(shares, 0.0, 1.0)
-        total = float(shares.sum())
-        if abs(total - 1.0) > SHARE_SUM_TOLERANCE:
-            raise IngestionError(
-                f"{path} line {line_no}: shares sum to {total:.6f}, "
-                f"outside 1 +/- {SHARE_SUM_TOLERANCE}"
-            )
-        shares = shares / total
-        records.append(TrafficRecord(hour, downlink, uplink, shares))
-    if not records:
+    body = [
+        (line_no, line.split(","))
+        for line_no, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+    if not body:
         raise IngestionError(f"{path}: no data rows")
+    # A row of the wrong width parses as all-invalid and is flagged below.
+    rows = [fields if len(fields) == 7 else [""] * 7 for _, fields in body]
+    values = np.array([[_parsed(float, raw, math.nan) for raw in row[1:]] for row in rows])
+    volumes, shares = values[:, :2], values[:, 2:]
+    clipped = np.clip(shares, 0.0, 1.0)
+    totals = clipped.sum(axis=1)
+    bad = (
+        np.array([_parsed(int, row[0], None) != k for k, row in enumerate(rows)])
+        | ~np.isfinite(values).all(axis=1)
+        | (volumes < 0).any(axis=1)
+        | ((shares < -SHARE_SUM_TOLERANCE) | (shares > 1 + SHARE_SUM_TOLERANCE)).any(axis=1)
+        | (np.abs(totals - 1.0) > SHARE_SUM_TOLERANCE)
+    )
+    if bad.any():
+        # Every line before the first flagged one is valid, so its hour
+        # must equal its row index.
+        k = int(np.argmax(bad))
+        line_no, fields = body[k]
+        raise IngestionError(_row_error(path, line_no, fields, k))
     name = beam_id if beam_id is not None else path
-    return BeamSeries(name, tuple(records))
+    return BeamSeries(name, volumes.copy(), clipped / totals[:, None])
 
 
 def render_csv(series: BeamSeries) -> str:
     """Serialize a series back to the CSV schema, byte-stable."""
     lines = [CSV_HEADER]
-    for r in series.records:
-        cells = [str(r.timestamp), repr(float(r.downlink)), repr(float(r.uplink))]
-        cells.extend(repr(float(s)) for s in r.shares)
-        lines.append(",".join(cells))
+    rows = zip(series.hourly_volumes.tolist(), series.hourly_shares.tolist())
+    for hour, (volumes, shares) in enumerate(rows):
+        lines.append(",".join([str(hour), *map(repr, volumes), *map(repr, shares)]))
     lines.append("")
     return "\n".join(lines)
 
@@ -227,15 +269,18 @@ def generate_synthetic(seed: int, hours: int, profile: BeamProfile) -> BeamSerie
     scores = scores * np.exp(profile.share_noise * rng.standard_normal((hours, 4)))
     shares = scores / scores.sum(axis=1, keepdims=True)
 
-    records = tuple(
-        TrafficRecord(int(i), float(downlink[i]), float(uplink[i]), shares[i].copy())
-        for i in range(hours)
+    return BeamSeries(
+        f"beam-{profile.index + 1:02d}", np.stack([downlink, uplink], axis=1), shares
     )
-    return BeamSeries(f"beam-{profile.index + 1:02d}", records)
 
 
-def make_windows(series: BeamSeries, window_hours: int) -> list[WindowedSample]:
-    """Sliding windows: sample t covers hours [t, t+W), target is hour t+W."""
+def window_arrays(series: BeamSeries, window_hours: int) -> tuple[np.ndarray, np.ndarray]:
+    """Features ``(m, 2W)`` and targets ``(m, 4)`` of the m = n - W windows.
+
+    Row t covers hours [t, t+W) as [dl, ul] pairs, oldest first, and its
+    target is the shares of hour t+W.  The features are a read-only view
+    into the series.
+    """
     if window_hours < 1:
         raise ConfigurationError(f"window_hours must be >= 1, got {window_hours}")
     n = len(series)
@@ -244,48 +289,45 @@ def make_windows(series: BeamSeries, window_hours: int) -> list[WindowedSample]:
             f"beam {series.beam_id!r} has {n} hours; windowing needs at least "
             f"{window_hours + 1}"
         )
-    volumes = series.volumes()
-    shares = series.shares_matrix()
-    samples = []
-    for start in range(n - window_hours):
-        window = volumes[start : start + window_hours]
-        features = window.reshape(-1).copy()
-        target = shares[start + window_hours].copy()
-        samples.append(WindowedSample(features, target))
-    return samples
+    m = n - window_hours
+    windows = sliding_window_view(series.hourly_volumes, (window_hours, 2))[:m, 0]
+    return windows.reshape(m, 2 * window_hours), series.hourly_shares[window_hours:]
+
+
+def make_windows(series: BeamSeries, window_hours: int) -> list[WindowedSample]:
+    """Sliding windows: sample t covers hours [t, t+W), target is hour t+W."""
+    features, targets = window_arrays(series, window_hours)
+    return [WindowedSample(f, t) for f, t in zip(features, targets)]
+
+
+def train_count(n: int, train_fraction: float) -> int:
+    """floor(f*n): how many of n chronological samples train."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError(
+            f"train_fraction must be in (0, 1), got {train_fraction}"
+        )
+    n_train = int(math.floor(train_fraction * n))
+    if n_train == 0 or n_train == n:
+        raise ConfigurationError(
+            f"split of {n} samples at {train_fraction} leaves an empty side"
+        )
+    return n_train
 
 
 def chrono_split(
     samples: list[WindowedSample], train_fraction: float
 ) -> tuple[list[WindowedSample], list[WindowedSample]]:
     """First floor(f*n) samples train, remainder test; order preserved."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError(
-            f"train_fraction must be in (0, 1), got {train_fraction}"
-        )
-    n = len(samples)
-    n_train = int(math.floor(train_fraction * n))
-    if n_train == 0 or n_train == n:
-        raise ConfigurationError(
-            f"split of {n} samples at {train_fraction} leaves an empty side"
-        )
+    n_train = train_count(len(samples), train_fraction)
     return samples[:n_train], samples[n_train:]
 
 
 def fit_scaler(train_samples: list[WindowedSample]) -> Scaler:
     if not train_samples:
         raise ConfigurationError("cannot fit a scaler on an empty training set")
-    features = np.stack([s.features for s in train_samples])
-    return Scaler(features.min(axis=0), features.max(axis=0))
+    return Scaler.fit(np.stack([s.features for s in train_samples]))
 
 
 def apply_scaler(scaler: Scaler, samples: list[WindowedSample]) -> list[WindowedSample]:
     """Min-max scale features; degenerate columns map to 0; targets pass through."""
-    span = scaler.feature_max - scaler.feature_min
-    safe = np.where(span > 0, span, 1.0)
-    out = []
-    for s in samples:
-        scaled = (s.features - scaler.feature_min) / safe
-        scaled = np.where(span > 0, scaled, 0.0)
-        out.append(WindowedSample(scaled, s.target))
-    return out
+    return [WindowedSample(scaler.transform(s.features), s.target) for s in samples]

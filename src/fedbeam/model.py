@@ -55,7 +55,7 @@ from .layers import (
     relu_backward,
 )
 from .params import Layout, ParameterVector
-from .splines import SplineGrid
+from .splines import MAX_SPLINE_ORDER, SplineGrid
 
 KIND_FED_KAN = "fed_kan"
 KIND_FED_MLP = "fed_mlp"
@@ -105,6 +105,10 @@ class ModelConfig:
                 )
         require_int("grid_intervals", self.grid_intervals, 1)
         require_int("spline_order", self.spline_order, 0)
+        if self.spline_order > MAX_SPLINE_ORDER:
+            raise ConfigurationError(
+                f"spline_order must be <= {MAX_SPLINE_ORDER}, got {self.spline_order}"
+            )
         require_finite("dropout_p", self.dropout_p)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(

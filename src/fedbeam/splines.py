@@ -102,6 +102,10 @@ class SplineGrid:
             )
 
 
+# The piece matrix divides by order!, and 171! overflows a float64.
+MAX_SPLINE_ORDER = 170
+
+
 @cache
 def _piece_matrix(order: int) -> np.ndarray:
     """Polynomial pieces of the cardinal B-spline of the given order.

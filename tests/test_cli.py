@@ -220,6 +220,7 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
         ("train", None, "out_dir", '["x"]', []),
         ("train", None, "seed", None, ["--seed", "-1"]),
         ("generate", None, "seed", None, ["--seed", "-1"]),
+        ("train", "model", "spline_order", "171", []),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, command, section, key, value, extra):

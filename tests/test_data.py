@@ -7,7 +7,6 @@ from fedbeam.data import (
     CATEGORIES,
     CSV_HEADER,
     BeamSeries,
-    TrafficRecord,
     WindowedSample,
     apply_scaler,
     chrono_split,
@@ -23,11 +22,9 @@ from fedbeam.errors import ConfigurationError, IngestionError
 
 def toy_series(n: int) -> BeamSeries:
     """Hand-built series with recognizable volumes for indexing checks."""
-    records = []
-    for t in range(n):
-        shares = np.array([0.4, 0.3, 0.2, 0.1])
-        records.append(TrafficRecord(t, 10.0 * t, 10.0 * t + 1.0, shares))
-    return BeamSeries("toy", tuple(records))
+    t = np.arange(n, dtype=np.float64)
+    volumes = np.stack([10.0 * t, 10.0 * t + 1.0], axis=1)
+    return BeamSeries("toy", volumes, np.tile([0.4, 0.3, 0.2, 0.1], (n, 1)))
 
 
 def test_window_count_743_hours():
@@ -173,7 +170,7 @@ def test_csv_accepts_exact_quarter_shares(tmp_path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     series = load_csv(str(path))
     assert len(series) == 8
-    assert np.array_equal(series.records[0].shares, np.full(4, 0.25))
+    assert np.array_equal(series.hourly_shares[0], np.full(4, 0.25))
 
 
 def test_csv_rejects_bad_share_sum_with_line_number(tmp_path):
@@ -191,7 +188,7 @@ def test_csv_renormalizes_near_misses(tmp_path):
     rows = [CSV_HEADER, "0,5.0,2.0,0.2503,0.2501,0.2499,0.2499"]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     series = load_csv(str(path))
-    assert series.records[0].shares.sum() == pytest.approx(1.0, abs=1e-12)
+    assert series.hourly_shares[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -245,3 +242,75 @@ def test_csv_rejects_negative_volume_and_short_rows(tmp_path):
 def test_categories_order_is_stable():
     assert CATEGORIES == ("communication", "streaming", "cloud_services", "system_updates")
     assert CSV_HEADER.endswith("communication,streaming,cloud_services,system_updates")
+
+
+GOOD_ROW = "5.0,2.0,0.25,0.25,0.25,0.25"
+
+
+def rows_of(*cells: str) -> list[str]:
+    """Data lines numbered from hour 0, each followed by the given cells."""
+    return [f"{t},{c}" for t, c in enumerate(cells)]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["hour,down,up,a,b,c,d", "0," + GOOD_ROW],
+         "{path}: header must be exactly " + repr(CSV_HEADER) + ", got 'hour,down,up,a,b,c,d'"),
+        ([], "{path}: file is empty"),
+        ([CSV_HEADER], "{path}: no data rows"),
+        ([CSV_HEADER, "", "  "], "{path}: no data rows"),
+        ([CSV_HEADER, *rows_of(GOOD_ROW, "5.0,2.0,0.25,0.25,0.5")],
+         "{path} line 3: expected 7 columns, got 6"),
+        ([CSV_HEADER, "3.0," + GOOD_ROW], "{path} line 2: hour is not an integer: '3.0'"),
+        ([CSV_HEADER, "0," + GOOD_ROW, "2," + GOOD_ROW],
+         "{path} line 3: hour 2 breaks the 0-based consecutive sequence (expected 1)"),
+        ([CSV_HEADER, *rows_of("5.0,2.0,0.25,x,0.5,0.25")],
+         "{path} line 2: streaming is not a number: 'x'"),
+        ([CSV_HEADER, *rows_of(GOOD_ROW, "nan,2.0,0.25,0.25,0.25,0.25")],
+         "{path} line 3: downlink is not finite: 'nan'"),
+        ([CSV_HEADER, *rows_of("5.0,inf,0.25,0.25,0.25,0.25")],
+         "{path} line 2: uplink is not finite: 'inf'"),
+        ([CSV_HEADER, *rows_of("-1.0,2.0,0.25,0.25,0.25,0.25")],
+         "{path} line 2: volumes must be non-negative"),
+        ([CSV_HEADER, *rows_of("5.0,2.0,1.2,0.0,0.0,0.0")],
+         "{path} line 2: shares must lie in [0, 1], got [1.2, 0.0, 0.0, 0.0]"),
+        ([CSV_HEADER, *rows_of(GOOD_ROW, "5.0,2.0,0.4,0.3,0.1,0.1")],
+         "{path} line 3: shares sum to 0.900000, outside 1 +/- 0.001"),
+        # Two faulty lines: the earlier one is reported, whatever its check.
+        ([CSV_HEADER, *rows_of(GOOD_ROW, "5.0,2.0,0.4,0.3,0.1,0.1", "5.0,2.0,0.25"),
+          "9," + GOOD_ROW],
+         "{path} line 3: shares sum to 0.900000, outside 1 +/- 0.001"),
+        # Two faults on one line: the checks run in column order.
+        ([CSV_HEADER, "0," + GOOD_ROW, "5,nan,2.0,0.25,0.25,0.25,0.25"],
+         "{path} line 3: hour 5 breaks the 0-based consecutive sequence (expected 1)"),
+        ([CSV_HEADER, *rows_of("-1.0,2.0,x,0.25,0.25,0.25")],
+         "{path} line 2: volumes must be non-negative"),
+        ([CSV_HEADER, *rows_of("5.0,2.0,1.2,0.0,0.0,nan")],
+         "{path} line 2: system_updates is not finite: 'nan'"),
+        # A blank line keeps the numbers of the lines after it.
+        ([CSV_HEADER, "0," + GOOD_ROW, "", "1,5.0,2.0,0.4,0.3,0.1,0.1"],
+         "{path} line 4: shares sum to 0.900000, outside 1 +/- 0.001"),
+    ],
+    ids=[
+        "header", "empty", "header-only", "blank-only", "six-columns", "float-hour",
+        "hour-gap", "share-not-a-number", "nan-volume", "inf-volume", "negative-volume",
+        "share-above-one", "share-sum", "earlier-line-first", "hour-before-volume",
+        "volume-before-share", "finite-before-range", "blank-line-numbering",
+    ],
+)
+def test_csv_rejection_messages(tmp_path, lines, message):
+    path = tmp_path / "beam.csv"
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with pytest.raises(IngestionError) as err:
+        load_csv(str(path))
+    assert str(err.value) == message.format(path=path)
+
+
+def test_csv_accepts_python_number_spellings(tmp_path):
+    path = tmp_path / "beam.csv"
+    rows = rows_of(*[GOOD_ROW] * 7) + [" 7,1_000,1e3,0.25,0.25,0.25,0.25"]
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    series = load_csv(str(path))
+    assert len(series) == 8
+    assert series.volumes()[7].tolist() == [1000.0, 1000.0]

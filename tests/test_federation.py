@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fedbeam.federation
 import fedbeam.model
 from fedbeam.data import default_profiles, generate_synthetic
 from fedbeam.errors import (
@@ -33,6 +34,7 @@ from fedbeam.model import (
     build_model,
     export_weights,
     forward,
+    forward_with_caches,
     import_weights,
 )
 from fedbeam.params import ParameterVector
@@ -301,6 +303,59 @@ def test_lockstep_group_matches_each_client_alone(cfg):
         assert update.sample_count == alone.sample_count
 
 
+def uneven_clients(hours=(80, 95, 120, 80)) -> list[ClientState]:
+    profiles = default_profiles(len(hours))
+    return [build_client(generate_synthetic(3, h, p), 5, 0.8) for h, p in zip(hours, profiles)]
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()], ids=["kan", "mlp"])
+def test_ragged_lockstep_matches_each_client_alone(cfg):
+    clients = uneven_clients()
+    assert [c.sample_count for c in clients] == [60, 72, 92, 60]
+    fed = dataclasses.replace(FAST_FED, local_epochs=3, batch_size=16)
+    template = build_model(cfg, seed=7)
+    weights = export_weights(template)
+    together = local_train(
+        clients, template, weights, fed, [np.random.default_rng(i) for i in range(4)]
+    )
+    assert [u.client_id for u in together] == [c.client_id for c in clients]
+    for i, (client, update) in enumerate(zip(clients, together)):
+        [alone] = local_train([client], template, weights, fed, [np.random.default_rng(i)])
+        assert update.weights.to_flat().tobytes() == alone.weights.to_flat().tobytes()
+        assert np.float64(update.local_train_loss).tobytes() == np.float64(
+            alone.local_train_loss
+        ).tobytes()
+        assert update.sample_count == alone.sample_count
+
+
+def test_stacked_calls_are_split_at_max_stack_rows(monkeypatch):
+    clients = uneven_clients((80, 80, 80, 80, 95))
+    fed = dataclasses.replace(FAST_FED, local_epochs=2, batch_size=16)
+    template = build_model(ModelConfig.fed_mlp(), seed=7)
+    weights = export_weights(template)
+
+    def rngs():
+        return [np.random.default_rng(i) for i in range(5)]
+
+    unsplit = local_train(clients, template, weights, fed, rngs())
+
+    shapes = []
+
+    def recording_forward(model, batch, *args):
+        shapes.append(batch.shape[:2])
+        return forward_with_caches(model, batch, *args)
+
+    monkeypatch.setattr(fedbeam.federation, "MAX_STACK_ROWS", 40)
+    monkeypatch.setattr(fedbeam.federation, "forward_with_caches", recording_forward)
+    split = local_train(clients, template, weights, fed, rngs())
+    # Four 60-sample rows: batches of 16 go two at a time, the last (12) three and one.
+    assert all(rows * size <= 40 for rows, size in shapes)
+    assert {(2, 16), (3, 12), (1, 12)} <= set(shapes)
+    for a, b in zip(unsplit, split):
+        assert a.weights.to_flat().tobytes() == b.weights.to_flat().tobytes()
+        assert a.local_train_loss == b.local_train_loss
+
+
 def test_run_round_mixed_lengths_match_clients_trained_alone(monkeypatch):
     profiles = default_profiles(3)
     clients = [
@@ -320,7 +375,7 @@ def test_run_round_mixed_lengths_match_clients_trained_alone(monkeypatch):
 
     monkeypatch.setattr("fedbeam.federation.local_train", recording_local_train)
     new_weights, report = run_round(weights, clients, template, fed, 1)
-    assert sorted(group_sizes) == [1, 2]
+    assert group_sizes == [3]
 
     updates = [
         local_train([c], template, weights, fed, [
@@ -333,14 +388,12 @@ def test_run_round_mixed_lengths_match_clients_trained_alone(monkeypatch):
     assert report.avg_train_loss == float(np.mean([u.local_train_loss for u in updates]))
 
 
-def test_local_train_rejects_unequal_sample_counts():
-    clients = small_clients(1) + [small_clients(2, hours=95)[1]]
+def test_local_train_rejects_a_wrong_rng_count():
+    clients = small_clients(1)
     template = build_model(ModelConfig.fed_mlp(), seed=5)
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ContractViolationError):
         local_train(clients, template, export_weights(template), FAST_FED, rngs)
-    with pytest.raises(ContractViolationError):
-        local_train(clients[:1], template, export_weights(template), FAST_FED, rngs)
 
 
 def test_non_finite_targets_name_their_client():
