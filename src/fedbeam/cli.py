@@ -108,7 +108,7 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise IngestionError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")

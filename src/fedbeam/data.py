@@ -145,7 +145,7 @@ def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise IngestionError(f"{path}: file is empty")

@@ -9,15 +9,15 @@ stacked model, even when their series differ in length.  The clients step
 together on a global step counter; a client leaves the stack when its own
 schedule ends, and at each step the clients whose batch has the same size
 form one stacked call (split when it would exceed ``MAX_STACK_ROWS``
-batch rows).  Every client keeps its own Adam moments and its own seeded
-dropout stream, and each row's arithmetic is the same as training that
+batch rows).  Every client keeps its own seeded dropout stream and its
+own rows of the stack's weight and Adam moment buffers, which each call
+updates in place, and each row's arithmetic is the same as training that
 client alone, so the stacking cannot change results.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -211,39 +211,6 @@ def minibatch_slices(n: int, batch_size: int) -> list[slice]:
     return [slice(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays stacked on a new leading axis; one array is only viewed."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-class _RowMoments:
-    """Adam moments of a stack of rows, for stacked calls over row ranges.
-
-    ``held`` maps a row range to the AdamState its last call returned,
-    which holds those rows' current moments.  A call over a range that is
-    not held gets a fresh state from ``gather``, which first copies every
-    overlapping held state back into the stack's buffers.  Rows that keep
-    stepping together thus never copy their moments.
-    """
-
-    def __init__(self, shape: tuple[int, int], learning_rate: float, weight_decay: float):
-        self.first = np.zeros(shape)
-        self.second = np.zeros(shape)
-        self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
-        self.held: dict[tuple[int, int], AdamState] = {}
-
-    def gather(self, lo: int, hi: int, step: int) -> AdamState:
-        """A state for rows [lo:hi], which have all taken ``step`` steps."""
-        for a, b in [key for key in self.held if key[0] < hi and lo < key[1]]:
-            done = self.held.pop((a, b))
-            self.first[a:b] = done.first_moment
-            self.second[a:b] = done.second_moment
-        return AdamState(
-            self.first[lo:hi], self.second[lo:hi], step, self.learning_rate, self.weight_decay
-        )
-
-
 def _runs(sizes: list[int]) -> list[tuple[int, int, int]]:
     """Split rows into maximal runs of equal batch size, each at most
     ``MAX_STACK_ROWS`` batch rows; size 0 marks the finished rows."""
@@ -304,7 +271,7 @@ def local_train(
     is the one it would follow alone: S_i chronological batches per epoch,
     batch ``g % S_i`` of epoch ``g // S_i`` at global step ``g``, until
     ``g`` reaches ``local_epochs * S_i``.  Every client still training at
-    step ``g`` has taken exactly ``g`` steps, so one Adam step count serves
+    step ``g`` has taken exactly ``g`` steps, so one Adam step number serves
     them all.  Adam state starts fresh (moments are not carried across
     rounds).  Each reported loss is the element-weighted mean of the
     client's batch losses during its final epoch, dropout active.  Updates
@@ -321,73 +288,46 @@ def local_train(
     batch_size, epochs = fed_config.batch_size, fed_config.local_epochs
     # Rows run longest first.  By sample count, descending, is by steps per
     # epoch, then by last batch size, both descending: the rows still
-    # training at any step are a prefix, and rows of equal length sit
-    # together.
+    # training at any step are a prefix.
     order = sorted(range(len(clients)), key=lambda i: -clients[i].sample_count)
     rows = [clients[i] for i in order]
     counts = [c.sample_count for c in rows]
 
-    # The rows' own copy: every step updates its weight rows in place.
+    # One row per client in the weight, gradient and Adam moment buffers.  A
+    # call over rows [lo:hi] steps their row views in place, so whichever
+    # call steps a row next reads its current weights and moments.
     model = import_weights(template, global_weights, copies=len(rows))
     grads = np.empty_like(model.weights)
-    moments = _RowMoments(grads.shape, fed_config.learning_rate, fed_config.weight_decay)
-    # Rows of equal length sit together (same schedule, same last batch).
-    # Each such block's data is stacked once, so a call inside one block
-    # takes its batch as a view; a call across blocks copies its rows in.
-    block: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-    for _, same in itertools.groupby(range(len(rows)), key=counts.__getitem__):
-        same = list(same)
-        features = _stack([rows[r].train_features for r in same])
-        targets = _stack([rows[r].train_targets for r in same])
-        block.update((r, (same[0], features, targets)) for r in same)
-
-    # The step plan: every stacked call, with the row views [lo:hi] of the
-    # model and gradient buffers it steps and the batch it takes.
+    first, second = np.zeros_like(grads), np.zeros_like(grads)
+    rates = (fed_config.learning_rate, fed_config.weight_decay)
     stacks: dict[tuple[int, int], tuple] = {}
-    plan = []
+    final_losses: list[list[float]] = [[] for _ in rows]
+    final_sizes: list[list[int]] = [[] for _ in rows]
     for g, lo, hi, size, starts, final in _lockstep_calls(counts, epochs, batch_size):
-        key = (lo, hi)
-        if key not in stacks:
-            stacks[key] = (
-                key,
+        if (lo, hi) not in stacks:
+            stacks[lo, hi] = (
                 with_weights(model, model.weights[lo:hi]),
                 grads[lo:hi],
                 segment_views(model.layout, grads[lo:hi]),
                 [rngs[order[r]] for r in range(lo, hi)],
+                AdamState(first[lo:hi], second[lo:hi], *rates),
             )
-        first, features, targets = block[lo]
-        if block[hi - 1][0] == first:
-            window = (slice(lo - first, hi - first), slice(starts[0], starts[0] + size))
-            batch = (features[window], targets[window])
-        else:
-            parts = list(zip(rows[lo:hi], starts))
-            batch = (
-                [c.train_features[a : a + size] for c, a in parts],
-                [c.train_targets[a : a + size] for c, a in parts],
-            )
-        plan.append((g, *stacks[key], *batch, final))
-
-    final_losses: list[list[float]] = [[] for _ in rows]
-    final_sizes: list[list[int]] = [[] for _ in rows]
-    held = moments.held
-    for g, key, part, part_grads, segments, part_rngs, xb, yb, final in plan:
-        # A list of row batches is copied into one stack here.
-        preds, caches = forward_with_caches(part, np.asarray(xb), MODE_TRAIN, part_rngs)
-        losses, loss_grad = mse_loss(preds, np.asarray(yb))
+        part, part_grads, segments, part_rngs, state = stacks[lo, hi]
+        parts = list(zip(rows[lo:hi], starts))
+        xb = np.asarray([c.train_features[a : a + size] for c, a in parts])
+        yb = np.asarray([c.train_targets[a : a + size] for c, a in parts])
+        preds, caches = forward_with_caches(part, xb, MODE_TRAIN, part_rngs)
+        losses, loss_grad = mse_loss(preds, yb)
         finite = np.isfinite(losses)
         if not finite.all():
-            bad = ", ".join(
-                repr(rows[key[0] + i].client_id) for i in np.flatnonzero(~finite)
-            )
+            bad = ", ".join(repr(rows[lo + i].client_id) for i in np.flatnonzero(~finite))
             raise NumericsError(f"client {bad} produced a non-finite loss")
         model_backward(part, caches, loss_grad, part_grads)
         clip_gradient_norm(part_grads, fed_config.max_grad_norm, segments)
-        state = held.pop(key, None) or moments.gather(*key, g)
-        new_weights, held[key] = adam_step(part.weights, part_grads, state)
-        part.weights[...] = new_weights
+        adam_step(part.weights, part_grads, state, g + 1)
         for r in final:
-            final_losses[r].append(losses[r - key[0]])
-            final_sizes[r].append(preds.shape[1])
+            final_losses[r].append(losses[r - lo])
+            final_sizes[r].append(size)
 
     updates: list[ClientUpdate] = [None] * len(rows)  # type: ignore[list-item]
     for r, client in enumerate(rows):

@@ -1,8 +1,9 @@
 """Loss, gradient clipping, and the Adam update rule.
 
 Clipping and adam_step work on flat float64 vectors in the model's
-parameter layout: the training loop clips the flat gradient buffer in
-place and writes adam_step's result back into the model's weight buffer.
+parameter layout, in place: the training loop clips the flat gradient
+buffer, and adam_step updates the model's weight buffer and the Adam
+moments it is given.
 A stack of models, ``(clients, parameters)``, is one row per client: every
 loss, norm and clip decision is per row, and each row's arithmetic is the
 same as for that client's flat vector alone.
@@ -10,7 +11,7 @@ same as for that client's flat vector alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -75,11 +76,10 @@ def clip_gradient_norm(
 
 @dataclass(frozen=True)
 class AdamState:
-    """Immutable Adam accumulator; each step returns a fresh state."""
+    """Adam's moment buffers, which adam_step updates in place, and its settings."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int
     learning_rate: float
     weight_decay: float
     beta1: float = 0.9
@@ -88,35 +88,20 @@ class AdamState:
 
     @classmethod
     def initial(
-        cls,
-        size: int | tuple[int, ...],
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
+        cls, shape: int | tuple[int, ...], learning_rate: float, weight_decay: float = 0.0
     ) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(size, dtype=np.float64),
-            second_moment=np.zeros(size, dtype=np.float64),
-            step_count=0,
-            learning_rate=learning_rate,
-            weight_decay=weight_decay,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+        return cls(np.zeros(shape), np.zeros(shape), learning_rate, weight_decay)
 
 
-def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: AdamState
-) -> tuple[np.ndarray, AdamState]:
-    """One Adam update on a flat parameter vector, or on a stack of them.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, step: int) -> None:
+    """Adam update number ``step`` (1 for the first), in place.
 
-    A stack, ``(clients, parameters)``, updates every row by the same rule;
-    its rows have all taken the same number of steps, so one step count
-    serves them all.  Weight decay is folded into the gradient (decoupled
-    decay is not used): g <- g + wd * theta.
+    Updates ``params``, a flat vector or a ``(clients, parameters)`` stack
+    of them, and the state's moments, which may be row views of larger
+    buffers.  Weight decay is folded into the gradient (decoupled decay is
+    not used): g <- g + wd * theta.  Each operation rounds as in the
+    textbook form, so the result is bitwise that of
+    theta - lr * m_hat / (sqrt(v_hat) + eps).
     """
     if params.shape != grads.shape or params.ndim not in (1, 2):
         raise ContractViolationError(
@@ -128,11 +113,20 @@ def adam_step(
             f"optimizer state shaped {state.first_moment.shape} cannot update "
             f"parameters shaped {params.shape}"
         )
-    g = grads + state.weight_decay * params
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * (g * g)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, replace(state, first_moment=m, second_moment=v, step_count=t)
+    m, v = state.first_moment, state.second_moment
+    g = state.weight_decay * params
+    g += grads
+    update = (1.0 - state.beta1) * g
+    m *= state.beta1
+    m += update
+    g *= g
+    g *= 1.0 - state.beta2
+    v *= state.beta2
+    v += g
+    np.divide(m, 1.0 - state.beta1**step, out=update)
+    update *= state.learning_rate
+    np.divide(v, 1.0 - state.beta2**step, out=g)
+    np.sqrt(g, out=g)
+    g += state.epsilon
+    update /= g
+    params -= update

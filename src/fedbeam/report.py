@@ -89,7 +89,10 @@ def _parse_report(text: str, magic: str, name: str, row_name: str, leading: list
             raise IngestionError(
                 f"{row_name} row has {len(cells)} cells, expected {len(columns)}"
             )
-        rows.append([float(c) for c in cells])
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise IngestionError(f"{row_name} row {line!r} has a non-numeric cell") from None
     return {"meta": meta, "columns": columns, "rows": np.array(rows, dtype=np.float64)}
 
 

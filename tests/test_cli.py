@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from fedbeam.errors import IngestionError
 from fedbeam.report import (
     loss_reduction_percent,
     parse_comparison_csv,
@@ -85,9 +86,24 @@ def test_train_requires_model_kind(tmp_path, capsys):
 
 def test_train_rejects_bad_json(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text("{not json", encoding="utf-8")
-    assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert "JSON" in capsys.readouterr().err
+    for raw in (b"{not json", b'{"out_dir": "\xff"}'):
+        cfg_path.write_bytes(raw)
+        assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_experiment_csv,
+         "# fedbeam-report 1\nround,avg_train_loss,avg_test_loss\n1,0.5,0.25\n1,x,2\n"),
+        (parse_comparison_csv, "# fedbeam-comparison 1\nround,kan,mlp\n1,x,2\n"),
+    ],
+    ids=["experiment", "comparison"],
+)
+def test_report_parsers_name_a_non_numeric_row(parse, text):
+    with pytest.raises(IngestionError, match="row '1,x,2' has a non-numeric cell"):
+        parse(text)
 
 
 def test_train_missing_config_file_is_io_error(tmp_path, capsys):

@@ -291,17 +291,22 @@ def rows_of(*cells: str) -> list[str]:
         # A blank line keeps the numbers of the lines after it.
         ([CSV_HEADER, "0," + GOOD_ROW, "", "1,5.0,2.0,0.4,0.3,0.1,0.1"],
          "{path} line 4: shares sum to 0.900000, outside 1 +/- 0.001"),
+        # "\udcff" is written as the raw byte 0xff.
+        ([CSV_HEADER, *rows_of(GOOD_ROW, GOOD_ROW + "\udcff")],
+         "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 134: "
+         "invalid start byte"),
     ],
     ids=[
         "header", "empty", "header-only", "blank-only", "six-columns", "float-hour",
         "hour-gap", "share-not-a-number", "nan-volume", "inf-volume", "negative-volume",
         "share-above-one", "share-sum", "earlier-line-first", "hour-before-volume",
-        "volume-before-share", "finite-before-range", "blank-line-numbering",
+        "volume-before-share", "finite-before-range", "blank-line-numbering", "not-utf8",
     ],
 )
 def test_csv_rejection_messages(tmp_path, lines, message):
     path = tmp_path / "beam.csv"
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    text = "\n".join(lines) + ("\n" if lines else "")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(IngestionError) as err:
         load_csv(str(path))
     assert str(err.value) == message.format(path=path)

@@ -92,17 +92,15 @@ def test_clip_rejects_bad_max_norm():
 
 def test_adam_zero_grad_is_identity():
     params = np.array([1.0, -2.0, 0.5])
-    state = AdamState.initial(3, learning_rate=0.001)
-    new_params, new_state = adam_step(params, np.zeros(3), state)
-    assert np.array_equal(new_params, params)
-    assert new_state.step_count == 1
+    before = params.copy()
+    adam_step(params, np.zeros(3), AdamState.initial(3, learning_rate=0.001), 1)
+    assert np.array_equal(params, before)
 
 
 def test_adam_first_step_identity():
     params = np.zeros(1)
-    state = AdamState.initial(1, learning_rate=0.001)
-    new_params, _ = adam_step(params, np.array([0.2]), state)
-    assert abs(new_params[0] + 0.001) < 1e-6
+    adam_step(params, np.array([0.2]), AdamState.initial(1, learning_rate=0.001), 1)
+    assert abs(params[0] + 0.001) < 1e-6
 
 
 def scalar_adam_oracle(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -124,8 +122,8 @@ def test_adam_two_steps_match_scalar_oracle():
     lr, wd = 0.001, 1e-5
     state = AdamState.initial(1, learning_rate=lr, weight_decay=wd)
     params = np.array([0.7])
-    params, state = adam_step(params, np.array([0.3]), state)
-    params, state = adam_step(params, np.array([0.3]), state)
+    adam_step(params, np.array([0.3]), state, 1)
+    adam_step(params, np.array([0.3]), state, 2)
     # The oracle applies decay to the pre-step theta each time, as adam_step does.
     theta = 0.7
     m = v = 0.0
@@ -137,16 +135,17 @@ def test_adam_two_steps_match_scalar_oracle():
         v_hat = v / (1 - 0.999**t)
         theta = theta - lr * m_hat / (v_hat**0.5 + 1e-8)
     assert abs(params[0] - theta) < 1e-12
-    assert state.step_count == 2
 
 
 def test_adam_is_bitwise_deterministic():
     rng = np.random.default_rng(31)
     params = rng.standard_normal(20)
     grads = rng.standard_normal(20)
-    state = AdamState.initial(20, learning_rate=0.001, weight_decay=1e-5)
-    out_a, state_a = adam_step(params, grads, state)
-    out_b, state_b = adam_step(params, grads, state)
+    out_a, out_b = params.copy(), params.copy()
+    state_a = AdamState.initial(20, learning_rate=0.001, weight_decay=1e-5)
+    state_b = AdamState.initial(20, learning_rate=0.001, weight_decay=1e-5)
+    adam_step(out_a, grads, state_a, 1)
+    adam_step(out_b, grads, state_b, 1)
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(state_a.first_moment, state_b.first_moment)
     assert np.array_equal(state_a.second_moment, state_b.second_moment)
@@ -155,9 +154,9 @@ def test_adam_is_bitwise_deterministic():
 def test_adam_rejects_length_mismatch():
     state = AdamState.initial(3, learning_rate=0.001)
     with pytest.raises(ContractViolationError):
-        adam_step(np.zeros(4), np.zeros(4), state)
+        adam_step(np.zeros(4), np.zeros(4), state, 1)
     with pytest.raises(ContractViolationError):
-        adam_step(np.zeros(3), np.zeros(4), state)
+        adam_step(np.zeros(3), np.zeros(4), state, 1)
 
 
 def test_stacked_rows_match_each_row_alone():
@@ -171,20 +170,30 @@ def test_stacked_rows_match_each_row_alone():
     losses, loss_grad = mse_loss(preds, targets)
     stacked = grads.copy()
     clip_gradient_norm(stacked, 1.0, segment_views(layout, stacked))
-    new_params, state = adam_step(
-        params, stacked, AdamState.initial((3, 16), learning_rate=0.01, weight_decay=1e-5)
-    )
-    assert losses.shape == (3,) and state.step_count == 1
+    new_params = params.copy()
+    state = AdamState.initial((3, 16), learning_rate=0.01, weight_decay=1e-5)
+    adam_step(new_params, stacked, state, 1)
+    # Adam on the row view [1:3] of shared buffers writes only those rows.
+    shared = AdamState.initial((3, 16), learning_rate=0.01, weight_decay=1e-5)
+    shared_params = params.copy()
+    rows = AdamState(shared.first_moment[1:3], shared.second_moment[1:3], 0.01, 1e-5)
+    adam_step(shared_params[1:3], stacked[1:3], rows, 1)
+    assert np.array_equal(shared_params[0], params[0])
+    assert not shared.first_moment[0].any() and not shared.second_moment[0].any()
+    assert losses.shape == (3,)
     for c in range(3):
         loss_c, grad_c = mse_loss(preds[c], targets[c])
         assert losses[c] == loss_c and np.array_equal(loss_grad[c], grad_c)
         row = grads[c].copy()
         clip_gradient_norm(row, 1.0, segment_views(layout, row))
         assert np.array_equal(stacked[c], row)
-        params_c, _ = adam_step(
-            params[c], row, AdamState.initial(16, learning_rate=0.01, weight_decay=1e-5)
-        )
-        assert np.array_equal(new_params[c], params_c)
+        params_c = params[c].copy()
+        alone = AdamState.initial(16, learning_rate=0.01, weight_decay=1e-5)
+        adam_step(params_c, row, alone, 1)
+        for stepped, moments in [(new_params, state), (shared_params, shared)][: 1 + (c > 0)]:
+            assert np.array_equal(stepped[c], params_c)
+            assert np.array_equal(moments.first_moment[c], alone.first_moment)
+            assert np.array_equal(moments.second_moment[c], alone.second_moment)
     assert np.array_equal(stacked[1], grads[1])
 
 
