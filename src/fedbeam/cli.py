@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import BeamSeries, default_profiles, generate_synthetic, load_csv, render_csv
 from .errors import (
     ConfigurationError,
@@ -275,7 +277,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every non-finite loss is caught and raised as a NumericsError, so
+        # NumPy's overflow and invalid-value warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigurationError, ContractViolationError, IncompatibleWeightsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,18 +133,22 @@ def _flat_coeffs(params: KanLayerParams) -> np.ndarray:
 
 
 def kan_layer_forward(
-    inputs: np.ndarray, params: KanLayerParams
+    inputs: np.ndarray, params: KanLayerParams, derivative: bool = True
 ) -> tuple[np.ndarray, dict]:
     """Forward pass of a spline layer.
 
     inputs has shape (..., batch, in_width); the result has shape
     (..., batch, out_width).  The returned cache feeds kan_layer_backward.
+    With ``derivative=False`` the basis derivatives are not evaluated and
+    the cache holds ``dbases=None``: a backward pass over it yields the
+    parameter gradients only, for a layer whose input gradient nobody reads.
     """
     _check_inputs(inputs, params.in_width)
-    bases, dbases = basis_and_derivative(inputs.reshape(-1), params.grid)
+    bases, dbases = basis_and_derivative(inputs.reshape(-1), params.grid, derivative)
     # (..., batch, in_width * num_bases), matching the rows of _flat_coeffs.
     bases = bases.reshape(*inputs.shape[:-1], -1)
-    dbases = dbases.reshape(bases.shape)
+    if dbases is not None:
+        dbases = dbases.reshape(bases.shape)
     flat_coeffs = _flat_coeffs(params)
     sig = sigmoid(inputs)
     silu_x = inputs * sig
@@ -152,31 +156,37 @@ def kan_layer_forward(
     out = out + bases @ flat_coeffs
     cache = {
         "inputs": inputs,
-        "sigmoid": sig,
         "silu": silu_x,
         "bases": bases,
+        # Read only for the inputs' gradient.
+        "sigmoid": sig if derivative else None,
         "dbases": dbases,
-        "flat_coeffs": flat_coeffs,
+        "flat_coeffs": flat_coeffs if derivative else None,
     }
     return out, cache
 
 
 def kan_layer_backward(
     upstream: np.ndarray, params: KanLayerParams, cache: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass; returns the gradients of (inputs, spline_coeffs, base_weights)."""
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Backward pass; returns the gradients of (inputs, spline_coeffs, base_weights).
+
+    A cache built with ``derivative=False`` gives None for the inputs'
+    gradient and computes none of it.
+    """
     x = cache["inputs"]
     _check_upstream(upstream, x, params.out_width)
-    sig = cache["sigmoid"]
-    bases = cache["bases"]
     dbases = cache["dbases"]
     m = params.grid.num_bases
 
     d_base = cache["silu"].swapaxes(-1, -2) @ upstream
     # (..., in_width * num_bases, out_width) -> (..., in_width, out_width, num_bases)
-    d_flat = bases.swapaxes(-1, -2) @ upstream
+    d_flat = cache["bases"].swapaxes(-1, -2) @ upstream
     d_coeffs = d_flat.reshape(*d_base.shape[:-1], m, -1).swapaxes(-1, -2)
+    if dbases is None:
+        return None, d_coeffs, d_base
 
+    sig = cache["sigmoid"]
     # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
     silu_prime = sig * (1.0 + x * (1.0 - sig))
     d_inputs = (upstream @ params.base_weights.swapaxes(-1, -2)) * silu_prime

@@ -317,9 +317,12 @@ def forward(
     mode: str = MODE_EVAL,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Plain forward pass; training mode needs an rng for dropout."""
-    out, _ = forward_with_caches(model, batch, mode, rng)
-    return out
+    """Plain forward pass; training mode needs an rng for dropout.
+
+    Nothing is kept for a backward pass, so no spline layer evaluates its
+    basis derivatives.
+    """
+    return _forward(model, batch, mode, rng, None)
 
 
 def forward_with_caches(
@@ -334,8 +337,22 @@ def forward_with_caches(
     input_width)`` for a stack of models; a stack draws its dropout masks
     from one generator per client (see ``fedbeam.layers.dropout``).
     Dropout is the identity in eval mode, so no rng is needed and no mask
-    is recorded there.
+    is recorded there.  The first block's input gradient is never read, so
+    a spline layer there caches no basis derivatives.
     """
+    caches: list[dict] = []
+    out = _forward(model, batch, mode, rng, caches)
+    return out, caches
+
+
+def _forward(
+    model: Model,
+    batch: np.ndarray,
+    mode: str,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    caches: list[dict] | None,
+) -> np.ndarray:
+    """The forward loop; appends one cache per block to ``caches`` unless None."""
     lead = model.weights.shape[:-1]
     if (
         batch.ndim != len(lead) + 2
@@ -349,11 +366,11 @@ def forward_with_caches(
     if mode == MODE_TRAIN and model.config.dropout_p > 0.0 and rng is None:
         raise ContractViolationError("training mode with dropout needs an rng")
     x = np.asarray(batch, dtype=np.float64)
-    caches: list[dict] = []
-    for block in model.blocks:
+    for i, block in enumerate(model.blocks):
         if isinstance(block, KanBlock):
-            x, cache = kan_layer_forward(x, block.params)
-            caches.append({"kind": "kan", "layer": cache})
+            derivative = caches is not None and i > 0
+            x, cache = kan_layer_forward(x, block.params, derivative)
+            entry = {"kind": "kan", "layer": cache}
         else:
             x, cache = linear_forward(x, block.params)
             entry = {"kind": "linear", "layer": cache, "relu_mask": None, "drop_mask": None}
@@ -363,17 +380,19 @@ def forward_with_caches(
             if block.apply_dropout and mode != MODE_EVAL:
                 x, mask = dropout(x, model.config.dropout_p, mode, rng)
                 entry["drop_mask"] = mask
+        if caches is not None:
             caches.append(entry)
-    return x, caches
+    return x
 
 
 def model_backward(
     model: Model, caches: list[dict], upstream: np.ndarray, grads: np.ndarray
-) -> np.ndarray:
+) -> None:
     """Backpropagate the loss gradient through every block.
 
     Parameter gradients are written into ``grads``, a flat buffer in the
-    model's layout; the gradient with respect to the batch is returned.
+    model's layout.  Nothing is returned: no caller reads the gradient with
+    respect to the batch, and a first spline block does not compute it.
     """
     if len(caches) != len(model.blocks):
         raise ContractViolationError(
@@ -399,7 +418,6 @@ def model_backward(
             u, d_first, d_second = linear_backward(u, block.params, entry["layer"])
         views[2 * i][...] = d_first
         views[2 * i + 1][...] = d_second
-    return u
 
 
 def export_weights(model: Model) -> ParameterVector:

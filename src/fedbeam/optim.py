@@ -74,9 +74,13 @@ def clip_gradient_norm(
         grads[over] *= (max_norm / norm[over])[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdamState:
-    """Adam's moment buffers, which adam_step updates in place, and its settings."""
+    """Adam's moment buffers, which adam_step updates in place, and its settings.
+
+    States compare and hash by identity: an array field has no single
+    truth value.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray

@@ -12,6 +12,12 @@ local coordinate ``u`` in [0, 1], and evaluates the nonzero bases as
 polynomials in ``u`` whose coefficients come from the truncated-power form
 of the cardinal B-spline.  The last real interval is closed, so
 ``range_max`` and every input clamped there get a full set of bases.
+
+The derivatives with respect to the input come from the same powers of
+``u`` and are only computed when asked for: a forward pass whose input
+gradient nobody reads evaluates the values alone.  Values and derivatives
+are laid out one ``(order + 1, n)`` row per nonzero basis and scattered
+into their dense planes through one shared index.
 """
 
 from __future__ import annotations
@@ -139,13 +145,17 @@ def _piece_matrix(order: int) -> np.ndarray:
     return pieces
 
 
-def basis_and_derivative(x: np.ndarray, grid: SplineGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate bases and their derivatives with respect to the input.
+def basis_and_derivative(
+    x: np.ndarray, grid: SplineGrid, derivative: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Evaluate bases and, if asked, their derivatives with respect to the input.
 
-    Returns two arrays of shape (len(x), grid.num_bases).  Clamped points
-    contribute zero derivative (the clamp is flat outside the range), which
-    is what a layer backward pass needs.  On a knot the derivative is the
-    one-sided derivative of the interval the point belongs to.
+    Returns two arrays of shape (len(x), grid.num_bases); with
+    ``derivative=False`` the second is None and no derivative is computed.
+    The values are the same bits either way.  Clamped points contribute
+    zero derivative (the clamp is flat outside the range), which is what a
+    layer backward pass needs.  On a knot the derivative is the one-sided
+    derivative of the interval the point belongs to.
     """
     k = grid.order
     m = grid.num_bases
@@ -158,21 +168,32 @@ def basis_and_derivative(x: np.ndarray, grid: SplineGrid) -> tuple[np.ndarray, n
     np.minimum(np.maximum(s, k, out=s), k + grid.intervals - 1, out=s)
     u = (xc - grid.knots[s]) / grid.spacing
 
-    pieces = (u[:, None] ** np.arange(k + 1)) @ _piece_matrix(k)
+    # powers[p] = u**p (row 1 is a slice: an order-0 grid has none).  u**0
+    # is 1 and u**1 is u exactly, so pow runs from p = 2, over an exponent
+    # array: NumPy computes a scalar exponent 2 as u * u, which can round
+    # differently from pow.
+    powers = np.empty((k + 1, n))
+    powers[0] = 1.0
+    powers[1:2] = u
+    np.power(u, np.repeat(np.arange(2.0, k + 1)[:, None], n, axis=1), out=powers[2:])
+    # Row r of a piece product is the r-th nonzero basis of every point; it
+    # lands on basis s - k + r of that point's row.
+    index = (s + np.arange(-k, n * m - k, m)) + np.arange(k + 1)[:, None]
+
+    pieces = _piece_matrix(k)[:, : k + 1].T @ powers
     # A piece that vanishes at an interval end can round to -1e-17 there;
     # the bases are non-negative.
-    values = pieces[:, : k + 1]
-    np.maximum(values, 0.0, out=values)
+    np.maximum(pieces, 0.0, out=pieces)
+    bases = np.zeros((n, m))
+    bases.reshape(-1)[index] = pieces
+    if not derivative:
+        return bases, None
+    pieces = _piece_matrix(k)[:, k + 1 :].T @ powers
     # d/du -> d/dx; clamped points get zero.
-    pieces[:, k + 1 :] *= ((x == xc) / grid.spacing)[:, None]
-
-    # Value r of row i lands on basis s[i] - k + r of plane 0, its
-    # derivative on the same basis of plane 1.
-    first = s + np.arange(-k, n * m - k, m)
-    offsets = np.concatenate([np.arange(k + 1), np.arange(n * m, n * m + k + 1)])
-    planes = np.zeros((2, n, m))
-    planes.reshape(-1)[first[:, None] + offsets] = pieces
-    return planes[0], planes[1]
+    pieces *= (x == xc) / grid.spacing
+    dbases = np.zeros((n, m))
+    dbases.reshape(-1)[index] = pieces
+    return bases, dbases
 
 
 def basis_matrix(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
@@ -182,4 +203,4 @@ def basis_matrix(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
     non-negative and sum to 1 for points inside the grid range; points
     outside are clamped first.
     """
-    return basis_and_derivative(x, grid)[0]
+    return basis_and_derivative(x, grid, derivative=False)[0]

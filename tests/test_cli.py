@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedbeam.errors import IngestionError
 from fedbeam.report import (
     loss_reduction_percent,
@@ -104,6 +104,21 @@ def test_train_rejects_bad_json(tmp_path, capsys):
 def test_report_parsers_name_a_non_numeric_row(parse, text):
     with pytest.raises(IngestionError, match="row '1,x,2' has a non-numeric cell"):
         parse(text)
+
+
+@pytest.mark.parametrize("kind", ["fed_kan", "fed_mlp"])
+def test_diverging_run_exits_4_with_one_error_line(tmp_path, capsys, recwarn, kind):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        model={"kind": kind},
+        federation={"rounds": 1, "local_epochs": 1, "seed": 5, "learning_rate": 1e308},
+        data={"synthetic": {"seed": 3, "hours": 60, "beams": 2}},
+    )
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite loss" in err[0]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_train_missing_config_file_is_io_error(tmp_path, capsys):

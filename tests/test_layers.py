@@ -159,6 +159,14 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     assert np.max(np.abs(d_in - expected_d_in)) < 1e-12
     assert np.max(np.abs(d_base - (x * sig).T @ upstream)) < 1e-12
 
+    # Without basis derivatives: the same output and parameter gradients, no input gradient.
+    out_v, cache_v = kan_layer_forward(x, params, derivative=False)
+    none, d_coeffs_v, d_base_v = kan_layer_backward(upstream, params, cache_v)
+    assert none is None and cache_v["dbases"] is None
+    assert out_v.tobytes() == out.tobytes()
+    assert d_coeffs_v.tobytes() == d_coeffs.tobytes()
+    assert d_base_v.tobytes() == d_base.tobytes()
+
 
 def test_linear_identity():
     params = LinearLayerParams(weights=np.eye(3), biases=np.zeros(3))
@@ -309,6 +317,16 @@ def test_stacked_layers_match_each_batch_alone():
             assert np.array_equal(out[c], out_c)
             for g, g_c in zip(grads, bwd(upstream[c], alone[c], cache_c)):
                 assert np.array_equal(g[c], g_c)
+
+    # A stacked cache without basis derivatives gives the same parameter
+    # gradients and no input gradient.
+    _, cache = kan_layer_forward(x, stacked_kan, derivative=False)
+    none, d_coeffs, d_base = kan_layer_backward(upstream, stacked_kan, cache)
+    _, full = kan_layer_forward(x, stacked_kan)
+    _, full_coeffs, full_base = kan_layer_backward(upstream, stacked_kan, full)
+    assert none is None
+    assert d_coeffs.tobytes() == full_coeffs.tobytes()
+    assert d_base.tobytes() == full_base.tobytes()
 
 
 def test_stacked_dropout_draws_each_mask_from_its_own_rng():

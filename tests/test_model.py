@@ -20,8 +20,10 @@ from fedbeam.model import (
     count_parameters,
     export_weights,
     forward,
+    forward_with_caches,
     import_weights,
     layer_plan,
+    model_backward,
     segment_views,
     with_weights,
 )
@@ -133,6 +135,30 @@ def test_forward_train_replays_with_seeded_rng():
     a = forward(model, batch, MODE_TRAIN, np.random.default_rng(77))
     b = forward(model, batch, MODE_TRAIN, np.random.default_rng(77))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", [MODE_EVAL, MODE_TRAIN])
+@pytest.mark.parametrize("config", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()])
+def test_forward_is_bitwise_forward_with_caches(config, mode):
+    model = build_model(config, seed=4)
+    stacked = import_weights(model, export_weights(model), copies=3)
+    batch = np.random.default_rng(2).uniform(-1.5, 1.5, (3, 9, 10))
+    def one():
+        return np.random.default_rng(77)
+
+    def per_row():
+        return [np.random.default_rng(s) for s in (77, 78, 79)]
+
+    for m, x, rngs in ((model, batch[0], one), (stacked, batch, per_row)):
+        out = forward(m, x, mode, rngs())
+        cached, caches = forward_with_caches(m, x, mode, rngs())
+        assert out.tobytes() == cached.tobytes()
+        # Only the spline layers after the first cache basis derivatives,
+        # and the backward pass returns no gradient for the batch.
+        kan = [c["layer"]["dbases"] is None for c in caches if c["kind"] == "kan"]
+        assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
+        grads = np.empty_like(m.weights)
+        assert model_backward(m, caches, np.ones_like(cached), grads) is None
 
 
 def test_forward_train_requires_rng_when_dropout_active():

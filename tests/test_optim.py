@@ -119,22 +119,23 @@ def scalar_adam_oracle(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def test_adam_two_steps_match_scalar_oracle():
-    lr, wd = 0.001, 1e-5
-    state = AdamState.initial(1, learning_rate=lr, weight_decay=wd)
-    params = np.array([0.7])
-    adam_step(params, np.array([0.3]), state, 1)
-    adam_step(params, np.array([0.3]), state, 2)
-    # The oracle applies decay to the pre-step theta each time, as adam_step does.
-    theta = 0.7
-    m = v = 0.0
-    for t in (1, 2):
-        g = 0.3 + wd * theta
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        m_hat = m / (1 - 0.9**t)
-        v_hat = v / (1 - 0.999**t)
-        theta = theta - lr * m_hat / (v_hat**0.5 + 1e-8)
-    assert abs(params[0] - theta) < 1e-12
+    grads = [0.3, 0.3, -0.1, 0.25, 0.05, -0.4, 0.2, 0.0, 0.15, -0.05]
+    for wd in (0.0, 1e-5):
+        state = AdamState.initial(1, learning_rate=0.001, weight_decay=wd)
+        params = np.array([0.7])
+        for step, g in enumerate(grads, start=1):
+            adam_step(params, np.array([g]), state, step)
+            # The oracle applies decay to the pre-step theta each time, as adam_step does.
+            theta = scalar_adam_oracle(0.7, grads[:step], 0.001, wd)
+            assert abs(params[0] - theta) < 1e-12
+
+
+def test_adam_state_compares_by_identity():
+    a = AdamState.initial(3, 0.1)
+    b = AdamState.initial(3, 0.1)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 def test_adam_is_bitwise_deterministic():

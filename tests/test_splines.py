@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ConfigurationError
-from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix
+from fedbeam.splines import SplineGrid, _piece_matrix, basis_and_derivative, basis_matrix
 
 
 def naive_cox_de_boor(x: float, k: int, i: int, knots: np.ndarray) -> float:
@@ -28,6 +28,30 @@ def naive_cox_de_boor(x: float, k: int, i: int, knots: np.ndarray) -> float:
             x, k - 1, i + 1, knots
         )
     return left + right
+
+
+def reference_basis_and_derivative(x: np.ndarray, grid: SplineGrid):
+    """The earlier kernel, kept as the bitwise oracle.
+
+    It multiplies the powers of u by the whole piece matrix at once and
+    scatters values and derivatives into two planes through one index.
+    For two or more points its bits are what every report was made with.
+    """
+    k, m = grid.order, grid.num_bases
+    n = x.shape[0]
+    xc = np.minimum(np.maximum(x, grid.range_min), grid.range_max)
+    s = np.searchsorted(grid.knots, xc, side="right") - 1
+    np.minimum(np.maximum(s, k, out=s), k + grid.intervals - 1, out=s)
+    u = (xc - grid.knots[s]) / grid.spacing
+    pieces = (u[:, None] ** np.arange(k + 1)) @ _piece_matrix(k)
+    values = pieces[:, : k + 1]
+    np.maximum(values, 0.0, out=values)
+    pieces[:, k + 1 :] *= ((x == xc) / grid.spacing)[:, None]
+    first = s + np.arange(-k, n * m - k, m)
+    offsets = np.concatenate([np.arange(k + 1), np.arange(n * m, n * m + k + 1)])
+    planes = np.zeros((2, n, m))
+    planes.reshape(-1)[first[:, None] + offsets] = pieces
+    return planes[0], planes[1]
 
 
 def test_uniform_grid_shape():
@@ -189,3 +213,30 @@ def test_order_zero_derivative_is_zero():
     g = SplineGrid.uniform(4, 0)
     _, deriv = basis_and_derivative(np.array([-0.3, 0.4]), g)
     assert np.array_equal(deriv, np.zeros_like(deriv))
+
+
+SPLIT_SHAPES = [
+    (order, intervals, lo, hi)
+    for order in range(6)
+    for intervals in (1, 2, 5, 7)
+    for lo, hi in ((-1.0, 1.0), (-0.3, 0.9))
+]
+
+
+@pytest.mark.parametrize("order,intervals,lo,hi", SPLIT_SHAPES)
+def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi):
+    g = SplineGrid.uniform(intervals, order, lo, hi)
+    rng = np.random.default_rng(order * 10 + intervals)
+    real_knots = g.knots[order : order + intervals + 1]
+    # Exact knots, both range ends, inputs clamped on either side, and NaN.
+    xs = np.concatenate(
+        [real_knots, [lo, hi, lo - 3.0, hi + 3.0, np.nan], rng.uniform(lo - 0.5, hi + 0.5, 40)]
+    )
+    bases, dbases = basis_and_derivative(xs, g)
+    values, none = basis_and_derivative(xs, g, derivative=False)
+    assert none is None
+    assert values.tobytes() == bases.tobytes()
+    assert basis_matrix(xs, g).tobytes() == bases.tobytes()
+    ref_bases, ref_dbases = reference_basis_and_derivative(xs, g)
+    assert bases.tobytes() == ref_bases.tobytes()
+    assert dbases.tobytes() == ref_dbases.tobytes()
