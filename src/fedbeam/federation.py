@@ -322,7 +322,7 @@ def local_train(
         if not finite.all():
             bad = ", ".join(repr(rows[lo + i].client_id) for i in np.flatnonzero(~finite))
             raise NumericsError(f"client {bad} produced a non-finite loss")
-        model_backward(part, caches, loss_grad, part_grads)
+        model_backward(part, caches, loss_grad, segments)
         clip_gradient_norm(part_grads, fed_config.max_grad_norm, segments)
         adam_step(part.weights, part_grads, state, g + 1)
         for r in final:

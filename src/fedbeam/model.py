@@ -9,8 +9,9 @@ end in a linear readout of ``output_width`` traffic shares.
 A built model owns one flat float64 weight buffer; every layer array is a
 reshaped view into it.  ``parameter_layout`` fixes the order and shape of
 those arrays (the segments), and the same layout serves the gradient
-buffer ``model_backward`` fills and the ``ParameterVector`` that
-``export_weights`` and ``import_weights`` exchange with the federation.
+buffer, whose segment views ``model_backward`` fills, and the
+``ParameterVector`` that ``export_weights`` and ``import_weights``
+exchange with the federation.
 
 ``build_model`` is the only step that plans: it validates the config, lays
 out the blocks and builds the spline grid.  Every later model is the built
@@ -386,24 +387,27 @@ def _forward(
 
 
 def model_backward(
-    model: Model, caches: list[dict], upstream: np.ndarray, grads: np.ndarray
+    model: Model, caches: list[dict], upstream: np.ndarray, grad_views: list[np.ndarray]
 ) -> None:
     """Backpropagate the loss gradient through every block.
 
-    Parameter gradients are written into ``grads``, a flat buffer in the
-    model's layout.  Nothing is returned: no caller reads the gradient with
-    respect to the batch, and a first spline block does not compute it.
+    ``grad_views`` are the gradient buffer's per-segment views, in the
+    model's layout (see ``segment_views``); each block's parameter
+    gradients are written into its two views.  A training loop builds the
+    views once per buffer and passes them to every step.  Nothing is
+    returned: no caller reads the gradient with respect to the batch, and a
+    first spline block does not compute it.
     """
     if len(caches) != len(model.blocks):
         raise ContractViolationError(
             f"cache list of length {len(caches)} does not match {len(model.blocks)} blocks"
         )
-    if grads.shape != model.weights.shape:
+    first_shape = model.weights.shape[:-1] + model.layout[0][1]
+    if len(grad_views) != len(model.layout) or grad_views[0].shape != first_shape:
         raise ContractViolationError(
-            f"gradient buffer of shape {grads.shape} does not match "
-            f"weights of shape {model.weights.shape}"
+            f"gradient views do not match the {len(model.layout)} segments of "
+            f"weights shaped {model.weights.shape}"
         )
-    views = segment_views(model.layout, grads)
     u = upstream
     for i in range(len(model.blocks) - 1, -1, -1):
         block = model.blocks[i]
@@ -416,8 +420,8 @@ def model_backward(
             if entry["relu_mask"] is not None:
                 u = relu_backward(u, entry["relu_mask"])
             u, d_first, d_second = linear_backward(u, block.params, entry["layer"])
-        views[2 * i][...] = d_first
-        views[2 * i + 1][...] = d_second
+        grad_views[2 * i][...] = d_first
+        grad_views[2 * i + 1][...] = d_second
 
 
 def export_weights(model: Model) -> ParameterVector:

@@ -11,6 +11,7 @@ same as for that client's flat vector alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,25 +36,10 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
         raise ContractViolationError("cannot take the loss of an empty batch")
     diff = predictions - targets
     squares = (diff * diff).reshape(*diff.shape[:-2], -1)
-    loss = np.mean(squares, axis=-1)
+    # np.mean's own arithmetic, without its Python wrapper.
+    loss = np.add.reduce(squares, axis=-1) / squares.shape[-1]
     grad = (2.0 / squares.shape[-1]) * diff
     return loss, grad
-
-
-def gradient_global_norm(
-    segments: Iterable[np.ndarray], lead: tuple[int, ...] = ()
-) -> np.ndarray:
-    """L2 norm over all segments, adding one partial sum per segment in order.
-
-    Each segment is ``(*lead, *shape)``; the result has the ``lead`` shape,
-    one norm per row.  The per-segment sums fix the floating-point
-    summation order; a single sum over the flat buffer would round
-    differently.
-    """
-    total = 0.0
-    for seg in segments:
-        total = total + (seg * seg).reshape(*lead, -1).sum(axis=-1)
-    return np.sqrt(total)
 
 
 def clip_gradient_norm(
@@ -62,13 +48,24 @@ def clip_gradient_norm(
     """Scale each row of the gradient in place so its L2 norm is <= max_norm.
 
     ``grads`` is ``(parameters,)`` or ``(clients, parameters)`` and
-    ``segments`` are its per-segment views (see
-    ``fedbeam.model.segment_views``); the norm is summed over them.  Rows
-    whose norm is within ``max_norm`` are left untouched.
+    ``segments`` are its per-segment views in layout order (see
+    ``fedbeam.model.segment_views``).  ``grads`` is squared once; the
+    squares are summed one segment slice at a time and those partial sums
+    added left to right, which fixes the floating-point summation order (a
+    single sum over the flat buffer would round differently).  Rows whose
+    norm is within ``max_norm`` are left untouched.
     """
     if max_norm <= 0.0:
         raise ContractViolationError(f"max_norm must be positive, got {max_norm}")
-    norm = gradient_global_norm(segments, grads.shape[:-1])
+    lead = grads.ndim - 1
+    squares = grads * grads
+    total = 0.0
+    start = 0
+    for seg in segments:
+        stop = start + math.prod(seg.shape[lead:])
+        total = total + np.add.reduce(squares[..., start:stop], axis=-1)
+        start = stop
+    norm = np.sqrt(total)
     over = norm > max_norm
     if over.any():
         grads[over] *= (max_norm / norm[over])[:, None]

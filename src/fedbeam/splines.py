@@ -7,11 +7,15 @@ knots padded beyond each end with the same spacing) and therefore
 
 On uniform knots every basis is a shifted copy of one cardinal B-spline,
 and on each knot interval only ``order + 1`` bases are nonzero.  Evaluation
-clamps inputs to the grid range, finds each input's knot interval and its
-local coordinate ``u`` in [0, 1], and evaluates the nonzero bases as
-polynomials in ``u`` whose coefficients come from the truncated-power form
-of the cardinal B-spline.  The last real interval is closed, so
-``range_max`` and every input clamped there get a full set of bases.
+clamps inputs to the grid range, finds each input's knot interval by a
+binary search over the interior knots (so the search never leaves the real
+intervals and needs no clamping of its own) and its local coordinate ``u``
+in [0, 1], and evaluates the nonzero bases as polynomials in ``u`` whose
+coefficients come from the truncated-power form of the cardinal B-spline.
+The last real interval is closed, so ``range_max`` and every input clamped
+there get a full set of bases.  Everything that depends on the order alone
+(the coefficient blocks, row offsets and exponents) is built once per order
+and cached.
 
 The derivatives with respect to the input come from the same powers of
 ``u`` and are only computed when asked for: a forward pass whose input
@@ -145,6 +149,26 @@ def _piece_matrix(order: int) -> np.ndarray:
     return pieces
 
 
+@cache
+def _order_constants(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What every evaluation at this order reuses, built once.
+
+    The contiguous transposed value and derivative blocks of the piece
+    matrix, the ``(order + 1, 1)`` row-offset column, and the column of
+    exponents 2..order for ``pow``.
+    """
+    pieces = _piece_matrix(order)
+    constants = (
+        np.ascontiguousarray(pieces[:, : order + 1].T),
+        np.ascontiguousarray(pieces[:, order + 1 :].T),
+        np.arange(order + 1)[:, None],
+        np.arange(2.0, order + 1)[:, None],
+    )
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
 def basis_and_derivative(
     x: np.ndarray, grid: SplineGrid, derivative: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -152,35 +176,47 @@ def basis_and_derivative(
 
     Returns two arrays of shape (len(x), grid.num_bases); with
     ``derivative=False`` the second is None and no derivative is computed.
-    The values are the same bits either way.  Clamped points contribute
-    zero derivative (the clamp is flat outside the range), which is what a
-    layer backward pass needs.  On a knot the derivative is the one-sided
-    derivative of the interval the point belongs to.
+    The values are the same bits either way, and a point's bits do not
+    depend on the other points evaluated with it.  Clamped points
+    contribute zero derivative (the clamp is flat outside the range), which
+    is what a layer backward pass needs.  On a knot the derivative is the
+    one-sided derivative of the interval the point belongs to.
+
+    A point's interval comes from a binary search over the grid's interior
+    knots alone, so it lands in the real intervals without clamping: NaN
+    and anything at or past the last interior knot fall in the last one.
+    The piece blocks, row offsets and exponents come from a per-order
+    cache.
     """
     k = grid.order
     m = grid.num_bases
+    values, derivs, rows, exponents = _order_constants(k)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     xc = np.minimum(np.maximum(x, grid.range_min), grid.range_max)
-    # Interval s holds knots[s] <= xc < knots[s + 1]; range_max joins the
-    # last real interval.
-    s = np.searchsorted(grid.knots, xc, side="right") - 1
-    np.minimum(np.maximum(s, k, out=s), k + grid.intervals - 1, out=s)
-    u = (xc - grid.knots[s]) / grid.spacing
+    # Interval s (counted from the first real knot) holds
+    # knots[k + s] <= xc < knots[k + s + 1]; range_max joins the last one.
+    real = grid.knots[k : k + grid.intervals]
+    s = real[1:].searchsorted(xc, side="right")
+    u = (xc - real[s]) / grid.spacing
 
     # powers[p] = u**p (row 1 is a slice: an order-0 grid has none).  u**0
     # is 1 and u**1 is u exactly, so pow runs from p = 2, over an exponent
     # array: NumPy computes a scalar exponent 2 as u * u, which can round
-    # differently from pow.
-    powers = np.empty((k + 1, n))
+    # differently from pow.  A lone point gets a second, equal column: a
+    # one-column product goes to gemv, which can round differently from the
+    # gemm that every other n takes.
+    columns = 2 if n == 1 else n
+    powers = np.empty((k + 1, columns))
     powers[0] = 1.0
     powers[1:2] = u
-    np.power(u, np.repeat(np.arange(2.0, k + 1)[:, None], n, axis=1), out=powers[2:])
+    np.power(u, exponents.repeat(columns, axis=1), out=powers[2:])
     # Row r of a piece product is the r-th nonzero basis of every point; it
-    # lands on basis s - k + r of that point's row.
-    index = (s + np.arange(-k, n * m - k, m)) + np.arange(k + 1)[:, None]
+    # lands on basis s + r of that point's row.
+    s += np.arange(0, n * m, m)
+    index = s + rows
 
-    pieces = _piece_matrix(k)[:, : k + 1].T @ powers
+    pieces = (values @ powers)[:, :n]
     # A piece that vanishes at an interval end can round to -1e-17 there;
     # the bases are non-negative.
     np.maximum(pieces, 0.0, out=pieces)
@@ -188,7 +224,7 @@ def basis_and_derivative(
     bases.reshape(-1)[index] = pieces
     if not derivative:
         return bases, None
-    pieces = _piece_matrix(k)[:, k + 1 :].T @ powers
+    pieces = (derivs @ powers)[:, :n]
     # d/du -> d/dx; clamped points get zero.
     pieces *= (x == xc) / grid.spacing
     dbases = np.zeros((n, m))

@@ -41,6 +41,7 @@ from fedbeam.model import (
     count_parameters,
     forward_with_caches,
     model_backward,
+    segment_views,
     with_weights,
 )
 from fedbeam.optim import mse_loss
@@ -133,7 +134,7 @@ def full_model_gradcheck(config: ModelConfig, seed: int) -> float:
     preds, caches = forward_with_caches(template, batch, MODE_EVAL)
     _, loss_grad = mse_loss(preds, targets)
     analytic = np.empty_like(template.weights)
-    model_backward(template, caches, loss_grad, analytic)
+    model_backward(template, caches, loss_grad, segment_views(template.layout, analytic))
     numeric = stacked_finite_difference_gradient(stacked_loss, template.weights)
     return max_rel_err(analytic, numeric)
 

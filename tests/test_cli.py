@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedbeam
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedbeam.errors import IngestionError
 from fedbeam.report import (
@@ -285,3 +290,18 @@ def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command)
     assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "14.9 GiB" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(fedbeam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "fedbeam", *args], env=env, capture_output=True, text=True
+        )
+
+    assert run("--help").returncode == EXIT_OK
+    rejected = run("generate", "--beams", "0", "--out", str(tmp_path / "beams"))
+    assert rejected.returncode == EXIT_CONFIG
+    assert rejected.stderr.startswith("error:")

@@ -157,7 +157,7 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
         # and the backward pass returns no gradient for the batch.
         kan = [c["layer"]["dbases"] is None for c in caches if c["kind"] == "kan"]
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
-        grads = np.empty_like(m.weights)
+        grads = segment_views(m.layout, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None
 
 

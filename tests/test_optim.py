@@ -5,14 +5,8 @@ import pytest
 
 from fedbeam.errors import ContractViolationError
 from fedbeam.gradcheck import finite_difference_gradient
-from fedbeam.model import segment_views
-from fedbeam.optim import (
-    AdamState,
-    adam_step,
-    clip_gradient_norm,
-    gradient_global_norm,
-    mse_loss,
-)
+from fedbeam.model import ModelConfig, count_parameters, parameter_layout, segment_views
+from fedbeam.optim import AdamState, adam_step, clip_gradient_norm, mse_loss
 
 
 def flat_of(*arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -20,6 +14,15 @@ def flat_of(*arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     flat = np.concatenate([a.reshape(-1) for a in arrays])
     layout = tuple((f"g{i}", a.shape) for i, a in enumerate(arrays))
     return flat, segment_views(layout, flat)
+
+
+def per_segment_norm(segments, lead=()):
+    """The per-segment L2 norm clipping has always used, as an oracle: each
+    segment squared and summed on its own, the sums added in layout order."""
+    total = 0.0
+    for seg in segments:
+        total = total + (seg * seg).reshape(*lead, -1).sum(axis=-1)
+    return np.sqrt(total)
 
 
 def test_mse_zero_when_equal():
@@ -74,14 +77,35 @@ def test_clip_hand_example():
 def test_clip_scales_to_max_norm():
     rng = np.random.default_rng(5)
     raw = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
-    norm = gradient_global_norm(raw)
+    norm = per_segment_norm(raw)
     g, views = flat_of(*(a * (7.3 / norm) for a in raw))
     before = g.copy()
     clip_gradient_norm(g, 1.0, views)
-    assert gradient_global_norm(views) == pytest.approx(1.0, abs=1e-9)
+    assert per_segment_norm(views) == pytest.approx(1.0, abs=1e-9)
     # Direction preserved.
     cosine = float(np.dot(before, g) / (np.linalg.norm(before) * np.linalg.norm(g)))
     assert cosine == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()])
+def test_clip_is_bitwise_the_per_segment_norm(config):
+    layout = parameter_layout(config)
+    rng = np.random.default_rng(17)
+    for clients in (None, 1, 4, 12):
+        lead = () if clients is None else (clients,)
+        for _ in range(20):
+            raw = rng.standard_normal((*lead, count_parameters(config)))
+            # Row norms from 1e-8 to 1e3 around max_norm 1.
+            raw *= 10.0 ** rng.uniform(-8.0, 3.0, (*lead, 1)) / np.sqrt(raw.shape[-1])
+            max_norm = 1.0
+            grads = raw.copy()
+            clip_gradient_norm(grads, max_norm, segment_views(layout, grads))
+            expected = raw.copy()
+            norm = np.atleast_1d(per_segment_norm(segment_views(layout, expected), lead))
+            over = norm > max_norm
+            rows = expected.reshape(-1, expected.shape[-1])
+            rows[over] *= (max_norm / norm[over])[:, None]
+            assert grads.tobytes() == expected.tobytes()
 
 
 def test_clip_rejects_bad_max_norm():

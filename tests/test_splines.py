@@ -218,7 +218,7 @@ def test_order_zero_derivative_is_zero():
 SPLIT_SHAPES = [
     (order, intervals, lo, hi)
     for order in range(6)
-    for intervals in (1, 2, 5, 7)
+    for intervals in (1, 2, 5, 7, 20, 100)
     for lo, hi in ((-1.0, 1.0), (-0.3, 0.9))
 ]
 
@@ -228,9 +228,16 @@ def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi
     g = SplineGrid.uniform(intervals, order, lo, hi)
     rng = np.random.default_rng(order * 10 + intervals)
     real_knots = g.knots[order : order + intervals + 1]
-    # Exact knots, both range ends, inputs clamped on either side, and NaN.
+    # Exact knots and one ulp either side of every knot, both range ends,
+    # inputs clamped on either side, infinities, and NaN.
     xs = np.concatenate(
-        [real_knots, [lo, hi, lo - 3.0, hi + 3.0, np.nan], rng.uniform(lo - 0.5, hi + 0.5, 40)]
+        [
+            real_knots,
+            np.nextafter(g.knots, -np.inf),
+            np.nextafter(g.knots, np.inf),
+            [lo, hi, lo - 3.0, hi + 3.0, -np.inf, np.inf, np.nan],
+            rng.uniform(lo - 0.5, hi + 0.5, 40),
+        ]
     )
     bases, dbases = basis_and_derivative(xs, g)
     values, none = basis_and_derivative(xs, g, derivative=False)
@@ -240,3 +247,21 @@ def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi
     ref_bases, ref_dbases = reference_basis_and_derivative(xs, g)
     assert bases.tobytes() == ref_bases.tobytes()
     assert dbases.tobytes() == ref_dbases.tobytes()
+    # The same points one, two and three at a time.
+    for n in (1, 2, 3):
+        for i in range(len(xs) - n + 1):
+            few_bases, few_dbases = basis_and_derivative(xs[i : i + n], g)
+            assert few_bases.tobytes() == ref_bases[i : i + n].tobytes()
+            assert few_dbases.tobytes() == ref_dbases[i : i + n].tobytes()
+
+
+@pytest.mark.parametrize("order", range(16))
+def test_a_lone_point_gets_the_bits_it_gets_among_others(order):
+    g = SplineGrid.uniform(5, order)
+    rng = np.random.default_rng(order)
+    for _ in range(100):
+        x = rng.uniform(-1.2, 1.2, 3)
+        lone = basis_and_derivative(x[:1], g)
+        among = basis_and_derivative(x, g)
+        assert lone[0].tobytes() == among[0][:1].tobytes()
+        assert lone[1].tobytes() == among[1][:1].tobytes()
