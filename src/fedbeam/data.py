@@ -54,13 +54,6 @@ class BeamSeries:
     def __len__(self) -> int:
         return self.hourly_volumes.shape[0]
 
-    def volumes(self) -> np.ndarray:
-        """(n, 2) array of [downlink, uplink] per hour."""
-        return self.hourly_volumes
-
-    def shares_matrix(self) -> np.ndarray:
-        return self.hourly_shares
-
 
 @dataclass(frozen=True)
 class WindowedSample:

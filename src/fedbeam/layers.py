@@ -1,9 +1,11 @@
 """Layer primitives with hand-derived forward and backward passes.
 
 Two trainable layer kinds exist: spline layers whose per-edge activation is
-``w_base * silu(x) + sum_m c_m * B_m(x)``, and plain affine layers.  All
-arithmetic is float64 and every backward consumes the cache produced by the
-matching forward.
+``w_base * silu(x) + sum_m c_m * B_m(x)``, and plain affine layers.  A
+spline layer treats ``silu`` as one more basis: it evaluates every input's
+``silu`` and bases into one plane and multiplies that by one weight block.
+All arithmetic is float64 and every backward consumes the cache produced by
+the matching forward.
 
 Every layer also accepts a stack of batches: inputs of shape
 ``(clients, batch, width)`` with parameters carrying the same leading
@@ -29,21 +31,27 @@ MODE_EVAL = "eval"
 
 @dataclass(frozen=True, eq=False)
 class KanLayerParams:
-    """Parameters of one spline layer.
+    """Parameters of one spline layer: one weight block in the product's order.
 
-    spline_coeffs has shape (..., in_width, out_width, num_bases) and
-    base_weights has shape (..., in_width, out_width).
+    ``weights`` has shape (..., in_width, num_bases + 1, out_width).  Slot 0
+    of each input's group is its base weight (the ``silu`` term), slots
+    1..num_bases its spline coefficients, so the block flattens to the
+    (in_width * (num_bases + 1), out_width) matrix of the forward product
+    as a view.
     """
 
-    spline_coeffs: np.ndarray
-    base_weights: np.ndarray
+    weights: np.ndarray
     grid: SplineGrid
 
     @classmethod
     def initialized(
         cls, in_width: int, out_width: int, grid: SplineGrid, rng: np.random.Generator
     ) -> "KanLayerParams":
-        """Draw fresh parameters; spline coefficients start near zero."""
+        """Draw fresh parameters; spline coefficients start near zero.
+
+        The coefficients are drawn as (in, out, num_bases), then the base
+        weights as (in, out), and both are placed into the block.
+        """
         if in_width < 1 or out_width < 1:
             raise ConfigurationError(
                 f"layer widths must be >= 1, got {in_width}x{out_width}"
@@ -53,15 +61,18 @@ class KanLayerParams:
         ) / np.sqrt(in_width)
         bound = np.sqrt(6.0 / in_width)
         base = rng.uniform(-bound, bound, size=(in_width, out_width))
-        return cls(coeffs, base, grid)
+        weights = np.empty((in_width, grid.num_bases + 1, out_width))
+        weights[:, 0] = base
+        weights[:, 1:] = coeffs.swapaxes(-1, -2)
+        return cls(weights, grid)
 
     @property
     def in_width(self) -> int:
-        return self.base_weights.shape[-2]
+        return self.weights.shape[-3]
 
     @property
     def out_width(self) -> int:
-        return self.base_weights.shape[-1]
+        return self.weights.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,73 +137,56 @@ def _check_upstream(upstream: np.ndarray, inputs: np.ndarray, out_width: int) ->
         )
 
 
-def _flat_coeffs(params: KanLayerParams) -> np.ndarray:
-    """Spline coefficients as an (..., in_width * num_bases, out_width) matrix."""
-    coeffs = params.spline_coeffs
-    return coeffs.swapaxes(-1, -2).reshape(*coeffs.shape[:-3], -1, coeffs.shape[-2])
-
-
 def kan_layer_forward(
     inputs: np.ndarray, params: KanLayerParams, derivative: bool = True
 ) -> tuple[np.ndarray, dict]:
     """Forward pass of a spline layer.
 
     inputs has shape (..., batch, in_width); the result has shape
-    (..., batch, out_width).  The returned cache feeds kan_layer_backward.
-    With ``derivative=False`` the basis derivatives are not evaluated and
-    the cache holds ``dbases=None``: a backward pass over it yields the
-    parameter gradients only, for a layer whose input gradient nobody reads.
+    (..., batch, out_width).  Each input gets num_bases + 1 slots in the
+    plane: ``silu(x)`` in slot 0 and its bases after it, so the layer is one
+    product of the plane with the weight block.  The returned cache feeds
+    kan_layer_backward.  With ``derivative=False`` the basis derivatives are
+    not evaluated and the cache holds ``dplane=None``: a backward pass over
+    it yields the weight gradient only, for a layer whose input gradient
+    nobody reads.  Otherwise ``dplane`` holds ``silu'(x)`` in slot 0 and the
+    basis derivatives after it.
     """
     _check_inputs(inputs, params.in_width)
-    bases, dbases = basis_and_derivative(inputs.reshape(-1), params.grid, derivative)
-    # (..., batch, in_width * num_bases), matching the rows of _flat_coeffs.
-    bases = bases.reshape(*inputs.shape[:-1], -1)
-    if dbases is not None:
-        dbases = dbases.reshape(bases.shape)
-    flat_coeffs = _flat_coeffs(params)
+    plane, dplane = basis_and_derivative(inputs.reshape(-1), params.grid, derivative, pad=1)
+    slots = (*inputs.shape, -1)
     sig = sigmoid(inputs)
-    silu_x = inputs * sig
-    out = silu_x @ params.base_weights
-    out = out + bases @ flat_coeffs
-    cache = {
-        "inputs": inputs,
-        "silu": silu_x,
-        "bases": bases,
-        # Read only for the inputs' gradient.
-        "sigmoid": sig if derivative else None,
-        "dbases": dbases,
-        "flat_coeffs": flat_coeffs if derivative else None,
-    }
-    return out, cache
+    np.multiply(inputs, sig, out=plane.reshape(slots)[..., 0])
+    if dplane is not None:
+        # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
+        np.multiply(sig, 1.0 + inputs * (1.0 - sig), out=dplane.reshape(slots)[..., 0])
+        dplane = dplane.reshape(*inputs.shape[:-1], -1)
+    # (..., batch, in_width * (num_bases + 1)), matching the rows of the block.
+    plane = plane.reshape(*inputs.shape[:-1], -1)
+    w = params.weights
+    out = plane @ w.reshape(*w.shape[:-3], -1, w.shape[-1])
+    return out, {"inputs": inputs, "plane": plane, "dplane": dplane}
 
 
 def kan_layer_backward(
     upstream: np.ndarray, params: KanLayerParams, cache: dict
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Backward pass; returns the gradients of (inputs, spline_coeffs, base_weights).
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Backward pass; returns the gradients of (inputs, weights).
 
     A cache built with ``derivative=False`` gives None for the inputs'
     gradient and computes none of it.
     """
     x = cache["inputs"]
     _check_upstream(upstream, x, params.out_width)
-    dbases = cache["dbases"]
-    m = params.grid.num_bases
-
-    d_base = cache["silu"].swapaxes(-1, -2) @ upstream
-    # (..., in_width * num_bases, out_width) -> (..., in_width, out_width, num_bases)
-    d_flat = cache["bases"].swapaxes(-1, -2) @ upstream
-    d_coeffs = d_flat.reshape(*d_base.shape[:-1], m, -1).swapaxes(-1, -2)
-    if dbases is None:
-        return None, d_coeffs, d_base
-
-    sig = cache["sigmoid"]
-    # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-    silu_prime = sig * (1.0 + x * (1.0 - sig))
-    d_inputs = (upstream @ params.base_weights.swapaxes(-1, -2)) * silu_prime
-    d_spline = (upstream @ cache["flat_coeffs"].swapaxes(-1, -2)) * dbases
-    d_inputs = d_inputs + d_spline.reshape(*x.shape, m).sum(axis=-1)
-    return d_inputs, d_coeffs, d_base
+    w = params.weights
+    d_weights = (cache["plane"].swapaxes(-1, -2) @ upstream).reshape(w.shape)
+    dplane = cache["dplane"]
+    if dplane is None:
+        return None, d_weights
+    # Each input's gradient sums its num_bases + 1 slots.
+    flat = w.reshape(*w.shape[:-3], -1, w.shape[-1])
+    d_plane = (upstream @ flat.swapaxes(-1, -2)) * dplane
+    return d_plane.reshape(*x.shape, -1).sum(axis=-1), d_weights
 
 
 def linear_forward(

@@ -7,11 +7,13 @@ multilayer perceptron with ReLU and dropout after each hidden layer.  Both
 end in a linear readout of ``output_width`` traffic shares.
 
 A built model owns one flat float64 weight buffer; every layer array is a
-reshaped view into it.  ``parameter_layout`` fixes the order and shape of
-those arrays (the segments), and the same layout serves the gradient
-buffer, whose segment views ``model_backward`` fills, and the
-``ParameterVector`` that ``export_weights`` and ``import_weights``
-exchange with the federation.
+reshaped view into it.  A spline layer is one array, its weight block
+(base weight and spline coefficients per input, in the order its forward
+product reads them); an affine layer is two, weights and biases.
+``parameter_layout`` fixes the order and shape of those arrays (the
+segments), and the same layout serves the gradient buffer, whose segment
+views ``model_backward`` fills, and the ``ParameterVector`` that
+``export_weights`` and ``import_weights`` exchange with the federation.
 
 ``build_model`` is the only step that plans: it validates the config, lays
 out the blocks and builds the spline grid.  Every later model is the built
@@ -29,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -131,17 +133,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {
-            "kind",
-            "input_width",
-            "kan_hidden_widths",
-            "mlp_hidden_widths",
-            "fc_head_widths",
-            "output_width",
-            "grid_intervals",
-            "spline_order",
-            "dropout_p",
-        }
+        known = {f.name for f in fields(cls)}
         extra = set(raw) - known
         if extra:
             raise ConfigurationError(f"unknown model config keys: {sorted(extra)}")
@@ -195,8 +187,8 @@ def count_parameters(config: ModelConfig) -> int:
     """Trainable scalar count.
 
     Spline layers carry in*out*(grid_intervals + spline_order) coefficients
-    plus in*out base weights; affine layers carry in*out weights plus out
-    biases.
+    plus in*out base weights, in one block; affine layers carry in*out
+    weights plus out biases.
     """
     return sum(math.prod(shape) for _, shape in parameter_layout(config))
 
@@ -204,8 +196,10 @@ def count_parameters(config: ModelConfig) -> int:
 def parameter_layout(config: ModelConfig) -> Layout:
     """Name and shape of every trainable array, in buffer order.
 
-    Each layer contributes two segments: spline_coeffs then base_weights
-    for a spline layer, weights then biases for an affine layer.
+    A spline layer contributes one segment, its weight block
+    ``weights`` of shape (in, bases + 1, out): slot 0 is each input's base
+    weight, slots 1..bases its spline coefficients.  An affine layer
+    contributes two: weights then biases.
     """
     return _plan_layout(layer_plan(config), config.grid_intervals + config.spline_order)
 
@@ -216,7 +210,7 @@ def _plan_layout(plan: list[tuple], bases: int) -> Layout:
         kind, a, b = entry[:3]
         name = f"layer{i:02d}"
         if kind == "kan":
-            layout += [(f"{name}.spline_coeffs", (a, b, bases)), (f"{name}.base_weights", (a, b))]
+            layout.append((f"{name}.weights", (a, bases + 1, b)))
         else:
             layout += [(f"{name}.weights", (b, a)), (f"{name}.biases", (b,))]
     return tuple(layout)
@@ -281,11 +275,10 @@ def with_weights(model: Model, weights: np.ndarray) -> Model:
     views = iter(segment_views(model.layout, weights))
     blocks: list[Block] = []
     for block in model.blocks:
-        first, second = next(views), next(views)
         if isinstance(block, KanBlock):
-            params = KanLayerParams(first, second, block.params.grid)
+            params = KanLayerParams(next(views), block.params.grid)
         else:
-            params = LinearLayerParams(first, second)
+            params = LinearLayerParams(next(views), next(views))
         blocks.append(replace(block, params=params))
     return Model(model.config, tuple(blocks), weights, model.layout)
 
@@ -301,7 +294,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
         if entry[0] == "kan":
             params = KanLayerParams.initialized(*entry[1:], grid, rng)
             blocks.append(KanBlock(params))
-            arrays += [params.spline_coeffs, params.base_weights]
+            arrays.append(params.weights)
         else:
             params = LinearLayerParams.initialized(*entry[1:3], rng)
             blocks.append(LinearBlock(params, *entry[3:]))
@@ -393,10 +386,11 @@ def model_backward(
 
     ``grad_views`` are the gradient buffer's per-segment views, in the
     model's layout (see ``segment_views``); each block's parameter
-    gradients are written into its two views.  A training loop builds the
-    views once per buffer and passes them to every step.  Nothing is
-    returned: no caller reads the gradient with respect to the batch, and a
-    first spline block does not compute it.
+    gradients are written into its views, one for a spline block and two
+    for an affine block, walking the segments from the last.  A training
+    loop builds the views once per buffer and passes them to every step.
+    Nothing is returned: no caller reads the gradient with respect to the
+    batch, and a first spline block does not compute it.
     """
     if len(caches) != len(model.blocks):
         raise ContractViolationError(
@@ -409,19 +403,23 @@ def model_backward(
             f"weights shaped {model.weights.shape}"
         )
     u = upstream
+    j = len(grad_views)
     for i in range(len(model.blocks) - 1, -1, -1):
         block = model.blocks[i]
         entry = caches[i]
         if isinstance(block, KanBlock):
-            u, d_first, d_second = kan_layer_backward(u, block.params, entry["layer"])
+            u, d_weights = kan_layer_backward(u, block.params, entry["layer"])
+            j -= 1
+            grad_views[j][...] = d_weights
         else:
             if entry["drop_mask"] is not None:
                 u = dropout_backward(u, entry["drop_mask"])
             if entry["relu_mask"] is not None:
                 u = relu_backward(u, entry["relu_mask"])
-            u, d_first, d_second = linear_backward(u, block.params, entry["layer"])
-        grad_views[2 * i][...] = d_first
-        grad_views[2 * i + 1][...] = d_second
+            u, d_weights, d_biases = linear_backward(u, block.params, entry["layer"])
+            j -= 2
+            grad_views[j][...] = d_weights
+            grad_views[j + 1][...] = d_biases
 
 
 def export_weights(model: Model) -> ParameterVector:

@@ -21,7 +21,10 @@ The derivatives with respect to the input come from the same powers of
 ``u`` and are only computed when asked for: a forward pass whose input
 gradient nobody reads evaluates the values alone.  Values and derivatives
 are laid out one ``(order + 1, n)`` row per nonzero basis and scattered
-into their dense planes through one shared index.
+into their dense planes through one shared index.  A caller may ask for
+leading free slots in every row of those planes (a spline layer keeps
+``silu`` there), so the bases land where the layer's product reads them
+without a copy.
 """
 
 from __future__ import annotations
@@ -170,12 +173,14 @@ def _order_constants(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def basis_and_derivative(
-    x: np.ndarray, grid: SplineGrid, derivative: bool = True
+    x: np.ndarray, grid: SplineGrid, derivative: bool = True, pad: int = 0
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate bases and, if asked, their derivatives with respect to the input.
 
-    Returns two arrays of shape (len(x), grid.num_bases); with
-    ``derivative=False`` the second is None and no derivative is computed.
+    Returns two arrays of shape (len(x), pad + grid.num_bases): the first
+    ``pad`` slots of each row are left zero for the caller to fill, and the
+    bases follow in order.  With ``derivative=False`` the second is None and
+    no derivative is computed.
     The values are the same bits either way, and a point's bits do not
     depend on the other points evaluated with it.  Clamped points
     contribute zero derivative (the clamp is flat outside the range), which
@@ -189,7 +194,7 @@ def basis_and_derivative(
     cache.
     """
     k = grid.order
-    m = grid.num_bases
+    width = pad + grid.num_bases
     values, derivs, rows, exponents = _order_constants(k)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -212,22 +217,22 @@ def basis_and_derivative(
     powers[1:2] = u
     np.power(u, exponents.repeat(columns, axis=1), out=powers[2:])
     # Row r of a piece product is the r-th nonzero basis of every point; it
-    # lands on basis s + r of that point's row.
-    s += np.arange(0, n * m, m)
+    # lands on basis s + r of that point's row, after the row's pad slots.
+    s += np.arange(pad, n * width, width)
     index = s + rows
 
     pieces = (values @ powers)[:, :n]
     # A piece that vanishes at an interval end can round to -1e-17 there;
     # the bases are non-negative.
     np.maximum(pieces, 0.0, out=pieces)
-    bases = np.zeros((n, m))
+    bases = np.zeros((n, width))
     bases.reshape(-1)[index] = pieces
     if not derivative:
         return bases, None
     pieces = (derivs @ powers)[:, :n]
     # d/du -> d/dx; clamped points get zero.
     pieces *= (x == xc) / grid.spacing
-    dbases = np.zeros((n, m))
+    dbases = np.zeros((n, width))
     dbases.reshape(-1)[index] = pieces
     return bases, dbases
 

@@ -149,23 +149,15 @@ def test_criterion2_layer_gradients():
         x = rng.uniform(-0.9, 0.9, (4, 2))
         probe = rng.standard_normal((4, 3))
         _, cache = kan_layer_forward(x, params)
-        _, d_coeffs, d_base = kan_layer_backward(probe, params, cache)
-        n_coeffs = params.spline_coeffs.size
+        _, d_weights = kan_layer_backward(probe, params, cache)
 
         def kan_loss(flat: np.ndarray) -> float:
-            p = KanLayerParams(
-                flat[:n_coeffs].reshape(params.spline_coeffs.shape),
-                flat[n_coeffs:].reshape(params.base_weights.shape),
-                grid,
-            )
+            p = KanLayerParams(flat.reshape(params.weights.shape), grid)
             out, _ = kan_layer_forward(x, p)
             return float(np.sum(out * probe))
 
-        flat0 = np.concatenate(
-            [params.spline_coeffs.reshape(-1), params.base_weights.reshape(-1)]
-        )
-        numeric = finite_difference_gradient(kan_loss, flat0)
-        analytic = np.concatenate([d_coeffs.reshape(-1), d_base.reshape(-1)])
+        numeric = finite_difference_gradient(kan_loss, params.weights.reshape(-1))
+        analytic = d_weights.reshape(-1)
         worst = max(worst, max_rel_err(analytic, numeric))
 
         lin = LinearLayerParams.initialized(3, 2, rng)

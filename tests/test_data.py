@@ -124,22 +124,22 @@ def test_synthetic_is_deterministic():
     profile = default_profiles(2)[1]
     a = generate_synthetic(11, 64, profile)
     b = generate_synthetic(11, 64, profile)
-    assert np.array_equal(a.volumes(), b.volumes())
-    assert np.array_equal(a.shares_matrix(), b.shares_matrix())
+    assert np.array_equal(a.hourly_volumes, b.hourly_volumes)
+    assert np.array_equal(a.hourly_shares, b.hourly_shares)
     c = generate_synthetic(12, 64, profile)
-    assert not np.array_equal(a.volumes(), c.volumes())
+    assert not np.array_equal(a.hourly_volumes, c.hourly_volumes)
 
 
 def test_synthetic_shares_sum_to_one():
     series = generate_synthetic(5, 200, default_profiles(1)[0])
-    sums = series.shares_matrix().sum(axis=1)
+    sums = series.hourly_shares.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
-    assert np.all(series.volumes() > 0.0)
+    assert np.all(series.hourly_volumes > 0.0)
 
 
 def test_synthetic_beams_have_distinct_means():
     profiles = default_profiles(4)
-    means = [generate_synthetic(7, 743, p).volumes()[:, 0].mean() for p in profiles]
+    means = [generate_synthetic(7, 743, p).hourly_volumes[:, 0].mean() for p in profiles]
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(means[i] - means[j]) > 0.0
@@ -151,8 +151,8 @@ def test_csv_round_trip(tmp_path):
     path.write_text(render_csv(series), encoding="utf-8")
     loaded = load_csv(str(path), beam_id=series.beam_id)
     assert len(loaded) == 50
-    assert np.array_equal(loaded.volumes(), series.volumes())
-    assert np.allclose(loaded.shares_matrix(), series.shares_matrix(), rtol=0, atol=1e-12)
+    assert np.array_equal(loaded.hourly_volumes, series.hourly_volumes)
+    assert np.allclose(loaded.hourly_shares, series.hourly_shares, rtol=0, atol=1e-12)
 
 
 def test_csv_load_743_rows(tmp_path):
@@ -318,4 +318,4 @@ def test_csv_accepts_python_number_spellings(tmp_path):
     path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
     series = load_csv(str(path))
     assert len(series) == 8
-    assert series.volumes()[7].tolist() == [1000.0, 1000.0]
+    assert series.hourly_volumes[7].tolist() == [1000.0, 1000.0]

@@ -153,7 +153,7 @@ def layer_arrays(model) -> list[np.ndarray]:
     arrays = []
     for block in model.blocks:
         if isinstance(block, KanBlock):
-            arrays += [block.params.spline_coeffs, block.params.base_weights]
+            arrays.append(block.params.weights)
         else:
             arrays += [block.params.weights, block.params.biases]
     return arrays

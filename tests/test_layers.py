@@ -31,11 +31,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def test_zero_params_give_zero_output():
-    params = KanLayerParams(
-        spline_coeffs=np.zeros((3, 2, GRID.num_bases)),
-        base_weights=np.zeros((3, 2)),
-        grid=GRID,
-    )
+    params = KanLayerParams(weights=np.zeros((3, GRID.num_bases + 1, 2)), grid=GRID)
     x = np.random.default_rng(0).uniform(-1, 1, (5, 3))
     out, _ = kan_layer_forward(x, params)
     assert np.array_equal(out, np.zeros((5, 2)))
@@ -46,11 +42,9 @@ def test_identity_interpolation_on_grid_interior():
     xs = np.linspace(-1.0, 1.0, 200)
     design = basis_matrix(xs, GRID)
     coeffs, *_ = np.linalg.lstsq(design, xs, rcond=None)
-    params = KanLayerParams(
-        spline_coeffs=coeffs.reshape(1, 1, GRID.num_bases),
-        base_weights=np.zeros((1, 1)),
-        grid=GRID,
-    )
+    weights = np.zeros((1, GRID.num_bases + 1, 1))
+    weights[0, 1:, 0] = coeffs
+    params = KanLayerParams(weights=weights, grid=GRID)
     probe = np.linspace(-0.9, 0.9, 61).reshape(-1, 1)
     out, _ = kan_layer_forward(probe, params)
     assert np.max(np.abs(out - probe)) < 1e-3
@@ -83,10 +77,9 @@ def test_zero_upstream_gives_zero_grads():
     params = KanLayerParams.initialized(2, 3, GRID, np.random.default_rng(5))
     x = np.random.default_rng(6).uniform(-1, 1, (4, 2))
     _, cache = kan_layer_forward(x, params)
-    d_in, d_coeffs, d_base = kan_layer_backward(np.zeros((4, 3)), params, cache)
+    d_in, d_weights = kan_layer_backward(np.zeros((4, 3)), params, cache)
     assert np.array_equal(d_in, np.zeros((4, 2)))
-    assert np.array_equal(d_coeffs, np.zeros_like(params.spline_coeffs))
-    assert np.array_equal(d_base, np.zeros_like(params.base_weights))
+    assert np.array_equal(d_weights, np.zeros_like(params.weights))
 
 
 def test_kan_backward_matches_finite_differences():
@@ -96,22 +89,15 @@ def test_kan_backward_matches_finite_differences():
     probe = rng.standard_normal((4, 3))
 
     out, cache = kan_layer_forward(x, params)
-    d_in, d_coeffs, d_base = kan_layer_backward(probe, params, cache)
-
-    n_coeffs = params.spline_coeffs.size
+    d_in, d_weights = kan_layer_backward(probe, params, cache)
 
     def loss_of_params(flat: np.ndarray) -> float:
-        p = KanLayerParams(
-            spline_coeffs=flat[:n_coeffs].reshape(params.spline_coeffs.shape),
-            base_weights=flat[n_coeffs:].reshape(params.base_weights.shape),
-            grid=GRID,
-        )
+        p = KanLayerParams(weights=flat.reshape(params.weights.shape), grid=GRID)
         o, _ = kan_layer_forward(x, p)
         return float(np.sum(o * probe))
 
-    flat0 = np.concatenate([params.spline_coeffs.reshape(-1), params.base_weights.reshape(-1)])
-    fd = finite_difference_gradient(loss_of_params, flat0)
-    analytic = np.concatenate([d_coeffs.reshape(-1), d_base.reshape(-1)])
+    fd = finite_difference_gradient(loss_of_params, params.weights.reshape(-1))
+    analytic = d_weights.reshape(-1)
     assert rel_err(analytic, fd) < 1e-4
 
     def loss_of_inputs(flat: np.ndarray) -> float:
@@ -128,7 +114,8 @@ def test_base_weight_grad_closed_form():
     x = rng.uniform(-0.8, 0.8, (6, 1))
     upstream = rng.standard_normal((6, 1))
     _, cache = kan_layer_forward(x, params)
-    _, _, d_base = kan_layer_backward(upstream, params, cache)
+    _, d_weights = kan_layer_backward(upstream, params, cache)
+    d_base = d_weights[:, 0]
     expected = float(np.sum(upstream[:, 0] * silu(x[:, 0])))
     assert d_base[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -143,16 +130,17 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     x = rng.uniform(-1.2, 1.2, (batch, in_width))
     upstream = rng.standard_normal((batch, out_width))
     out, cache = kan_layer_forward(x, params)
-    d_in, d_coeffs, d_base = kan_layer_backward(upstream, params, cache)
+    d_in, d_weights = kan_layer_backward(upstream, params, cache)
+    d_base, d_coeffs = d_weights[:, 0], d_weights[:, 1:]
 
     shape = (batch, in_width, GRID.num_bases)
     bases, dbases = (b.reshape(shape) for b in basis_and_derivative(x.reshape(-1), GRID))
-    coeffs = params.spline_coeffs
+    base, coeffs = params.weights[:, 0], params.weights[:, 1:]
     sig = 1.0 / (1.0 + np.exp(-x))
-    expected_out = (x * sig) @ params.base_weights + np.einsum("bim,iom->bo", bases, coeffs)
-    expected_d_coeffs = np.einsum("bo,bim->iom", upstream, bases)
-    expected_d_in = (upstream @ params.base_weights.T) * sig * (1.0 + x * (1.0 - sig))
-    expected_d_in += np.einsum("bo,iom,bim->bi", upstream, coeffs, dbases)
+    expected_out = (x * sig) @ base + np.einsum("bim,imo->bo", bases, coeffs)
+    expected_d_coeffs = np.einsum("bo,bim->imo", upstream, bases)
+    expected_d_in = (upstream @ base.T) * sig * (1.0 + x * (1.0 - sig))
+    expected_d_in += np.einsum("bo,imo,bim->bi", upstream, coeffs, dbases)
 
     assert np.max(np.abs(out - expected_out)) < 1e-12
     assert np.max(np.abs(d_coeffs - expected_d_coeffs)) < 1e-12
@@ -161,11 +149,10 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
 
     # Without basis derivatives: the same output and parameter gradients, no input gradient.
     out_v, cache_v = kan_layer_forward(x, params, derivative=False)
-    none, d_coeffs_v, d_base_v = kan_layer_backward(upstream, params, cache_v)
-    assert none is None and cache_v["dbases"] is None
+    none, d_weights_v = kan_layer_backward(upstream, params, cache_v)
+    assert none is None and cache_v["dplane"] is None
     assert out_v.tobytes() == out.tobytes()
-    assert d_coeffs_v.tobytes() == d_coeffs.tobytes()
-    assert d_base_v.tobytes() == d_base.tobytes()
+    assert d_weights_v.tobytes() == d_weights.tobytes()
 
 
 def test_linear_identity():
@@ -298,9 +285,7 @@ def test_stacked_layers_match_each_batch_alone():
     clients, batch = 3, 7
     kan = [KanLayerParams.initialized(4, 3, GRID, rng) for _ in range(clients)]
     lin = [LinearLayerParams.initialized(4, 3, rng) for _ in range(clients)]
-    stacked_kan = KanLayerParams(
-        np.stack([p.spline_coeffs for p in kan]), np.stack([p.base_weights for p in kan]), GRID
-    )
+    stacked_kan = KanLayerParams(np.stack([p.weights for p in kan]), GRID)
     stacked_lin = LinearLayerParams(
         np.stack([p.weights for p in lin]), np.stack([p.biases for p in lin])
     )
@@ -321,12 +306,11 @@ def test_stacked_layers_match_each_batch_alone():
     # A stacked cache without basis derivatives gives the same parameter
     # gradients and no input gradient.
     _, cache = kan_layer_forward(x, stacked_kan, derivative=False)
-    none, d_coeffs, d_base = kan_layer_backward(upstream, stacked_kan, cache)
+    none, d_weights = kan_layer_backward(upstream, stacked_kan, cache)
     _, full = kan_layer_forward(x, stacked_kan)
-    _, full_coeffs, full_base = kan_layer_backward(upstream, stacked_kan, full)
+    _, full_weights = kan_layer_backward(upstream, stacked_kan, full)
     assert none is None
-    assert d_coeffs.tobytes() == full_coeffs.tobytes()
-    assert d_base.tobytes() == full_base.tobytes()
+    assert d_weights.tobytes() == full_weights.tobytes()
 
 
 def test_stacked_dropout_draws_each_mask_from_its_own_rng():

@@ -155,10 +155,38 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
         assert out.tobytes() == cached.tobytes()
         # Only the spline layers after the first cache basis derivatives,
         # and the backward pass returns no gradient for the batch.
-        kan = [c["layer"]["dbases"] is None for c in caches if c["kind"] == "kan"]
+        kan = [c["layer"]["dplane"] is None for c in caches if c["kind"] == "kan"]
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
         grads = segment_views(m.layout, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None
+
+
+@pytest.mark.parametrize("seed", [0, 4, 12])
+def test_spline_blocks_place_the_initial_draws_in_their_slots(seed):
+    # Replays the draw order: per spline layer its coefficients (in, out, m)
+    # and then its base weights (in, out), then the head's weights.
+    config = ModelConfig.fed_kan()
+    model = build_model(config, seed)
+    rng = np.random.default_rng(seed)
+    m = config.grid_intervals + config.spline_order
+    widths = [config.input_width, *config.kan_hidden_widths]
+    blocks = iter(model.blocks)
+    for a, b in zip(widths[:-1], widths[1:]):
+        coeffs = rng.uniform(-0.1, 0.1, size=(a, b, m)) / np.sqrt(a)
+        bound = np.sqrt(6.0 / a)
+        base = rng.uniform(-bound, bound, size=(a, b))
+        weights = next(blocks).params.weights
+        assert weights.shape == (a, m + 1, b)
+        assert weights[:, 0].tobytes() == base.tobytes()
+        assert weights[:, 1:].tobytes() == coeffs.swapaxes(-1, -2).tobytes()
+    head_in = widths[-1]
+    for width in config.fc_head_widths:
+        bound = np.sqrt(6.0 / head_in)
+        params = next(blocks).params
+        assert params.weights.tobytes() == rng.uniform(-bound, bound, (width, head_in)).tobytes()
+        assert not params.biases.any()
+        head_in = width
+    assert next(blocks, None) is None
 
 
 def test_forward_train_requires_rng_when_dropout_active():
@@ -282,7 +310,7 @@ def test_import_rejects_renamed_segment():
     with pytest.raises(IncompatibleWeightsError) as err:
         import_weights(model, ParameterVector.from_flat(tuple(layout), vec.to_flat()))
     assert "layer00.mystery" in str(err.value)
-    assert "layer00.spline_coeffs" in str(err.value)
+    assert "layer00.weights" in str(err.value)
 
 
 def test_from_flat_rejects_wrong_length():

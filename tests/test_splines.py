@@ -243,6 +243,15 @@ def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi
     values, none = basis_and_derivative(xs, g, derivative=False)
     assert none is None
     assert values.tobytes() == bases.tobytes()
+    # With a free leading slot per point, the planes hold the same bits after it.
+    padded, dpadded = basis_and_derivative(xs, g, pad=1)
+    values_padded, none = basis_and_derivative(xs, g, derivative=False, pad=1)
+    assert none is None
+    zeros = np.zeros(len(xs)).tobytes()
+    for plane, unpadded in ((padded, bases), (dpadded, dbases), (values_padded, bases)):
+        assert plane.shape == (len(xs), g.num_bases + 1)
+        assert plane[:, 1:].tobytes() == unpadded.tobytes()
+        assert plane[:, 0].tobytes() == zeros
     assert basis_matrix(xs, g).tobytes() == bases.tobytes()
     ref_bases, ref_dbases = reference_basis_and_derivative(xs, g)
     assert bases.tobytes() == ref_bases.tobytes()
