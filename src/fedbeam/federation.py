@@ -13,6 +13,14 @@ batch rows).  Every client keeps its own seeded dropout stream and its
 own rows of the stack's weight and Adam moment buffers, which each call
 updates in place, and each row's arithmetic is the same as training that
 client alone, so the stacking cannot change results.
+
+A spline first layer reads only the client's fixed training windows, so
+when a round trains more than one local epoch each participant's layer-0
+plane (``silu`` and the B-spline bases of every feature) is built once per
+round, over all its training rows, and every step gathers its batch's rows
+of that plane in place of feature rows.  A point's plane bits do not depend
+on the points evaluated with it, so this cannot change results either.
+With one local epoch no row is read twice and nothing is built ahead.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .errors import (
 )
 from .layers import MODE_EVAL, MODE_TRAIN
 from .model import (
+    KanBlock,
     Model,
     ModelConfig,
     build_model,
@@ -40,6 +49,7 @@ from .model import (
     forward,
     forward_with_caches,
     import_weights,
+    input_plane,
     model_backward,
     segment_views,
     with_weights,
@@ -276,6 +286,12 @@ def local_train(
     rounds).  Each reported loss is the element-weighted mean of the
     client's batch losses during its final epoch, dropout active.  Updates
     come back in the order of ``clients``.
+
+    With more than one epoch and a spline first block, each client's
+    layer-0 plane is built once here, over all its training rows
+    (``input_plane``), and the steps gather plane rows instead of feature
+    rows (``forward_with_caches(..., planned=True)``); the planes live for
+    this call only.
     """
     if not clients or len(rngs) != len(clients):
         raise ContractViolationError(
@@ -292,6 +308,13 @@ def local_train(
     order = sorted(range(len(clients)), key=lambda i: -clients[i].sample_count)
     rows = [clients[i] for i in order]
     counts = [c.sample_count for c in rows]
+    # Each step gathers its rows from its client's source: the layer-0
+    # plane when a later epoch reads every row again, else the features.
+    planned = epochs > 1 and isinstance(template.blocks[0], KanBlock)
+    sources = [
+        input_plane(template, c.train_features) if planned else c.train_features
+        for c in rows
+    ]
 
     # One row per client in the weight, gradient and Adam moment buffers.  A
     # call over rows [lo:hi] steps their row views in place, so whichever
@@ -313,10 +336,10 @@ def local_train(
                 AdamState(first[lo:hi], second[lo:hi], *rates),
             )
         part, part_grads, segments, part_rngs, state = stacks[lo, hi]
-        parts = list(zip(rows[lo:hi], starts))
-        xb = np.asarray([c.train_features[a : a + size] for c, a in parts])
-        yb = np.asarray([c.train_targets[a : a + size] for c, a in parts])
-        preds, caches = forward_with_caches(part, xb, MODE_TRAIN, part_rngs)
+        parts = list(zip(range(lo, hi), starts))
+        xb = np.asarray([sources[r][a : a + size] for r, a in parts])
+        yb = np.asarray([rows[r].train_targets[a : a + size] for r, a in parts])
+        preds, caches = forward_with_caches(part, xb, MODE_TRAIN, part_rngs, planned)
         losses, loss_grad = mse_loss(preds, yb)
         finite = np.isfinite(losses)
         if not finite.all():

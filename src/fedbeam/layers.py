@@ -3,7 +3,9 @@
 Two trainable layer kinds exist: spline layers whose per-edge activation is
 ``w_base * silu(x) + sum_m c_m * B_m(x)``, and plain affine layers.  A
 spline layer treats ``silu`` as one more basis: it evaluates every input's
-``silu`` and bases into one plane and multiplies that by one weight block.
+``silu`` and bases into one plane (``kan_plane``) and multiplies that by
+one weight block (``kan_product``); a plane built in advance can be
+multiplied directly.
 All arithmetic is float64 and every backward consumes the cache produced by
 the matching forward.
 
@@ -118,10 +120,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
-
-
 def _check_inputs(inputs: np.ndarray, in_width: int) -> None:
     if inputs.ndim < 2 or inputs.shape[-1] != in_width:
         raise ContractViolationError(
@@ -129,31 +127,30 @@ def _check_inputs(inputs: np.ndarray, in_width: int) -> None:
         )
 
 
-def _check_upstream(upstream: np.ndarray, inputs: np.ndarray, out_width: int) -> None:
-    expected = (*inputs.shape[:-1], out_width)
+def _check_upstream(upstream: np.ndarray, cached: np.ndarray, out_width: int) -> None:
+    """``cached`` is the layer's inputs or plane: its rows are the output's rows."""
+    expected = (*cached.shape[:-1], out_width)
     if upstream.shape != expected:
         raise ContractViolationError(
             f"upstream shape {upstream.shape} does not match layer output {expected}"
         )
 
 
-def kan_layer_forward(
-    inputs: np.ndarray, params: KanLayerParams, derivative: bool = True
-) -> tuple[np.ndarray, dict]:
-    """Forward pass of a spline layer.
+def kan_plane(
+    inputs: np.ndarray, grid: SplineGrid, derivative: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The plane a spline layer multiplies by its weight block, and its derivative.
 
-    inputs has shape (..., batch, in_width); the result has shape
-    (..., batch, out_width).  Each input gets num_bases + 1 slots in the
-    plane: ``silu(x)`` in slot 0 and its bases after it, so the layer is one
-    product of the plane with the weight block.  The returned cache feeds
-    kan_layer_backward.  With ``derivative=False`` the basis derivatives are
-    not evaluated and the cache holds ``dplane=None``: a backward pass over
-    it yields the weight gradient only, for a layer whose input gradient
-    nobody reads.  Otherwise ``dplane`` holds ``silu'(x)`` in slot 0 and the
-    basis derivatives after it.
+    inputs has shape (..., batch, in_width); the plane has shape
+    (..., batch, in_width * (num_bases + 1)), matching the rows of the
+    block: each input gets num_bases + 1 slots, ``silu(x)`` in slot 0 and
+    its bases after it.  With ``derivative`` the second plane holds
+    ``silu'(x)`` in slot 0 and the basis derivatives after it; otherwise it
+    is None and no derivative is computed.  The plane depends on the inputs
+    and the grid alone, and each row's bits on that row alone, so a plane
+    built once over fixed features serves every batch gathered from it.
     """
-    _check_inputs(inputs, params.in_width)
-    plane, dplane = basis_and_derivative(inputs.reshape(-1), params.grid, derivative, pad=1)
+    plane, dplane = basis_and_derivative(inputs.reshape(-1), grid, derivative, pad=1)
     slots = (*inputs.shape, -1)
     sig = sigmoid(inputs)
     np.multiply(inputs, sig, out=plane.reshape(slots)[..., 0])
@@ -161,11 +158,37 @@ def kan_layer_forward(
         # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
         np.multiply(sig, 1.0 + inputs * (1.0 - sig), out=dplane.reshape(slots)[..., 0])
         dplane = dplane.reshape(*inputs.shape[:-1], -1)
-    # (..., batch, in_width * (num_bases + 1)), matching the rows of the block.
-    plane = plane.reshape(*inputs.shape[:-1], -1)
+    return plane.reshape(*inputs.shape[:-1], -1), dplane
+
+
+def kan_product(
+    plane: np.ndarray, params: KanLayerParams, dplane: np.ndarray | None = None
+) -> tuple[np.ndarray, dict]:
+    """A spline layer's output from its plane: one product with the weight block.
+
+    The returned cache feeds kan_layer_backward; ``dplane`` None (a plane
+    built without derivatives) gives a backward pass that yields the weight
+    gradient only.
+    """
     w = params.weights
     out = plane @ w.reshape(*w.shape[:-3], -1, w.shape[-1])
-    return out, {"inputs": inputs, "plane": plane, "dplane": dplane}
+    return out, {"plane": plane, "dplane": dplane}
+
+
+def kan_layer_forward(
+    inputs: np.ndarray, params: KanLayerParams, derivative: bool = True
+) -> tuple[np.ndarray, dict]:
+    """Forward pass of a spline layer: build its plane, then take the product.
+
+    inputs has shape (..., batch, in_width); the result has shape
+    (..., batch, out_width).  With ``derivative=False`` the basis
+    derivatives are not evaluated and the cache holds ``dplane=None``: a
+    backward pass over it yields the weight gradient only, for a layer
+    whose input gradient nobody reads.
+    """
+    _check_inputs(inputs, params.in_width)
+    plane, dplane = kan_plane(inputs, params.grid, derivative)
+    return kan_product(plane, params, dplane)
 
 
 def kan_layer_backward(
@@ -176,17 +199,17 @@ def kan_layer_backward(
     A cache built with ``derivative=False`` gives None for the inputs'
     gradient and computes none of it.
     """
-    x = cache["inputs"]
-    _check_upstream(upstream, x, params.out_width)
+    plane = cache["plane"]
+    _check_upstream(upstream, plane, params.out_width)
     w = params.weights
-    d_weights = (cache["plane"].swapaxes(-1, -2) @ upstream).reshape(w.shape)
+    d_weights = (plane.swapaxes(-1, -2) @ upstream).reshape(w.shape)
     dplane = cache["dplane"]
     if dplane is None:
         return None, d_weights
     # Each input's gradient sums its num_bases + 1 slots.
     flat = w.reshape(*w.shape[:-3], -1, w.shape[-1])
     d_plane = (upstream @ flat.swapaxes(-1, -2)) * dplane
-    return d_plane.reshape(*x.shape, -1).sum(axis=-1), d_weights
+    return d_plane.reshape(*plane.shape[:-1], params.in_width, -1).sum(axis=-1), d_weights
 
 
 def linear_forward(

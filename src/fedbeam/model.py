@@ -52,6 +52,8 @@ from .layers import (
     dropout_backward,
     kan_layer_backward,
     kan_layer_forward,
+    kan_plane,
+    kan_product,
     linear_backward,
     linear_forward,
     relu,
@@ -316,7 +318,21 @@ def forward(
     Nothing is kept for a backward pass, so no spline layer evaluates its
     basis derivatives.
     """
-    return _forward(model, batch, mode, rng, None)
+    return _forward(model, batch, mode, rng, None, False)
+
+
+def input_plane(model: Model, features: np.ndarray) -> np.ndarray:
+    """The plane a spline first block multiplies by its weights, for these rows.
+
+    ``features`` is ``(n, input_width)``; the plane is ``(n, input_width *
+    (num_bases + 1))`` (see ``fedbeam.layers.kan_plane``).  It depends on
+    the features alone, so rows gathered from it can stand in for feature
+    rows in ``forward_with_caches(..., planned=True)`` for any weights.
+    """
+    first = model.blocks[0]
+    if not isinstance(first, KanBlock):
+        raise ContractViolationError("only a spline first block has an input plane")
+    return kan_plane(features, first.params.grid)[0]
 
 
 def forward_with_caches(
@@ -324,6 +340,7 @@ def forward_with_caches(
     batch: np.ndarray,
     mode: str = MODE_EVAL,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    planned: bool = False,
 ) -> tuple[np.ndarray, list[dict]]:
     """Forward pass keeping what model_backward needs.
 
@@ -333,9 +350,15 @@ def forward_with_caches(
     Dropout is the identity in eval mode, so no rng is needed and no mask
     is recorded there.  The first block's input gradient is never read, so
     a spline layer there caches no basis derivatives.
+
+    With ``planned`` the batch holds rows of the first block's plane
+    (``input_plane``) in place of feature rows, ``(..., n, input_width *
+    (num_bases + 1))``, and that block only multiplies them by its weights.
+    Rows gathered from a plane built once give the same bits as building
+    them here.
     """
     caches: list[dict] = []
-    out = _forward(model, batch, mode, rng, caches)
+    out = _forward(model, batch, mode, rng, caches, planned)
     return out, caches
 
 
@@ -345,25 +368,33 @@ def _forward(
     mode: str,
     rng: np.random.Generator | Sequence[np.random.Generator] | None,
     caches: list[dict] | None,
+    planned: bool,
 ) -> np.ndarray:
-    """The forward loop; appends one cache per block to ``caches`` unless None."""
+    """The forward loop; appends one cache per block to ``caches`` unless None.
+
+    With ``planned`` the batch is the first block's plane (see
+    ``forward_with_caches``).
+    """
     lead = model.weights.shape[:-1]
-    if (
-        batch.ndim != len(lead) + 2
-        or batch.shape[:-2] != lead
-        or batch.shape[-1] != model.config.input_width
-    ):
+    width = model.config.input_width
+    if planned:
+        if not isinstance(model.blocks[0], KanBlock):
+            raise ContractViolationError("only a spline first block takes a plane")
+        width *= model.blocks[0].params.grid.num_bases + 1
+    if batch.ndim != len(lead) + 2 or batch.shape[:-2] != lead or batch.shape[-1] != width:
         raise ContractViolationError(
-            f"expected batch of shape {(*lead, 'n', model.config.input_width)}, "
-            f"got {batch.shape}"
+            f"expected batch of shape {(*lead, 'n', width)}, got {batch.shape}"
         )
     if mode == MODE_TRAIN and model.config.dropout_p > 0.0 and rng is None:
         raise ContractViolationError("training mode with dropout needs an rng")
     x = np.asarray(batch, dtype=np.float64)
     for i, block in enumerate(model.blocks):
         if isinstance(block, KanBlock):
-            derivative = caches is not None and i > 0
-            x, cache = kan_layer_forward(x, block.params, derivative)
+            if planned and i == 0:
+                x, cache = kan_product(x, block.params)
+            else:
+                derivative = caches is not None and i > 0
+                x, cache = kan_layer_forward(x, block.params, derivative)
             entry = {"kind": "kan", "layer": cache}
         else:
             x, cache = linear_forward(x, block.params)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fedbeam.federation
+import fedbeam.layers
 import fedbeam.model
 from fedbeam.data import default_profiles, generate_synthetic
 from fedbeam.errors import (
@@ -27,7 +28,7 @@ from fedbeam.federation import (
     run_experiment,
     run_round,
 )
-from fedbeam.layers import MODE_EVAL
+from fedbeam.layers import MODE_EVAL, MODE_TRAIN
 from fedbeam.model import (
     KanBlock,
     ModelConfig,
@@ -36,9 +37,12 @@ from fedbeam.model import (
     forward,
     forward_with_caches,
     import_weights,
+    model_backward,
+    segment_views,
 )
+from fedbeam.optim import AdamState, adam_step, clip_gradient_norm, mse_loss
 from fedbeam.params import ParameterVector
-from fedbeam.splines import SplineGrid
+from fedbeam.splines import SplineGrid, basis_and_derivative
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
 
@@ -326,6 +330,82 @@ def test_ragged_lockstep_matches_each_client_alone(cfg):
             alone.local_train_loss
         ).tobytes()
         assert update.sample_count == alone.sample_count
+
+
+def train_alone(client, template, weights, fed, rng):
+    """One client's local training as a plain loop over feature rows.
+
+    Follows the schedule ``local_train`` documents: chronological batches,
+    every epoch in turn, one Adam step number per step from 1, fresh
+    moments, and the element-weighted mean of the final epoch's losses.
+    """
+    model = import_weights(template, weights)
+    grads = np.zeros_like(model.weights)
+    segments = segment_views(model.layout, grads)
+    state = AdamState.initial(grads.shape, fed.learning_rate, fed.weight_decay)
+    n = client.sample_count
+    step = 0
+    losses, sizes = [], []
+    for epoch in range(fed.local_epochs):
+        for start in range(0, n, fed.batch_size):
+            stop = min(start + fed.batch_size, n)
+            features = client.train_features[start:stop]
+            preds, caches = forward_with_caches(model, features, MODE_TRAIN, rng)
+            loss, loss_grad = mse_loss(preds, client.train_targets[start:stop])
+            model_backward(model, caches, loss_grad, segments)
+            clip_gradient_norm(grads, fed.max_grad_norm, segments)
+            step += 1
+            adam_step(model.weights, grads, state, step)
+            if epoch == fed.local_epochs - 1:
+                losses.append(loss)
+                sizes.append(stop - start)
+    return model.weights, np.float64(np.average(losses, weights=sizes))
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("cfg", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()], ids=["kan", "mlp"])
+def test_local_train_matches_a_plain_loop_over_feature_rows(cfg, epochs):
+    # With more than one epoch a spline first block reads rows of a plane
+    # built once per client; the plain loop builds every batch's plane from
+    # its own feature rows.
+    clients = uneven_clients()
+    fed = dataclasses.replace(FAST_FED, local_epochs=epochs, batch_size=16)
+    template = build_model(cfg, seed=7)
+    weights = export_weights(template)
+    updates = local_train(
+        clients, template, weights, fed, [np.random.default_rng(i) for i in range(4)]
+    )
+    for i, (client, update) in enumerate(zip(clients, updates)):
+        alone, loss = train_alone(client, template, weights, fed, np.random.default_rng(i))
+        assert update.weights.to_flat().tobytes() == alone.tobytes()
+        assert np.float64(update.local_train_loss).tobytes() == loss.tobytes()
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_layer_zero_planes_are_kept_only_when_an_epoch_reads_them_again(monkeypatch, epochs):
+    clients = uneven_clients()
+    fed = dataclasses.replace(FAST_FED, local_epochs=epochs, batch_size=16)
+    template = build_model(ModelConfig.fed_kan(), seed=7)
+    weights = export_weights(template)
+    width = template.config.input_width
+    calls = []
+
+    def recording_basis(x, grid, derivative=True, pad=0):
+        calls.append((len(x), derivative))
+        return basis_and_derivative(x, grid, derivative, pad)
+
+    monkeypatch.setattr(fedbeam.layers, "basis_and_derivative", recording_basis)
+    local_train(clients, template, weights, fed, [np.random.default_rng(i) for i in range(4)])
+    # Layer 0 is the only spline layer evaluated without derivatives here,
+    # and it evaluates every training row once per call, whatever the epochs.
+    layer0 = [n for n, derivative in calls if not derivative]
+    assert sum(layer0) == sum(c.sample_count for c in clients) * width
+    if epochs == 1:
+        # No row is read twice, so nothing is built ahead of its step.
+        assert max(n for n, _ in calls) <= len(clients) * fed.batch_size * width
+    else:
+        # One plane per client, over all its rows.
+        assert sorted(layer0) == sorted(c.sample_count * width for c in clients)
 
 
 def test_stacked_calls_are_split_at_max_stack_rows(monkeypatch):

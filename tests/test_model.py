@@ -22,6 +22,7 @@ from fedbeam.model import (
     forward,
     forward_with_caches,
     import_weights,
+    input_plane,
     layer_plan,
     model_backward,
     segment_views,
@@ -159,6 +160,43 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
         grads = segment_views(m.layout, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None
+
+
+def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
+    model = build_model(ModelConfig.fed_kan(), seed=4)
+    stacked = import_weights(model, export_weights(model), copies=3)
+    features = np.random.default_rng(2).uniform(-1.5, 1.5, (40, 10))
+    plane = input_plane(model, features)
+    slots = model.config.grid_intervals + model.config.spline_order + 1
+    assert plane.shape == (40, 10 * slots)
+    # Batches gathered from one plane built over all rows, against batches
+    # whose plane is built from their own feature rows.
+    picks = np.array([[3, 4, 5, 6], [0, 1, 2, 3], [36, 37, 38, 39]])
+    rngs = [np.random.default_rng(s) for s in (77, 78, 79)]
+    out, caches = forward_with_caches(stacked, features[picks], MODE_TRAIN, rngs)
+    rngs = [np.random.default_rng(s) for s in (77, 78, 79)]
+    planned_out, planned_caches = forward_with_caches(stacked, plane[picks], MODE_TRAIN, rngs, True)
+    assert planned_out.tobytes() == out.tobytes()
+    assert planned_caches[0]["layer"]["plane"].tobytes() == caches[0]["layer"]["plane"].tobytes()
+    grads = np.empty((2, *stacked.weights.shape))
+    upstream = np.ones_like(out)
+    model_backward(stacked, caches, upstream, segment_views(stacked.layout, grads[0]))
+    model_backward(stacked, planned_caches, upstream, segment_views(stacked.layout, grads[1]))
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_only_a_spline_first_block_takes_a_plane_of_its_width():
+    kan = build_model(ModelConfig.fed_kan(), seed=4)
+    mlp = build_model(ModelConfig.fed_mlp(), seed=4)
+    features = np.random.default_rng(2).random((5, 10))
+    with pytest.raises(ContractViolationError):
+        input_plane(mlp, features)
+    with pytest.raises(ContractViolationError):
+        forward_with_caches(mlp, features, MODE_EVAL, None, True)
+    with pytest.raises(ContractViolationError):
+        forward_with_caches(kan, features, MODE_EVAL, None, True)
+    with pytest.raises(ContractViolationError):
+        forward_with_caches(kan, input_plane(kan, features)[:, :-1], MODE_EVAL, None, True)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 12])
