@@ -13,6 +13,7 @@ loss).  FEDBEAM_LOG controls log verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import logging
@@ -42,6 +43,36 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 log = logging.getLogger(__name__)
+
+# glibc mallopt parameters, and the size below which freed heap pages stay
+# in the process and allocations come from the heap rather than mmap.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_BYTES = 256 << 20
+
+
+def _keep_freed_pages() -> tuple[int, int] | None:
+    """Keep freed heap pages in this process for the rest of the run.
+
+    Training frees and reallocates arrays of the same sizes every step.  By
+    default glibc trims the heap and unmaps large arrays on free, so the
+    next step faults the same pages in again.  On a 2-vCPU VM a 20-round run
+    on 16 uneven beams at batch 128 took ~53,000 minor page faults when run
+    a second time in one process (~2.5 us of system time each), and under
+    100 with both thresholds raised.  Raising only the trim threshold left
+    4,500 faults in a process's first run (2,400 with both); raising only
+    the mmap threshold gave ~80,000, since that switches off glibc's dynamic
+    threshold and leaves trimming at 128 KiB.  Set at the process entry and
+    never at import, so a program that imports fedbeam keeps its own
+    allocator.  Returns mallopt's two results (1 on success), or None where
+    the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES), mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_pages()
     logging.basicConfig(level=os.environ.get("FEDBEAM_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)

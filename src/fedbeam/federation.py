@@ -17,16 +17,18 @@ client alone, so the stacking cannot change results.
 A spline first layer reads only the client's fixed training windows, so
 when a round trains more than one local epoch each participant's layer-0
 plane (``silu`` and the B-spline bases of every feature) is built once per
-round, over all its training rows, and every step gathers its batch's rows
-of that plane in place of feature rows.  A point's plane bits do not depend
-on the points evaluated with it, so this cannot change results either.
-With one local epoch no row is read twice and nothing is built ahead.
+run, over all its training rows, by the first round that trains it, and
+every step of every later round gathers its batch's rows of that plane in
+place of feature rows.  A point's plane bits do not depend on the points
+evaluated with it, so this cannot change results either.  With one local
+epoch no row is read twice in a round, and nothing is built ahead.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +239,7 @@ def _runs(sizes: list[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> list[tuple]:
+def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> Iterator[tuple]:
     """The stacked calls that train rows of these sample counts in lockstep.
 
     ``counts`` run longest first.  At global step ``g`` row ``r`` takes
@@ -246,26 +248,28 @@ def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> list[tup
     share a call of at most ``MAX_STACK_ROWS`` batch rows.  Each call is
     ``(g, lo, hi, size, starts, final)``: rows [lo:hi] take ``size``
     samples from their own ``starts``, and the rows in the range ``final``
-    are in their last epoch.
+    are in their last epoch.  The calls are worked out one epoch of the
+    longest row at a time, so the schedule's memory does not grow with
+    ``epochs``.
     """
     steps = np.array([len(minibatch_slices(n, batch_size)) for n in counts])
-    g = np.arange(epochs * steps[0])[:, None]
-    starts = g % steps * batch_size
-    sizes = np.minimum(batch_size, np.array(counts) - starts)
-    sizes[g >= epochs * steps] = 0  # finished rows, always a suffix
-    # Rows in their last epoch are a suffix too: shorter rows get there first.
-    first_final = ((epochs - 1) * steps > g).sum(axis=1)
+    counts_array = np.array(counts)
     runs: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-    calls = []
-    for step, (size_g, start_g, k) in enumerate(
-        zip(sizes.tolist(), starts.tolist(), first_final.tolist())
-    ):
-        pattern = tuple(size_g)
-        if pattern not in runs:
-            runs[pattern] = _runs(size_g)
-        for lo, hi, size in runs[pattern]:
-            calls.append((step, lo, hi, size, start_g[lo:hi], range(max(lo, k), hi)))
-    return calls
+    for epoch in range(epochs):
+        g = np.arange(epoch * steps[0], (epoch + 1) * steps[0])[:, None]
+        starts = g % steps * batch_size
+        sizes = np.minimum(batch_size, counts_array - starts)
+        sizes[g >= epochs * steps] = 0  # finished rows, always a suffix
+        # Rows in their last epoch are a suffix too: shorter rows get there first.
+        first_final = ((epochs - 1) * steps > g).sum(axis=1)
+        for step, size_g, start_g, k in zip(
+            g[:, 0].tolist(), sizes.tolist(), starts.tolist(), first_final.tolist()
+        ):
+            pattern = tuple(size_g)
+            if pattern not in runs:
+                runs[pattern] = _runs(size_g)
+            for lo, hi, size in runs[pattern]:
+                yield step, lo, hi, size, start_g[lo:hi], range(max(lo, k), hi)
 
 
 def local_train(
@@ -274,6 +278,7 @@ def local_train(
     global_weights: ParameterVector,
     fed_config: FederationConfig,
     rngs: list[np.random.Generator],
+    planes: dict[str, np.ndarray] | None = None,
 ) -> list[ClientUpdate]:
     """Train clients from the global weights for local_epochs, in lockstep.
 
@@ -287,11 +292,16 @@ def local_train(
     client's batch losses during its final epoch, dropout active.  Updates
     come back in the order of ``clients``.
 
-    With more than one epoch and a spline first block, each client's
-    layer-0 plane is built once here, over all its training rows
-    (``input_plane``), and the steps gather plane rows instead of feature
-    rows (``forward_with_caches(..., planned=True)``); the planes live for
-    this call only.
+    With more than one epoch and a spline first block, the steps gather
+    rows of each client's layer-0 plane over all its training rows
+    (``input_plane``) instead of feature rows (``forward_with_caches(...,
+    planned=True)``).  ``planes`` maps client ids to those planes: a
+    client's plane is taken from it, or built and stored there the first
+    time it is needed, so a caller that passes the same dict every round
+    (``run_experiment``) builds each plane once per run.  The planes depend
+    on the training features and the template's grid alone; a dict must
+    only be reused for the same clients and model config.  Without
+    ``planes`` they live for this call only.
     """
     if not clients or len(rngs) != len(clients):
         raise ContractViolationError(
@@ -311,10 +321,12 @@ def local_train(
     # Each step gathers its rows from its client's source: the layer-0
     # plane when a later epoch reads every row again, else the features.
     planned = epochs > 1 and isinstance(template.blocks[0], KanBlock)
-    sources = [
-        input_plane(template, c.train_features) if planned else c.train_features
-        for c in rows
-    ]
+    if planned:
+        planes = {} if planes is None else planes
+        for c in rows:
+            if c.client_id not in planes:
+                planes[c.client_id] = input_plane(template, c.train_features)
+    sources = [planes[c.client_id] if planned else c.train_features for c in rows]
 
     # One row per client in the weight, gradient and Adam moment buffers.  A
     # call over rows [lo:hi] steps their row views in place, so whichever
@@ -422,10 +434,12 @@ def run_round(
     template: Model,
     fed_config: FederationConfig,
     round_index: int,
+    planes: dict[str, np.ndarray] | None = None,
 ) -> tuple[ParameterVector, RoundReport]:
     """One synchronous round; evaluates the new weights on every client.
 
-    All participants train in one local_train call.
+    All participants train in one local_train call, which reads and fills
+    ``planes`` (see ``local_train``).
     """
     if not clients:
         raise ContractViolationError("cannot run a round with zero clients")
@@ -443,7 +457,7 @@ def run_round(
         )
         for c in participants
     ]
-    updates = local_train(participants, template, global_weights, fed_config, rngs)
+    updates = local_train(participants, template, global_weights, fed_config, rngs, planes)
 
     new_weights = aggregate(updates, fed_config.aggregation)
     per_client, avg_test = evaluate_global(new_weights, ordered, template)
@@ -491,10 +505,13 @@ def run_experiment(
     template = build_model(model_config, fed_config.seed)
     global_weights = export_weights(template)
     digest = dataset_digest(clients)
+    # Layer-0 training planes, built by the first round that trains each
+    # client and kept for the run.
+    planes: dict[str, np.ndarray] = {}
     reports = []
     for round_index in range(1, fed_config.rounds + 1):
         global_weights, report = run_round(
-            global_weights, clients, template, fed_config, round_index
+            global_weights, clients, template, fed_config, round_index, planes
         )
         reports.append(report)
     return ExperimentReport(

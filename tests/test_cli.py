@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import ctypes
+import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fedbeam
+import fedbeam.cli
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedbeam.errors import IngestionError
 from fedbeam.report import (
@@ -305,3 +309,43 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     rejected = run("generate", "--beams", "0", "--out", str(tmp_path / "beams"))
     assert rejected.returncode == EXIT_CONFIG
     assert rejected.stderr.startswith("error:")
+
+
+def test_main_keeps_freed_pages_once_before_the_subcommand(tmp_path, monkeypatch):
+    events = []
+    monkeypatch.setattr(fedbeam.cli, "_keep_freed_pages", lambda: events.append("allocator"))
+    monkeypatch.setattr(fedbeam.cli, "cmd_generate", lambda args: events.append("generate") or 0)
+    assert main(["generate", "--out", str(tmp_path)]) == EXIT_OK
+    assert events == ["allocator", "generate"]
+
+
+def test_importing_the_cli_leaves_the_allocator_alone(monkeypatch):
+    loads = []
+
+    def recording_cdll(*args, **kwargs):
+        loads.append(args)
+        raise OSError("not loaded")
+
+    monkeypatch.setattr(ctypes, "CDLL", recording_cdll)
+    # A fresh module object; monkeypatch puts the imported one back afterwards.
+    imported = fedbeam.cli
+    monkeypatch.delitem(sys.modules, "fedbeam.cli")
+    monkeypatch.setattr(fedbeam, "cli", imported)
+    fresh = importlib.import_module("fedbeam.cli")
+    assert fresh is not imported and loads == []
+    assert fresh._keep_freed_pages() is None and len(loads) == 1
+
+
+def test_keeping_freed_pages_is_a_no_op_without_mallopt(monkeypatch):
+    def unloadable(*args, **kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert fedbeam.cli._keep_freed_pages() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+    assert fedbeam.cli._keep_freed_pages() is None
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_glibc_accepts_both_thresholds():
+    assert fedbeam.cli._keep_freed_pages() == (1, 1)

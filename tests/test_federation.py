@@ -1,6 +1,8 @@
 """FedAvg mechanics: local training, aggregation algebra, rounds, runs."""
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from fedbeam.federation import (
     dataset_digest,
     evaluate_global,
     local_train,
+    _lockstep_calls,
+    _runs,
     minibatch_slices,
     run_experiment,
     run_round,
@@ -406,6 +410,93 @@ def test_layer_zero_planes_are_kept_only_when_an_epoch_reads_them_again(monkeypa
     else:
         # One plane per client, over all its rows.
         assert sorted(layer0) == sorted(c.sample_count * width for c in clients)
+
+
+def lockstep_calls_all_at_once(counts, epochs, batch_size):
+    """The whole lockstep schedule built before its first call, as one array
+    per quantity over every global step: the form ``_lockstep_calls`` had
+    before it worked one epoch at a time."""
+    steps = np.array([len(minibatch_slices(n, batch_size)) for n in counts])
+    g = np.arange(epochs * steps[0])[:, None]
+    starts = g % steps * batch_size
+    sizes = np.minimum(batch_size, np.array(counts) - starts)
+    sizes[g >= epochs * steps] = 0
+    first_final = ((epochs - 1) * steps > g).sum(axis=1)
+    calls = []
+    for step, (size_g, start_g, k) in enumerate(
+        zip(sizes.tolist(), starts.tolist(), first_final.tolist())
+    ):
+        for lo, hi, size in _runs(size_g):
+            calls.append((step, lo, hi, size, start_g[lo:hi], range(max(lo, k), hi)))
+    return calls
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 16, 128])
+@pytest.mark.parametrize("epochs", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "counts",
+    # The last one splits calls at MAX_STACK_ROWS when the batch is 128.
+    [[60], [92, 72, 60, 60], [590, 589, 17, 16, 1], [2000, 1990, 7, 7, 7, 3], [300] * 7],
+)
+def test_lockstep_calls_match_the_whole_schedule_built_at_once(counts, epochs, batch_size):
+    lazy = _lockstep_calls(counts, epochs, batch_size)
+    assert iter(lazy) is lazy
+    expected = lockstep_calls_all_at_once(counts, epochs, batch_size)
+    for got, want in itertools.zip_longest(lazy, expected):
+        assert got == want
+
+
+def test_a_long_lockstep_schedule_is_not_built_ahead():
+    tracemalloc.start()
+    try:
+        head = list(itertools.islice(_lockstep_calls([590, 300, 120], 10**9, 16), 50))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # No row reaches its last epoch within these calls at 10 epochs either.
+    assert head == lockstep_calls_all_at_once([590, 300, 120], 10, 16)[:50]
+    # The whole schedule would hold ~4 * 10^10 steps; one epoch holds 37.
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_layer_zero_training_planes_are_built_once_per_run(monkeypatch, epochs):
+    profiles = default_profiles(4)
+    beams = [generate_synthetic(3, h, p) for h, p in zip((80, 95, 120, 80), profiles)]
+    fed = dataclasses.replace(FAST_FED, rounds=3, local_epochs=epochs, batch_size=16)
+    clients = [build_client(b, 5, 0.8) for b in beams]
+    width = ModelConfig.fed_kan().input_width
+    training = []
+    calls = []
+
+    def recording_basis(x, grid, derivative=True, pad=0):
+        if training:
+            calls.append((x.copy(), derivative))
+        return basis_and_derivative(x, grid, derivative, pad)
+
+    def recording_local_train(*args):
+        training.append(True)
+        try:
+            return local_train(*args)
+        finally:
+            training.clear()
+
+    monkeypatch.setattr(fedbeam.layers, "basis_and_derivative", recording_basis)
+    monkeypatch.setattr(fedbeam.federation, "local_train", recording_local_train)
+    report = run_experiment(ModelConfig.fed_kan(), fed, beams)
+    assert len(report.rounds) == 3 and all(len(r.participants) == 4 for r in report.rounds)
+    # In training, layer 0 is the only spline layer evaluated without derivatives.
+    layer0 = [x for x, derivative in calls if not derivative]
+    if epochs == 1:
+        # Each round reads each training row once, in batches; nothing is kept.
+        assert sum(map(len, layer0)) == fed.rounds * sum(c.sample_count for c in clients) * width
+        assert max(len(x) for x, _ in calls) <= len(clients) * fed.batch_size * width
+    else:
+        # One plane per client over all its training rows, in the first round only.
+        assert len(layer0) == len(clients)
+        for client in clients:
+            points = client.train_features.reshape(-1)
+            assert sum(np.array_equal(x, points) for x in layer0) == 1
 
 
 def test_stacked_calls_are_split_at_max_stack_rows(monkeypatch):
