@@ -11,14 +11,21 @@ number; smaller deviations are renormalized.  Rejecting (rather than
 dropping rows) keeps the consecutive-timestamp invariant intact.
 
 A loaded beam is two column arrays, volumes and shares, not one object
-per hour: ``load_csv`` parses every cell, then validates whole columns and
-reports the first offending line.  Windows are one strided view of the
-volume column, and a client's features are scaled in one expression.
+per hour: ``load_csv`` hands the data lines to NumPy's C tokenizer in one
+call, then validates whole columns and reports the first offending line.
+The tokenizer reads a subset of the spellings Python's ``int`` and
+``float`` read, to the same values; a file it refuses (``1_000``,
+full-width digits, an empty cell, a short row) is parsed again cell by
+cell with ``int`` and ``float``, so both paths accept the same files and
+every message is worded by the per-cell checks.  Windows are one strided
+view of the volume column, and a client's features are scaled in one
+expression.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +136,45 @@ def _parsed(convert, raw: str, fallback):
         return fallback
 
 
+# One data line as the tokenizer reads it: the hour, then the six values.
+_ROW = np.dtype([("hour", np.int64), ("values", np.float64, (6,))])
+
+
+def _tokenized(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Off-sequence hours ``(n,)`` and values ``(n, 6)`` of the data lines.
+
+    NumPy's C tokenizer reads every line in one call.  It raises
+    ValueError on a row of the wrong width or a cell it cannot read, and
+    NumPy 1.x reads an hour of ``1.0`` with a DeprecationWarning, raised
+    here as an error because ``int`` refuses that spelling.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        table = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    return table["hour"] != np.arange(len(lines)), table["values"]
+
+
+def _per_cell(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``_tokenized`` with Python's ``int`` and ``float``, for any lines.
+
+    An unreadable cell reads as NaN, or as an off-sequence hour; a row of
+    the wrong width reads as all-unreadable.
+    """
+    rows = [line.split(",") for line in lines]
+    rows = [fields if len(fields) == 7 else [""] * 7 for fields in rows]
+    values = np.array([[_parsed(float, raw, math.nan) for raw in row[1:]] for row in rows])
+    off_sequence = np.array([_parsed(int, row[0], None) != k for k, row in enumerate(rows)])
+    return off_sequence, values
+
+
 def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
     """Read and validate one beam CSV.
 
-    Cells are parsed with Python's ``int`` (hour) and ``float`` (the rest)
-    and checked column-wise; the first offending line is reported.
+    The data lines are read by NumPy's C tokenizer in one call, and by
+    Python's ``int`` (hour) and ``float`` (the rest) cell by cell when it
+    refuses the file; both read an accepted cell to the same value.  The
+    columns are then checked whole, and the first offending line is
+    reported in the per-cell checks' words.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,20 +188,22 @@ def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
             f"{path}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
         )
     body = [
-        (line_no, line.split(","))
+        (line_no, line)
         for line_no, line in enumerate(lines[1:], start=2)
         if line.strip()
     ]
     if not body:
         raise IngestionError(f"{path}: no data rows")
-    # A row of the wrong width parses as all-invalid and is flagged below.
-    rows = [fields if len(fields) == 7 else [""] * 7 for _, fields in body]
-    values = np.array([[_parsed(float, raw, math.nan) for raw in row[1:]] for row in rows])
+    data_lines = [line for _, line in body]
+    try:
+        off_sequence, values = _tokenized(data_lines)
+    except (ValueError, DeprecationWarning):
+        off_sequence, values = _per_cell(data_lines)
     volumes, shares = values[:, :2], values[:, 2:]
     clipped = np.clip(shares, 0.0, 1.0)
     totals = clipped.sum(axis=1)
     bad = (
-        np.array([_parsed(int, row[0], None) != k for k, row in enumerate(rows)])
+        off_sequence
         | ~np.isfinite(values).all(axis=1)
         | (volumes < 0).any(axis=1)
         | ((shares < -SHARE_SUM_TOLERANCE) | (shares > 1 + SHARE_SUM_TOLERANCE)).any(axis=1)
@@ -170,8 +213,8 @@ def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
         # Every line before the first flagged one is valid, so its hour
         # must equal its row index.
         k = int(np.argmax(bad))
-        line_no, fields = body[k]
-        raise IngestionError(_row_error(path, line_no, fields, k))
+        line_no, line = body[k]
+        raise IngestionError(_row_error(path, line_no, line.split(","), k))
     name = beam_id if beam_id is not None else path
     return BeamSeries(name, volumes.copy(), clipped / totals[:, None])
 

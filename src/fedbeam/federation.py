@@ -210,7 +210,8 @@ def dataset_digest(clients: list[ClientState]) -> str:
             client.test_features,
             client.test_targets,
         ):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            # A C-contiguous array is hashed in place, with no copy.
+            h.update(np.ascontiguousarray(arr))
     return h.hexdigest()
 
 

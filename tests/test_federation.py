@@ -1,6 +1,7 @@
 """FedAvg mechanics: local training, aggregation algebra, rounds, runs."""
 
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 
@@ -649,3 +650,25 @@ def test_dataset_digest_tracks_content():
     assert dataset_digest(clients_a) == dataset_digest(clients_b)
     other = [build_client(generate_synthetic(4, 80, default_profiles(2)[0]), 5, 0.8)]
     assert dataset_digest(clients_a) != dataset_digest(other + clients_a[1:])
+
+
+def test_dataset_digest_hashes_each_arrays_bytes_in_c_order():
+    """The digest is the one built from ``tobytes`` copies, views included."""
+    clients = small_clients(2)
+    # A Fortran-order copy holds the same values: the digest must hash
+    # their C-order bytes, as it does for every C-contiguous array.
+    features = np.asfortranarray(clients[0].train_features)
+    assert not features.flags.c_contiguous
+    clients[0] = dataclasses.replace(clients[0], train_features=features)
+    h = hashlib.sha256()
+    for client in sorted(clients, key=lambda c: c.client_id):
+        h.update(client.client_id.encode("utf-8"))
+        for arr in (
+            client.train_features,
+            client.train_targets,
+            client.test_features,
+            client.test_targets,
+        ):
+            h.update(arr.tobytes())
+    assert dataset_digest(clients) == h.hexdigest()
+    assert dataset_digest(clients) == dataset_digest(small_clients(2))
