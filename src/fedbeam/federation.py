@@ -17,11 +17,11 @@ client alone, so the stacking cannot change results.
 A spline first layer reads only the client's fixed training windows, so
 when a round trains more than one local epoch each participant's layer-0
 plane (``silu`` and the B-spline bases of every feature) is built once per
-run, over all its training rows, by the first round that trains it, and
-every step of every later round gathers its batch's rows of that plane in
-place of feature rows.  A point's plane bits do not depend on the points
-evaluated with it, so this cannot change results either.  With one local
-epoch no row is read twice in a round, and nothing is built ahead.
+round, over all its training rows, and every step gathers its batch's rows
+of that plane in place of feature rows.  A point's plane bits do not depend
+on the points evaluated with it, so this cannot change results either.
+With one local epoch no row is read twice in a round, and nothing is built
+ahead.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,10 +65,11 @@ AGG_UNIFORM = "uniform"
 AGG_SAMPLE_WEIGHTED = "sample_weighted"
 
 # Most batch rows (clients x samples) one stacked training call may take.
-# On kan_fleet (batch 128, ~12 participants a round, 2-core machine) caps
-# of 384, 768 and 1,536 rows trained its 20 rounds in ~0.98, ~0.94 and
-# ~0.93 s and peaked at 46.2, 49.4 and 54.4 MB RSS, against 50.1 MB for
-# one client per call: 768 takes most of the gain and stays below that.
+# On kan_fleet (batch 128, ~12 participants a round, 2-core machine, one
+# BLAS thread) caps of 384, 768 and 1,536 rows and no cap trained its 20
+# rounds in 0.76-0.87, 0.78-0.81, 0.75-0.80 and 0.76-0.80 s and peaked at
+# 43.3, 45.2, 48.9 and 50.2 MB RSS; one client per call took 1.12-1.23 s
+# at 42.1 MB.  768 is as fast as no cap for 10% less memory.
 MAX_STACK_ROWS = 768
 
 
@@ -116,21 +117,11 @@ class FederationConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "local_epochs": self.local_epochs,
-            "batch_size": self.batch_size,
-            "aggregation": self.aggregation,
-            "availability_prob": self.availability_prob,
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "max_grad_norm": self.max_grad_norm,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FederationConfig":
-        known = set(cls().to_dict())
+        known = {f.name for f in fields(cls)}
         extra = set(raw) - known
         if extra:
             raise ConfigurationError(f"unknown federation config keys: {sorted(extra)}")
@@ -279,7 +270,6 @@ def local_train(
     global_weights: ParameterVector,
     fed_config: FederationConfig,
     rngs: list[np.random.Generator],
-    planes: dict[str, np.ndarray] | None = None,
 ) -> list[ClientUpdate]:
     """Train clients from the global weights for local_epochs, in lockstep.
 
@@ -293,16 +283,10 @@ def local_train(
     client's batch losses during its final epoch, dropout active.  Updates
     come back in the order of ``clients``.
 
-    With more than one epoch and a spline first block, the steps gather
-    rows of each client's layer-0 plane over all its training rows
-    (``input_plane``) instead of feature rows (``forward_with_caches(...,
-    planned=True)``).  ``planes`` maps client ids to those planes: a
-    client's plane is taken from it, or built and stored there the first
-    time it is needed, so a caller that passes the same dict every round
-    (``run_experiment``) builds each plane once per run.  The planes depend
-    on the training features and the template's grid alone; a dict must
-    only be reused for the same clients and model config.  Without
-    ``planes`` they live for this call only.
+    With more than one epoch and a spline first block, each client's
+    layer-0 plane over all its training rows (``input_plane``) is built
+    once per call, and the steps gather rows of it instead of feature rows
+    (``forward_with_caches(..., planned=True)``).
     """
     if not clients or len(rngs) != len(clients):
         raise ContractViolationError(
@@ -322,12 +306,10 @@ def local_train(
     # Each step gathers its rows from its client's source: the layer-0
     # plane when a later epoch reads every row again, else the features.
     planned = epochs > 1 and isinstance(template.blocks[0], KanBlock)
-    if planned:
-        planes = {} if planes is None else planes
-        for c in rows:
-            if c.client_id not in planes:
-                planes[c.client_id] = input_plane(template, c.train_features)
-    sources = [planes[c.client_id] if planned else c.train_features for c in rows]
+    sources = [
+        input_plane(template, c.train_features) if planned else c.train_features
+        for c in rows
+    ]
 
     # One row per client in the weight, gradient and Adam moment buffers.  A
     # call over rows [lo:hi] steps their row views in place, so whichever
@@ -435,12 +417,10 @@ def run_round(
     template: Model,
     fed_config: FederationConfig,
     round_index: int,
-    planes: dict[str, np.ndarray] | None = None,
 ) -> tuple[ParameterVector, RoundReport]:
     """One synchronous round; evaluates the new weights on every client.
 
-    All participants train in one local_train call, which reads and fills
-    ``planes`` (see ``local_train``).
+    All participants train in one local_train call.
     """
     if not clients:
         raise ContractViolationError("cannot run a round with zero clients")
@@ -458,7 +438,7 @@ def run_round(
         )
         for c in participants
     ]
-    updates = local_train(participants, template, global_weights, fed_config, rngs, planes)
+    updates = local_train(participants, template, global_weights, fed_config, rngs)
 
     new_weights = aggregate(updates, fed_config.aggregation)
     per_client, avg_test = evaluate_global(new_weights, ordered, template)
@@ -506,13 +486,10 @@ def run_experiment(
     template = build_model(model_config, fed_config.seed)
     global_weights = export_weights(template)
     digest = dataset_digest(clients)
-    # Layer-0 training planes, built by the first round that trains each
-    # client and kept for the run.
-    planes: dict[str, np.ndarray] = {}
     reports = []
     for round_index in range(1, fed_config.rounds + 1):
         global_weights, report = run_round(
-            global_weights, clients, template, fed_config, round_index, planes
+            global_weights, clients, template, fed_config, round_index
         )
         reports.append(report)
     return ExperimentReport(

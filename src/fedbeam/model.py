@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -64,6 +64,7 @@ from .splines import MAX_SPLINE_ORDER, SplineGrid
 
 KIND_FED_KAN = "fed_kan"
 KIND_FED_MLP = "fed_mlp"
+_WIDTH_FIELDS = ("kan_hidden_widths", "mlp_hidden_widths", "fc_head_widths")
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,10 @@ class ModelConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_width": self.input_width,
-            "kan_hidden_widths": list(self.kan_hidden_widths),
-            "mlp_hidden_widths": list(self.mlp_hidden_widths),
-            "fc_head_widths": list(self.fc_head_widths),
-            "output_width": self.output_width,
-            "grid_intervals": self.grid_intervals,
-            "spline_order": self.spline_order,
-            "dropout_p": self.dropout_p,
-        }
+        raw = asdict(self)
+        for key in _WIDTH_FIELDS:
+            raw[key] = list(raw[key])
+        return raw
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
@@ -142,7 +136,7 @@ class ModelConfig:
         if "kind" not in raw:
             raise ConfigurationError("model config must name a kind")
         kwargs = dict(raw)
-        for key in ("kan_hidden_widths", "mlp_hidden_widths", "fc_head_widths"):
+        for key in _WIDTH_FIELDS:
             if key in kwargs:
                 if not isinstance(kwargs[key], (list, tuple)):
                     raise ConfigurationError(

@@ -7,13 +7,17 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedbeam
 import fedbeam.cli
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from fedbeam.data import default_profiles, generate_synthetic, render_csv
 from fedbeam.errors import IngestionError
 from fedbeam.report import (
     loss_reduction_percent,
@@ -349,3 +353,130 @@ def test_keeping_freed_pages_is_a_no_op_without_mallopt(monkeypatch):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
 def test_glibc_accepts_both_thresholds():
     assert fedbeam.cli._keep_freed_pages() == (1, 1)
+
+
+# --- Any train config or beam file ends in a documented exit --------------
+
+# Wrong types, non-finite numbers and a few out-of-range ones.
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from([[], {}, [1, "x"], -1, 1.5, float("nan"), float("inf"), float("-inf")]),
+)
+# Keys no section knows: every known key is plain lower-case letters and "_".
+unknown_keys = st.text("xyz-0", min_size=1, max_size=3).map(lambda s: "-" + s)
+
+
+def widths(hi, max_size):
+    return st.lists(st.integers(1, hi), max_size=max_size)
+
+
+def spoil(draw, sections):
+    """Replace a field with junk, omit it, or add an unknown key, at most
+    twice over the whole config."""
+    paths = [(name, key) for name, fields in sections.items() for key in sorted(fields)]
+    for (name, key), how in draw(st.lists(
+        st.tuples(st.sampled_from(paths), st.sampled_from(["junk", "omit", "unknown"])),
+        max_size=2,
+    )):
+        section = sections[name]
+        if how == "junk":
+            section[key] = draw(junk)
+        elif how == "omit":
+            section.pop(key, None)
+        else:
+            section[draw(unknown_keys)] = draw(junk)
+
+
+@st.composite
+def train_cases(draw):
+    """A train config of tiny sizes, and the bytes of its beam file if it
+    names one."""
+    window = draw(st.integers(1, 6))
+    schema = {
+        "model": {
+            "kind": st.sampled_from(["fed_kan", "fed_mlp"]),
+            "input_width": st.just(2 * window),
+            "kan_hidden_widths": widths(4, 3),
+            "mlp_hidden_widths": widths(8, 3),
+            # The targets are the four category shares.
+            "fc_head_widths": widths(6, 1).map(lambda head: [*head, 4]),
+            "output_width": st.just(4),
+            "grid_intervals": st.integers(1, 6),
+            "spline_order": st.integers(0, 3),
+            "dropout_p": st.floats(0.0, 0.9),
+        },
+        "federation": {
+            "rounds": st.integers(1, 2),
+            "local_epochs": st.integers(1, 2),
+            "batch_size": st.integers(1, 32),
+            "aggregation": st.sampled_from(["uniform", "sample_weighted"]),
+            "availability_prob": st.floats(0.05, 1.0),
+            "seed": st.integers(0, 1000),
+            # 1e308 overflows the first step: exit 4.
+            "learning_rate": st.one_of(st.floats(0.0, 0.1), st.just(1e308)),
+            "weight_decay": st.floats(0.0, 1e-2),
+            "max_grad_norm": st.floats(1e-3, 10.0),
+        },
+        "data": {
+            "window_hours": st.just(window),
+            "train_fraction": st.floats(0.05, 0.95),
+        },
+        "synthetic": {
+            "seed": st.integers(0, 1000),
+            "hours": st.integers(20, 40),
+            "beams": st.integers(1, 3),
+        },
+    }
+    sections = {name: {k: draw(v) for k, v in fields.items()} for name, fields in schema.items()}
+    synthetic = sections.pop("synthetic")
+    beam_bytes = None
+    if draw(st.booleans()):
+        sections["data"]["synthetic"] = synthetic
+    else:
+        text = render_csv(generate_synthetic(
+            synthetic["seed"], synthetic["hours"], default_profiles(1)[0]
+        )).encode("utf-8")
+        cut = draw(st.integers(0, len(text)))
+        beam_bytes = draw(st.one_of(
+            st.just(text),
+            st.binary(max_size=200),
+            st.binary(min_size=1, max_size=8).map(lambda b: text[:cut] + b + text[cut:]),
+        ))
+        sections["data"]["beam_files"] = ["@BEAM@"] * draw(st.integers(1, 2))
+    spoil(draw, {**sections, "synthetic": synthetic})
+    # Omitted, these would default to 20 rounds of 5 epochs over 743 hours.
+    sections["federation"].setdefault("rounds", 1)
+    sections["federation"].setdefault("local_epochs", 1)
+    synthetic.setdefault("hours", 40)
+    return sections, beam_bytes
+
+
+def test_any_train_config_or_beam_file_exits_with_a_documented_code(tmp_path, capsys):
+    """Every config and beam file ends in exit 0, 2, 3 or 4, and a failure
+    prints exactly one ``error:`` line and no traceback."""
+    beam_path = tmp_path / "beam.csv"
+    cfg_path = tmp_path / "cfg.json"
+    seen = Counter()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(train_cases())
+    def check(case):
+        config, beam_bytes = case
+        if beam_bytes is not None:
+            beam_path.write_bytes(beam_bytes)
+        config["out_dir"] = str(tmp_path / "out")
+        text = json.dumps(config).replace('"@BEAM@"', json.dumps(str(beam_path)))
+        cfg_path.write_text(text, encoding="utf-8")
+        code = main(["train", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (code != EXIT_OK), err
+        seen[code] += 1
+
+    check()
+    # The sample reaches every exit code.
+    assert all(seen[code] for code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)), dict(seen)

@@ -461,7 +461,7 @@ def test_a_long_lockstep_schedule_is_not_built_ahead():
 
 
 @pytest.mark.parametrize("epochs", [1, 3])
-def test_layer_zero_training_planes_are_built_once_per_run(monkeypatch, epochs):
+def test_layer_zero_training_planes_are_built_once_per_round(monkeypatch, epochs):
     profiles = default_profiles(4)
     beams = [generate_synthetic(3, h, p) for h, p in zip((80, 95, 120, 80), profiles)]
     fed = dataclasses.replace(FAST_FED, rounds=3, local_epochs=epochs, batch_size=16)
@@ -493,11 +493,11 @@ def test_layer_zero_training_planes_are_built_once_per_run(monkeypatch, epochs):
         assert sum(map(len, layer0)) == fed.rounds * sum(c.sample_count for c in clients) * width
         assert max(len(x) for x, _ in calls) <= len(clients) * fed.batch_size * width
     else:
-        # One plane per client over all its training rows, in the first round only.
-        assert len(layer0) == len(clients)
+        # One plane per client over all its training rows, in every round.
+        assert len(layer0) == fed.rounds * len(clients)
         for client in clients:
             points = client.train_features.reshape(-1)
-            assert sum(np.array_equal(x, points) for x in layer0) == 1
+            assert sum(np.array_equal(x, points) for x in layer0) == fed.rounds
 
 
 def test_stacked_calls_are_split_at_max_stack_rows(monkeypatch):
