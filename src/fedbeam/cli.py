@@ -33,7 +33,12 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .federation import ExperimentReport, FederationConfig, run_experiment
+from .federation import (
+    ExperimentReport,
+    FederationConfig,
+    check_model_fits_data,
+    run_experiment,
+)
 from .model import KIND_FED_KAN, KIND_FED_MLP, ModelConfig
 from .report import render_comparison_csv, render_experiment_csv, summary_table
 
@@ -164,6 +169,8 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
     window_hours, train_fraction, beam_files, synthetic = _parse_data_section(
         raw.get("data", {})
     )
+    # Checked here, before any beam is loaded or generated.
+    check_model_fits_data(model, window_hours)
     out_dir = raw.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigurationError(f"out_dir must be a path, got {out_dir!r}")

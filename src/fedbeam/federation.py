@@ -9,10 +9,18 @@ stacked model, even when their series differ in length.  The clients step
 together on a global step counter; a client leaves the stack when its own
 schedule ends, and at each step the clients whose batch has the same size
 form one stacked call (split when it would exceed ``MAX_STACK_ROWS``
-batch rows).  Every client keeps its own seeded dropout stream and its
-own rows of the stack's weight and Adam moment buffers, which each call
-updates in place, and each row's arithmetic is the same as training that
-client alone, so the stacking cannot change results.
+batch rows).  Every client keeps its own rows of the stack's weight and
+Adam moment buffers, which each call updates in place, and each row's
+arithmetic is the same as training that client alone, so the stacking
+cannot change results.
+
+Every client also keeps its own seeded dropout generator.  When a client
+starts an epoch, that epoch's uniforms are drawn from its generator in one
+call, and each step reads its masks from that block in stream order: its
+batch's rows, layer by layer.  That is the order in which per-step draws,
+one per dropout layer, would consume the stream, and a PCG64 stream gives
+the same doubles however its draws are chunked, so the masks are bitwise
+those of drawing them step by step.  With ``dropout_p`` 0 nothing is drawn.
 
 A spline first layer reads only the client's fixed training windows, so
 when a round trains more than one local epoch each participant's layer-0
@@ -33,7 +41,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import BeamSeries, Scaler, train_count, window_arrays
+from .data import CATEGORIES, BeamSeries, Scaler, train_count, window_arrays
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -41,12 +49,13 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .layers import MODE_EVAL, MODE_TRAIN
+from .layers import MODE_EVAL, MODE_TRAIN, dropout_scale
 from .model import (
     KanBlock,
     Model,
     ModelConfig,
     build_model,
+    dropout_widths,
     export_weights,
     forward,
     forward_with_caches,
@@ -71,6 +80,15 @@ AGG_SAMPLE_WEIGHTED = "sample_weighted"
 # 43.3, 45.2, 48.9 and 50.2 MB RSS; one client per call took 1.12-1.23 s
 # at 42.1 MB.  768 is as fast as no cap for 10% less memory.
 MAX_STACK_ROWS = 768
+
+# Most doubles one generator call draws for a client's epoch of dropout
+# flags.  The float64 draws live beside the epoch's bool flags until they
+# are compared.  Drawn in one call, a fed_mlp protocol epoch (590 rows x 72
+# widths, 340 KB) raised mlp_protocol's peak RSS by 1.2%; in chunks of this
+# size it does not move it.  On a 2-core x86 box the 42,480 draws took
+# 143 us in chunks of 8,192, against 148-189 us for chunks of 2,048-32,768
+# and 187 us in one call.
+DRAW_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -173,6 +191,22 @@ class ExperimentReport:
     final_weights: ParameterVector
 
 
+def check_model_fits_data(model_config: ModelConfig, window_hours: int) -> None:
+    """A model reads a window's 2 * window_hours volumes and predicts the
+    four category shares; it needs no data to check that."""
+    expected = 2 * window_hours
+    if model_config.input_width != expected:
+        raise ConfigurationError(
+            f"model input_width {model_config.input_width} does not match "
+            f"2 * window_hours = {expected}"
+        )
+    if model_config.output_width != len(CATEGORIES):
+        raise ConfigurationError(
+            f"model output_width {model_config.output_width} does not match the "
+            f"{len(CATEGORIES)} target shares ({', '.join(CATEGORIES)})"
+        )
+
+
 def build_client(
     series: BeamSeries, window_hours: int, train_fraction: float
 ) -> ClientState:
@@ -264,6 +298,44 @@ def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> Iterator
                 yield step, lo, hi, size, start_g[lo:hi], range(max(lo, k), hi)
 
 
+def _draw_kept(rng: np.random.Generator, n: int, keep: float) -> np.ndarray:
+    """``rng.random(n) < keep``, drawn ``DRAW_CHUNK`` doubles at a time.
+
+    A PCG64 stream gives the same doubles however its draws are chunked.
+    """
+    kept = np.empty(n, dtype=bool)
+    for lo in range(0, n, DRAW_CHUNK):
+        np.less(rng.random(min(DRAW_CHUNK, n - lo)), keep, out=kept[lo : lo + DRAW_CHUNK])
+    return kept
+
+
+def _step_masks(
+    kept: list[np.ndarray],
+    parts: list[tuple[int, int]],
+    size: int,
+    widths: list[int],
+    drop_prob: float,
+) -> list[np.ndarray]:
+    """One stacked call's dropout masks, cut from its rows' epoch blocks.
+
+    ``kept[r]`` is row ``r``'s epoch of kept flags, flat, ``sum(widths)``
+    per sample.  A row at batch start ``a`` reads ``[a * W, (a + size) *
+    W)`` and splits it into one ``(size, w)`` piece per dropout layer, in
+    layer order: the order per-step, per-layer draws consume the stream.
+    Returns one ``(len(parts), size, w)`` mask per layer.
+    """
+    total = sum(widths)
+    scale = dropout_scale(
+        np.asarray([kept[r][a * total : (a + size) * total] for r, a in parts]), drop_prob
+    )
+    masks = []
+    offset = 0
+    for w in widths:
+        masks.append(scale[:, offset : offset + size * w].reshape(len(parts), size, w))
+        offset += size * w
+    return masks
+
+
 def local_train(
     clients: list[ClientState],
     template: Model,
@@ -273,7 +345,8 @@ def local_train(
 ) -> list[ClientUpdate]:
     """Train clients from the global weights for local_epochs, in lockstep.
 
-    Client ``i`` draws its dropout masks from ``rngs[i]``.  Its schedule
+    Client ``i`` draws its dropout masks from ``rngs[i]``, one epoch's at
+    the step where its epoch starts (see ``_step_masks``).  Its schedule
     is the one it would follow alone: S_i chronological batches per epoch,
     batch ``g % S_i`` of epoch ``g // S_i`` at global step ``g``, until
     ``g`` reaches ``local_epochs * S_i``.  Every client still training at
@@ -310,6 +383,10 @@ def local_train(
         input_plane(template, c.train_features) if planned else c.train_features
         for c in rows
     ]
+    # Each row's kept flags for its current epoch, drawn when the epoch starts.
+    drop_prob = template.config.dropout_p
+    widths = dropout_widths(template)
+    kept: list[np.ndarray] = [None] * len(rows)  # type: ignore[list-item]
 
     # One row per client in the weight, gradient and Adam moment buffers.  A
     # call over rows [lo:hi] steps their row views in place, so whichever
@@ -327,14 +404,19 @@ def local_train(
                 with_weights(model, model.weights[lo:hi]),
                 grads[lo:hi],
                 segment_views(model.layout, grads[lo:hi]),
-                [rngs[order[r]] for r in range(lo, hi)],
                 AdamState(first[lo:hi], second[lo:hi], *rates),
             )
-        part, part_grads, segments, part_rngs, state = stacks[lo, hi]
+        part, part_grads, segments, state = stacks[lo, hi]
         parts = list(zip(range(lo, hi), starts))
         xb = np.asarray([sources[r][a : a + size] for r, a in parts])
         yb = np.asarray([rows[r].train_targets[a : a + size] for r, a in parts])
-        preds, caches = forward_with_caches(part, xb, MODE_TRAIN, part_rngs, planned)
+        masks = None
+        if drop_prob > 0.0:
+            for r, a in parts:
+                if a == 0:  # row r starts an epoch
+                    kept[r] = _draw_kept(rngs[order[r]], counts[r] * sum(widths), 1 - drop_prob)
+            masks = _step_masks(kept, parts, size, widths, drop_prob)
+        preds, caches = forward_with_caches(part, xb, MODE_TRAIN, masks, planned)
         losses, loss_grad = mse_loss(preds, yb)
         finite = np.isfinite(losses)
         if not finite.all():
@@ -472,12 +554,7 @@ def run_experiment(
     fed_config.validate()
     if not beams:
         raise ConfigurationError("run_experiment needs at least one beam")
-    expected = 2 * window_hours
-    if model_config.input_width != expected:
-        raise ConfigurationError(
-            f"model input_width {model_config.input_width} does not match "
-            f"2 * window_hours = {expected}"
-        )
+    check_model_fits_data(model_config, window_hours)
     clients = [build_client(b, window_hours, train_fraction) for b in beams]
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):

@@ -6,6 +6,9 @@ spline layer treats ``silu`` as one more basis: it evaluates every input's
 ``silu`` and bases into one plane (``kan_plane``) and multiplies that by
 one weight block (``kan_product``); a plane built in advance can be
 multiplied directly.
+A hidden affine layer's ReLU and dropout are one elementwise mask
+(``relu`` with a dropout ``scale``), whose product gives the same bits as
+the two applied in turn.
 All arithmetic is float64 and every backward consumes the cache produced by
 the matching forward.
 
@@ -20,7 +23,6 @@ bitwise equal to running client ``c`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -232,9 +234,20 @@ def linear_backward(
     return d_inputs, d_weights, d_biases
 
 
-def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (output, mask); the mask is reused by the backward pass."""
+def relu(x: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU, then inverted dropout when ``scale`` is given, as one mask.
+
+    Returns (output, mask); the backward pass is ``relu_backward(upstream,
+    mask)``.  ``scale`` is a dropout mask as ``dropout`` draws it (0 or
+    ``1 / keep`` per entry).  ``x * ((x > 0) * scale)`` is bitwise
+    ``(x * (x > 0)) * scale``, signed zeros, NaN and infinities included,
+    and so is the backward product, except where ``upstream * scale``
+    overflows at an entry the ReLU zeroes: relu then dropout gives NaN
+    there, the one mask a signed zero.
+    """
     mask = x > 0
+    if scale is not None:
+        mask = mask * scale
     return x * mask, mask
 
 
@@ -242,18 +255,22 @@ def relu_backward(upstream: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return upstream * mask
 
 
+def dropout_scale(kept: np.ndarray, drop_prob: float) -> np.ndarray:
+    """Inverted-dropout multipliers: ``1 / (1 - drop_prob)`` where kept, else 0."""
+    return kept.astype(np.float64) / (1.0 - drop_prob)
+
+
 def dropout(
-    inputs: np.ndarray,
-    drop_prob: float,
-    mode: str,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    inputs: np.ndarray, drop_prob: float, mode: str, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout.  Eval mode (or drop_prob 0) is the identity with an
     all-ones mask and draws nothing from rng.
 
-    For a stack of batches, ``rng`` may be one generator per entry of the
-    leading axis; each then draws its own batch's mask, exactly as it would
-    for that batch alone.
+    A train-mode call draws ``rng.random(inputs.shape)`` and keeps the
+    entries below ``1 - drop_prob``.  A PCG64 stream gives the same doubles
+    however its draws are chunked, so masks cut in order from one larger
+    draw (see ``fedbeam.federation``) are bitwise the masks of successive
+    calls.
     """
     if not 0.0 <= drop_prob < 1.0:
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {drop_prob}")
@@ -262,18 +279,7 @@ def dropout(
         return inputs, mask
     if mode != MODE_TRAIN:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    keep = 1.0 - drop_prob
-    if isinstance(rng, np.random.Generator):
-        draws = rng.random(inputs.shape)
-    else:
-        if len(rng) != inputs.shape[0]:
-            raise ContractViolationError(
-                f"{len(rng)} generators cannot draw masks for a stack of {inputs.shape[0]}"
-            )
-        draws = np.empty(inputs.shape)
-        for row, r in zip(draws, rng):
-            r.random(out=row)
-    mask = (draws < keep).astype(np.float64) / keep
+    mask = dropout_scale(rng.random(inputs.shape) < 1.0 - drop_prob, drop_prob)
     return inputs * mask, mask
 
 

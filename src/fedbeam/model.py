@@ -4,7 +4,9 @@ Two architectures share one config type.  ``fed_kan`` stacks spline layers
 over [input] + kan_hidden_widths, then a fully connected head (ReLU and
 dropout after every head layer except the last).  ``fed_mlp`` is a plain
 multilayer perceptron with ReLU and dropout after each hidden layer.  Both
-end in a linear readout of ``output_width`` traffic shares.
+end in a linear readout of ``output_width`` traffic shares.  A hidden
+affine block applies its ReLU and dropout as one mask, and caches only
+that mask for the backward pass.
 
 A built model owns one flat float64 weight buffer; every layer array is a
 reshaped view into it.  A spline layer is one array, its weight block
@@ -18,7 +20,7 @@ views ``model_backward`` fills, and the ``ParameterVector`` that
 ``build_model`` is the only step that plans: it validates the config, lays
 out the blocks and builds the spline grid.  Every later model is the built
 one re-viewed over a new buffer (``with_weights``): the same blocks, grids
-and relu/dropout flags, only the arrays they view change.
+and hidden flags, only the arrays they view change.
 
 The buffer may also be a stack of shape ``(clients, parameters)``: one row
 per model, every layer array then carrying a leading ``clients`` axis.  Such
@@ -49,7 +51,6 @@ from .layers import (
     KanLayerParams,
     LinearLayerParams,
     dropout,
-    dropout_backward,
     kan_layer_backward,
     kan_layer_forward,
     kan_plane,
@@ -152,7 +153,8 @@ class ModelConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-# Layer plan entries: ("kan", in, out) or ("linear", in, out, relu, dropout).
+# Layer plan entries: ("kan", in, out) or ("linear", in, out, hidden), where a
+# hidden affine layer is followed by ReLU and dropout.
 def layer_plan(config: ModelConfig) -> list[tuple]:
     """Expand a config into the ordered list of concrete layers."""
     config.validate()
@@ -165,17 +167,17 @@ def layer_plan(config: ModelConfig) -> list[tuple]:
         head = list(config.fc_head_widths)
         if not head:
             # Degenerate config: no head means a single plain readout.
-            plan.append(("linear", head_in, config.output_width, False, False))
+            plan.append(("linear", head_in, config.output_width, False))
             return plan
         for i, w in enumerate(head):
             last = i == len(head) - 1
-            plan.append(("linear", head_in, w, not last, not last))
+            plan.append(("linear", head_in, w, not last))
             head_in = w
     else:
         widths = [config.input_width, *config.mlp_hidden_widths, config.output_width]
         for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
             last = i == len(widths) - 2
-            plan.append(("linear", a, b, not last, not last))
+            plan.append(("linear", a, b, not last))
     return plan
 
 
@@ -235,9 +237,10 @@ class KanBlock:
 
 @dataclass(frozen=True)
 class LinearBlock:
+    """An affine layer; a ``hidden`` one is followed by ReLU and dropout."""
+
     params: LinearLayerParams
-    apply_relu: bool
-    apply_dropout: bool
+    hidden: bool
 
 
 Block = Union[KanBlock, LinearBlock]
@@ -260,7 +263,7 @@ class Model:
 def with_weights(model: Model, weights: np.ndarray) -> Model:
     """The model's blocks re-viewed over another ``(P,)`` or ``(m, P)`` buffer.
 
-    Grids and relu/dropout flags are the model's own; nothing is re-planned
+    Grids and hidden flags are the model's own; nothing is re-planned
     and nothing is copied, so the result trains ``weights`` in place.
     """
     if weights.shape[-1:] != model.weights.shape[-1:]:
@@ -301,18 +304,25 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return with_weights(Model(config, tuple(blocks), weights, layout), weights)
 
 
+def dropout_widths(model: Model) -> list[int]:
+    """Widths of the blocks whose outputs pass through dropout, in order."""
+    return [
+        b.params.out_width for b in model.blocks if isinstance(b, LinearBlock) and b.hidden
+    ]
+
+
 def forward(
     model: Model,
     batch: np.ndarray,
     mode: str = MODE_EVAL,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    masks: np.random.Generator | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Plain forward pass; training mode needs an rng for dropout.
+    """Plain forward pass; training mode needs dropout masks or their generator.
 
     Nothing is kept for a backward pass, so no spline layer evaluates its
     basis derivatives.
     """
-    return _forward(model, batch, mode, rng, None, False)
+    return _forward(model, batch, mode, masks, None, False)
 
 
 def input_plane(model: Model, features: np.ndarray) -> np.ndarray:
@@ -333,17 +343,20 @@ def forward_with_caches(
     model: Model,
     batch: np.ndarray,
     mode: str = MODE_EVAL,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    masks: np.random.Generator | Sequence[np.ndarray] | None = None,
     planned: bool = False,
 ) -> tuple[np.ndarray, list[dict]]:
     """Forward pass keeping what model_backward needs.
 
     ``batch`` is ``(n, input_width)`` for one model and ``(clients, n,
-    input_width)`` for a stack of models; a stack draws its dropout masks
-    from one generator per client (see ``fedbeam.layers.dropout``).
-    Dropout is the identity in eval mode, so no rng is needed and no mask
-    is recorded there.  The first block's input gradient is never read, so
-    a spline layer there caches no basis derivatives.
+    input_width)`` for a stack of models.  In training mode ``masks`` gives
+    the dropout masks: either a Generator, from which each dropout layer
+    draws its own in turn (``fedbeam.layers.dropout``), or the masks drawn
+    ahead, one per entry of ``dropout_widths`` and each of that layer's
+    output shape, as ``fedbeam.layers.dropout`` scales them.  Dropout is
+    the identity in eval mode and with ``dropout_p`` 0, and nothing is drawn
+    there.  The first block's input gradient is never read, so a spline
+    layer there caches no basis derivatives.
 
     With ``planned`` the batch holds rows of the first block's plane
     (``input_plane``) in place of feature rows, ``(..., n, input_width *
@@ -352,7 +365,7 @@ def forward_with_caches(
     them here.
     """
     caches: list[dict] = []
-    out = _forward(model, batch, mode, rng, caches, planned)
+    out = _forward(model, batch, mode, masks, caches, planned)
     return out, caches
 
 
@@ -360,7 +373,7 @@ def _forward(
     model: Model,
     batch: np.ndarray,
     mode: str,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    masks: np.random.Generator | Sequence[np.ndarray] | None,
     caches: list[dict] | None,
     planned: bool,
 ) -> np.ndarray:
@@ -379,8 +392,18 @@ def _forward(
         raise ContractViolationError(
             f"expected batch of shape {(*lead, 'n', width)}, got {batch.shape}"
         )
-    if mode == MODE_TRAIN and model.config.dropout_p > 0.0 and rng is None:
-        raise ContractViolationError("training mode with dropout needs an rng")
+    if mode not in (MODE_TRAIN, MODE_EVAL):
+        raise ConfigurationError(f"unknown mode {mode!r}")
+    drop_prob = model.config.dropout_p
+    drawing = mode == MODE_TRAIN and drop_prob > 0.0
+    if drawing and masks is None:
+        raise ContractViolationError("training mode with dropout needs masks or a generator")
+    ahead = None
+    if drawing and not isinstance(masks, np.random.Generator):
+        layers = len(dropout_widths(model))
+        if len(masks) != layers:
+            raise ContractViolationError(f"{len(masks)} dropout masks for {layers} dropout layers")
+        ahead = iter(masks)
     x = np.asarray(batch, dtype=np.float64)
     for i, block in enumerate(model.blocks):
         if isinstance(block, KanBlock):
@@ -392,13 +415,18 @@ def _forward(
             entry = {"kind": "kan", "layer": cache}
         else:
             x, cache = linear_forward(x, block.params)
-            entry = {"kind": "linear", "layer": cache, "relu_mask": None, "drop_mask": None}
-            if block.apply_relu:
-                x, mask = relu(x)
-                entry["relu_mask"] = mask
-            if block.apply_dropout and mode != MODE_EVAL:
-                x, mask = dropout(x, model.config.dropout_p, mode, rng)
-                entry["drop_mask"] = mask
+            entry = {"kind": "linear", "layer": cache, "mask": None}
+            if block.hidden:
+                scale = None
+                if ahead is not None:
+                    scale = next(ahead)
+                    if scale.shape != x.shape:
+                        raise ContractViolationError(
+                            f"dropout mask of shape {scale.shape} for an output of {x.shape}"
+                        )
+                elif drawing:
+                    scale = dropout(x, drop_prob, mode, masks)[1]
+                x, entry["mask"] = relu(x, scale)
         if caches is not None:
             caches.append(entry)
     return x
@@ -437,10 +465,8 @@ def model_backward(
             j -= 1
             grad_views[j][...] = d_weights
         else:
-            if entry["drop_mask"] is not None:
-                u = dropout_backward(u, entry["drop_mask"])
-            if entry["relu_mask"] is not None:
-                u = relu_backward(u, entry["relu_mask"])
+            if entry["mask"] is not None:
+                u = relu_backward(u, entry["mask"])
             u, d_weights, d_biases = linear_backward(u, block.params, entry["layer"])
             j -= 2
             grad_views[j][...] = d_weights

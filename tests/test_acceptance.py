@@ -11,6 +11,7 @@ though the documented convention yields 648, so that sub-check fails and is
 visibly recorded rather than papered over.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -53,6 +54,18 @@ REL_TOL_GRADIENT = 1e-4
 PARTITION_TOL = 1e-9
 ORACLE_TOL = 1e-12
 GRADIENT_SEEDS = 20
+
+# SHA-256 of the three files the protocol_run fixture writes (the synthetic
+# config route: the seed-7 beams generated in process, not read from CSV).
+# Rule: a change that moves bits updates these constants in the same commit
+# and records the old and new digests in CHANGES.md.  They depend on the
+# BLAS build; a mismatch on another machine is a finding to report, not a
+# reason to turn the pin into a tolerance.
+PROTOCOL_DIGESTS = {
+    "comparison.csv": "76f65d82c84e5eaae459c9aa7895e1c1377f3c3a7451a2e30974fc3c6d1f193b",
+    "report_fed_kan.csv": "3701fa1323fa8baede32ecba1f06f7b7198a7d35340727850384b762a26ba210",
+    "report_fed_mlp.csv": "4f81cb1cc5ad11ebb597e8b4a33a1028c72dc70f768f6bd37e221f2d3c184fd6",
+}
 
 PAPER_FEDERATION = {
     "rounds": 20,
@@ -364,6 +377,12 @@ def test_criterion8_byte_identical_compare(protocol_run):
         baseline = (protocol_run["out_dir"] / name).read_bytes()
         assert baseline == (root / "runB" / name).read_bytes()
         assert baseline == (root / "runC" / name).read_bytes()
+
+
+def test_protocol_reports_match_their_pinned_digests(protocol_run):
+    for name, digest in PROTOCOL_DIGESTS.items():
+        data = (protocol_run["out_dir"] / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_acceptance_protocol_uses_paper_settings(protocol_run):

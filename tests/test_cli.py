@@ -288,6 +288,24 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, section, key, value
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("kind", ["fed_kan", "fed_mlp"])
+def test_an_output_width_other_than_the_four_shares_exits_2_before_loading(
+    tmp_path, capsys, command, kind
+):
+    # The beam file does not exist: loading it would exit 3.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        model={"kind": kind, "output_width": 3, "fc_head_widths": [8, 3]},
+        data={"beam_files": [str(tmp_path / "missing.csv")]},
+    )
+    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "output_width 3" in err
+    assert "missing.csv" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
 def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
     def oversized(*args, **kwargs):
         raise MemoryError("Unable to allocate 14.9 GiB")
@@ -400,9 +418,10 @@ def train_cases(draw):
             "input_width": st.just(2 * window),
             "kan_hidden_widths": widths(4, 3),
             "mlp_hidden_widths": widths(8, 3),
-            # The targets are the four category shares.
+            # The targets are the four category shares; any other
+            # output_width exits 2 before the data is read.
             "fc_head_widths": widths(6, 1).map(lambda head: [*head, 4]),
-            "output_width": st.just(4),
+            "output_width": st.one_of(st.just(4), st.integers(1, 8)),
             "grid_intervals": st.integers(1, 6),
             "spline_order": st.integers(0, 3),
             "dropout_p": st.floats(0.0, 0.9),

@@ -28,12 +28,14 @@ from fedbeam.federation import (
     evaluate_global,
     local_train,
     _lockstep_calls,
+    _draw_kept,
     _runs,
+    _step_masks,
     minibatch_slices,
     run_experiment,
     run_round,
 )
-from fedbeam.layers import MODE_EVAL, MODE_TRAIN
+from fedbeam.layers import MODE_EVAL, MODE_TRAIN, dropout
 from fedbeam.model import (
     KanBlock,
     ModelConfig,
@@ -50,6 +52,18 @@ from fedbeam.params import ParameterVector
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
+
+# Both models at the default dropout_p 0.5, then at 0.3 (whose 1 / keep is
+# inexact) and at 0, where nothing is drawn.
+DROPOUT_CONFIGS = [
+    pytest.param(ModelConfig.fed_kan(), id="kan"),
+    pytest.param(ModelConfig.fed_mlp(), id="mlp"),
+    *(
+        pytest.param(make(dropout_p=p), id=f"{name}-p{p}")
+        for p in (0.3, 0.0)
+        for name, make in (("kan", ModelConfig.fed_kan), ("mlp", ModelConfig.fed_mlp))
+    ),
+]
 
 
 def small_clients(n_beams: int = 2, hours: int = 80) -> list[ClientState]:
@@ -317,7 +331,7 @@ def uneven_clients(hours=(80, 95, 120, 80)) -> list[ClientState]:
     return [build_client(generate_synthetic(3, h, p), 5, 0.8) for h, p in zip(hours, profiles)]
 
 
-@pytest.mark.parametrize("cfg", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()], ids=["kan", "mlp"])
+@pytest.mark.parametrize("cfg", DROPOUT_CONFIGS)
 def test_ragged_lockstep_matches_each_client_alone(cfg):
     clients = uneven_clients()
     assert [c.sample_count for c in clients] == [60, 72, 92, 60]
@@ -343,6 +357,7 @@ def train_alone(client, template, weights, fed, rng):
     Follows the schedule ``local_train`` documents: chronological batches,
     every epoch in turn, one Adam step number per step from 1, fresh
     moments, and the element-weighted mean of the final epoch's losses.
+    Each step's dropout layers draw their masks from ``rng`` in turn.
     """
     model = import_weights(template, weights)
     grads = np.zeros_like(model.weights)
@@ -368,11 +383,13 @@ def train_alone(client, template, weights, fed, rng):
 
 
 @pytest.mark.parametrize("epochs", [1, 3])
-@pytest.mark.parametrize("cfg", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()], ids=["kan", "mlp"])
+@pytest.mark.parametrize("cfg", DROPOUT_CONFIGS)
 def test_local_train_matches_a_plain_loop_over_feature_rows(cfg, epochs):
     # With more than one epoch a spline first block reads rows of a plane
     # built once per client; the plain loop builds every batch's plane from
-    # its own feature rows.
+    # its own feature rows.  local_train cuts each step's dropout masks from
+    # an epoch's block per client; the plain loop draws them step by step,
+    # layer by layer, from its generator.
     clients = uneven_clients()
     fed = dataclasses.replace(FAST_FED, local_epochs=epochs, batch_size=16)
     template = build_model(cfg, seed=7)
@@ -558,6 +575,55 @@ def test_run_round_mixed_lengths_match_clients_trained_alone(monkeypatch):
     expected = aggregate(updates, fed.aggregation)
     assert np.array_equal(new_weights.to_flat(), expected.to_flat())
     assert report.avg_train_loss == float(np.mean([u.local_train_loss for u in updates]))
+
+
+@pytest.mark.parametrize("drop_prob", [0.5, 0.3])
+def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_prob):
+    # Two rows, 60 and 44 samples: short last batches of 12 each.  Each
+    # epoch block is drawn in several calls, and a chunk ends mid-step.
+    monkeypatch.setattr(fedbeam.federation, "DRAW_CHUNK", 1000)
+    counts, batch_size, widths = [60, 44], 16, [8, 16, 48]
+    total = sum(widths)
+    blocks = [np.random.default_rng(r) for r in range(2)]
+    oracles = [np.random.default_rng(r) for r in range(2)]
+    kept = [None, None]
+    for epoch in range(2):
+        for r, n in enumerate(counts):
+            kept[r] = _draw_kept(blocks[r], n * total, 1.0 - drop_prob)
+            for a in range(0, n, batch_size):
+                size = min(batch_size, n - a)
+                got = _step_masks(kept, [(r, a)], size, widths, drop_prob)
+                for mask, w in zip(got, widths, strict=True):
+                    want = dropout(np.ones((1, size, w)), drop_prob, MODE_TRAIN, oracles[r])[1]
+                    assert mask.tobytes() == want.tobytes()
+        # A stacked call at different starts: each row is its own call's.
+        for a, b in ((16, 32), (48, 32)):
+            size = min(batch_size, counts[0] - a, counts[1] - b)
+            pair = _step_masks(kept, [(0, a), (1, b)], size, widths, drop_prob)
+            alone = [
+                _step_masks(kept, [part], size, widths, drop_prob) for part in ((0, a), (1, b))
+            ]
+            for layer, mask in enumerate(pair):
+                assert mask.tobytes() == np.concatenate([m[layer] for m in alone]).tobytes()
+
+
+@pytest.mark.parametrize("make", [ModelConfig.fed_kan, ModelConfig.fed_mlp], ids=["kan", "mlp"])
+def test_no_dropout_leaves_every_generator_untouched(make):
+    clients = uneven_clients()
+    template = build_model(make(dropout_p=0.0), seed=7)
+    rngs = [np.random.default_rng(i) for i in range(4)]
+    before = [r.bit_generator.state for r in rngs]
+    local_train(clients, template, export_weights(template), FAST_FED, rngs)
+    forward(template, clients[0].test_features, MODE_TRAIN, rngs[0])
+    assert [r.bit_generator.state for r in rngs] == before
+
+
+def test_eval_mode_draws_nothing():
+    template = build_model(ModelConfig.fed_mlp(), seed=7)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    forward_with_caches(template, np.zeros((5, 10)), MODE_EVAL, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_local_train_rejects_a_wrong_rng_count():

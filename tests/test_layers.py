@@ -313,11 +313,40 @@ def test_stacked_layers_match_each_batch_alone():
     assert d_weights.tobytes() == full_weights.tobytes()
 
 
-def test_stacked_dropout_draws_each_mask_from_its_own_rng():
-    x = np.ones((3, 5, 4))
-    _, mask = dropout(x, 0.5, MODE_TRAIN, [np.random.default_rng(s) for s in range(3)])
-    for c in range(3):
-        _, alone = dropout(x[c], 0.5, MODE_TRAIN, np.random.default_rng(c))
-        assert np.array_equal(mask[c], alone)
-    with pytest.raises(ContractViolationError):
-        dropout(x, 0.5, MODE_TRAIN, [np.random.default_rng(0)])
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, -2.5, 3.5])
+
+
+@pytest.mark.parametrize("drop_prob", [0.5, 0.3])
+def test_relu_and_dropout_as_one_mask_are_bitwise_the_two_in_turn(drop_prob):
+    # 1 / 0.7 is inexact; 1 / 0.5 is not.
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((3, 16, 12)) * 10.0
+    upstream = rng.standard_normal(x.shape)
+    x.reshape(-1)[: EDGES.size] = EDGES
+    upstream.reshape(-1)[-EDGES.size :] = EDGES
+    rng.shuffle(x.reshape(-1))
+    rng.shuffle(upstream.reshape(-1))
+
+    with np.errstate(invalid="ignore"):
+        relu_out, relu_mask = relu(x)
+        out, drop_mask = dropout(relu_out, drop_prob, MODE_TRAIN, np.random.default_rng(5))
+        back = relu_backward(dropout_backward(upstream, drop_mask), relu_mask)
+        scale = dropout(x, drop_prob, MODE_TRAIN, np.random.default_rng(5))[1]
+        fused_out, mask = relu(x, scale)
+        fused_back = relu_backward(upstream, mask)
+    assert fused_out.tobytes() == out.tobytes()
+    assert fused_back.tobytes() == back.tobytes()
+    assert np.isnan(fused_out).any() and np.signbit(fused_out[fused_out == 0]).any()
+
+
+def test_one_mask_differs_only_where_the_scaled_gradient_overflows():
+    x = np.array([-1.0, 1.0])
+    upstream = np.array([1e308, 1e308])
+    scale = np.array([2.0, 2.0])
+    _, relu_mask = relu(x)
+    _, mask = relu(x, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        two = relu_backward(dropout_backward(upstream, scale), relu_mask)
+        one = relu_backward(upstream, mask)
+    assert np.isnan(two[0]) and one[0] == 0.0
+    assert two[1] == one[1] == np.inf

@@ -11,13 +11,14 @@ from fedbeam.errors import (
     IncompatibleWeightsError,
 )
 from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
-from fedbeam.layers import MODE_EVAL, MODE_TRAIN
+from fedbeam.layers import MODE_EVAL, MODE_TRAIN, dropout
 from fedbeam.model import (
     KanBlock,
     LinearBlock,
     ModelConfig,
     build_model,
     count_parameters,
+    dropout_widths,
     export_weights,
     forward,
     forward_with_caches,
@@ -37,8 +38,7 @@ def test_fed_mlp_plan_is_four_linear_layers():
     assert [entry[0] for entry in plan] == ["linear"] * 4
     assert [(entry[1], entry[2]) for entry in plan] == [(10, 8), (8, 16), (16, 48), (48, 4)]
     # ReLU + dropout after each hidden layer, plain final readout.
-    assert [entry[3] for entry in plan] == [True, True, True, False]
-    assert [entry[4] for entry in plan] == [True, True, True, False]
+    assert [entry[3:] for entry in plan] == [(True,), (True,), (True,), (False,)]
 
 
 def test_fed_kan_plan_chains_widths():
@@ -48,8 +48,8 @@ def test_fed_kan_plan_chains_widths():
     widths = [(entry[1], entry[2]) for entry in plan]
     assert widths == [(10, 2), (2, 4), (4, 8), (8, 8), (8, 4)]
     # Head: FC1 carries ReLU and dropout, the output layer is plain.
-    assert plan[3][3] and plan[3][4]
-    assert not plan[4][3] and not plan[4][4]
+    assert plan[3][3:] == (True,)
+    assert plan[4][3:] == (False,)
 
 
 def test_count_parameters_fed_mlp_is_1244():
@@ -118,7 +118,7 @@ def test_fed_kan_blocks_have_no_dropout_on_kan_layers():
     kan_blocks = [b for b in model.blocks if isinstance(b, KanBlock)]
     linear_blocks = [b for b in model.blocks if isinstance(b, LinearBlock)]
     assert len(kan_blocks) == 3 and len(linear_blocks) == 2
-    assert linear_blocks[0].apply_dropout and not linear_blocks[1].apply_dropout
+    assert linear_blocks[0].hidden and not linear_blocks[1].hidden
 
 
 def test_forward_eval_is_deterministic():
@@ -144,15 +144,21 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
     model = build_model(config, seed=4)
     stacked = import_weights(model, export_weights(model), copies=3)
     batch = np.random.default_rng(2).uniform(-1.5, 1.5, (3, 9, 10))
+
     def one():
         return np.random.default_rng(77)
 
-    def per_row():
-        return [np.random.default_rng(s) for s in (77, 78, 79)]
+    def ahead():
+        # The stack's masks drawn before the call, one per dropout layer.
+        rng = np.random.default_rng(77)
+        return [
+            dropout(np.ones((3, 9, w)), config.dropout_p, MODE_TRAIN, rng)[1]
+            for w in dropout_widths(model)
+        ]
 
-    for m, x, rngs in ((model, batch[0], one), (stacked, batch, per_row)):
-        out = forward(m, x, mode, rngs())
-        cached, caches = forward_with_caches(m, x, mode, rngs())
+    for m, x, masks in ((model, batch[0], one), (stacked, batch, ahead)):
+        out = forward(m, x, mode, masks())
+        cached, caches = forward_with_caches(m, x, mode, masks())
         assert out.tobytes() == cached.tobytes()
         # Only the spline layers after the first cache basis derivatives,
         # and the backward pass returns no gradient for the batch.
@@ -172,10 +178,12 @@ def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
     # Batches gathered from one plane built over all rows, against batches
     # whose plane is built from their own feature rows.
     picks = np.array([[3, 4, 5, 6], [0, 1, 2, 3], [36, 37, 38, 39]])
-    rngs = [np.random.default_rng(s) for s in (77, 78, 79)]
-    out, caches = forward_with_caches(stacked, features[picks], MODE_TRAIN, rngs)
-    rngs = [np.random.default_rng(s) for s in (77, 78, 79)]
-    planned_out, planned_caches = forward_with_caches(stacked, plane[picks], MODE_TRAIN, rngs, True)
+    out, caches = forward_with_caches(
+        stacked, features[picks], MODE_TRAIN, np.random.default_rng(77)
+    )
+    planned_out, planned_caches = forward_with_caches(
+        stacked, plane[picks], MODE_TRAIN, np.random.default_rng(77), True
+    )
     assert planned_out.tobytes() == out.tobytes()
     assert planned_caches[0]["layer"]["plane"].tobytes() == caches[0]["layer"]["plane"].tobytes()
     grads = np.empty((2, *stacked.weights.shape))
@@ -310,8 +318,7 @@ def test_with_weights_reuses_the_blocks_plan():
         if isinstance(block, KanBlock):
             assert again.params.grid is block.params.grid
         else:
-            assert again.apply_relu == block.apply_relu
-            assert again.apply_dropout == block.apply_dropout
+            assert again.hidden == block.hidden
     with pytest.raises(ContractViolationError):
         with_weights(model, model.weights[:-1])
 
