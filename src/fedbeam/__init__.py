@@ -7,14 +7,9 @@ from .data import (
     BeamProfile,
     BeamSeries,
     Scaler,
-    WindowedSample,
-    apply_scaler,
-    chrono_split,
     default_profiles,
-    fit_scaler,
     generate_synthetic,
     load_csv,
-    make_windows,
 )
 from .errors import (
     ConfigurationError,
@@ -57,14 +52,9 @@ __all__ = [
     "BeamProfile",
     "BeamSeries",
     "Scaler",
-    "WindowedSample",
-    "apply_scaler",
-    "chrono_split",
     "default_profiles",
-    "fit_scaler",
     "generate_synthetic",
     "load_csv",
-    "make_windows",
     "ConfigurationError",
     "ContractViolationError",
     "FedbeamError",

@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration problem (including a config whose
 arrays do not fit in memory), 3 I/O problem, 4 numeric failure (non-finite
-loss).  FEDBEAM_LOG controls log verbosity.
+loss).  FEDBEAM_LOG names the log level as the logging module spells it
+(DEBUG, INFO, WARNING, ...; WARNING when unset); any other value exits 2.
 """
 
 from __future__ import annotations
@@ -312,10 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_pages()
-    logging.basicConfig(level=os.environ.get("FEDBEAM_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("FEDBEAM_LOG", "WARNING")
+        # getLevelName maps a level name to its number, and any other string
+        # to a string.
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigurationError(f"FEDBEAM_LOG must name a logging level, got {level!r}")
+        logging.basicConfig(level=level)
         # Every non-finite loss is caught and raised as a NumericsError, so
         # NumPy's overflow and invalid-value warnings would only repeat it.
         with np.errstate(all="ignore"):

@@ -63,14 +63,6 @@ class BeamSeries:
 
 
 @dataclass(frozen=True)
-class WindowedSample:
-    """Features are the last W hours as [dl_t, ul_t] pairs, oldest first."""
-
-    features: np.ndarray
-    target: np.ndarray
-
-
-@dataclass(frozen=True)
 class Scaler:
     """Per-feature min-max ranges, fit on training features only."""
 
@@ -330,12 +322,6 @@ def window_arrays(series: BeamSeries, window_hours: int) -> tuple[np.ndarray, np
     return windows.reshape(m, 2 * window_hours), series.hourly_shares[window_hours:]
 
 
-def make_windows(series: BeamSeries, window_hours: int) -> list[WindowedSample]:
-    """Sliding windows: sample t covers hours [t, t+W), target is hour t+W."""
-    features, targets = window_arrays(series, window_hours)
-    return [WindowedSample(f, t) for f, t in zip(features, targets)]
-
-
 def train_count(n: int, train_fraction: float) -> int:
     """floor(f*n): how many of n chronological samples train."""
     if not 0.0 < train_fraction < 1.0:
@@ -348,22 +334,3 @@ def train_count(n: int, train_fraction: float) -> int:
             f"split of {n} samples at {train_fraction} leaves an empty side"
         )
     return n_train
-
-
-def chrono_split(
-    samples: list[WindowedSample], train_fraction: float
-) -> tuple[list[WindowedSample], list[WindowedSample]]:
-    """First floor(f*n) samples train, remainder test; order preserved."""
-    n_train = train_count(len(samples), train_fraction)
-    return samples[:n_train], samples[n_train:]
-
-
-def fit_scaler(train_samples: list[WindowedSample]) -> Scaler:
-    if not train_samples:
-        raise ConfigurationError("cannot fit a scaler on an empty training set")
-    return Scaler.fit(np.stack([s.features for s in train_samples]))
-
-
-def apply_scaler(scaler: Scaler, samples: list[WindowedSample]) -> list[WindowedSample]:
-    """Min-max scale features; degenerate columns map to 0; targets pass through."""
-    return [WindowedSample(scaler.transform(s.features), s.target) for s in samples]

@@ -240,15 +240,6 @@ def dataset_digest(clients: list[ClientState]) -> str:
     return h.hexdigest()
 
 
-def minibatch_slices(n: int, batch_size: int) -> list[slice]:
-    """Chronological batches; the last one may be short."""
-    if n < 1:
-        raise ConfigurationError("cannot batch an empty training set")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    return [slice(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
-
-
 def _runs(sizes: list[int]) -> list[tuple[int, int, int]]:
     """Split rows into maximal runs of equal batch size, each at most
     ``MAX_STACK_ROWS`` batch rows; size 0 marks the finished rows."""
@@ -269,7 +260,8 @@ def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> Iterator
     """The stacked calls that train rows of these sample counts in lockstep.
 
     ``counts`` run longest first.  At global step ``g`` row ``r`` takes
-    batch ``g % S_r`` of epoch ``g // S_r`` (S_r batches per epoch) while
+    batch ``g % S_r`` of epoch ``g // S_r`` (S_r = ceil(n_r / batch_size)
+    chronological batches per epoch, the last one may be short) while
     ``g < epochs * S_r``; consecutive rows whose batch has the same size
     share a call of at most ``MAX_STACK_ROWS`` batch rows.  Each call is
     ``(g, lo, hi, size, starts, final)``: rows [lo:hi] take ``size``
@@ -278,8 +270,8 @@ def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> Iterator
     longest row at a time, so the schedule's memory does not grow with
     ``epochs``.
     """
-    steps = np.array([len(minibatch_slices(n, batch_size)) for n in counts])
     counts_array = np.array(counts)
+    steps = -(-counts_array // batch_size)
     runs: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for epoch in range(epochs):
         g = np.arange(epoch * steps[0], (epoch + 1) * steps[0])[:, None]
@@ -369,6 +361,7 @@ def local_train(
     for client in clients:
         if client.sample_count < 1:
             raise ConfigurationError(f"client {client.client_id!r} has no training data")
+    fed_config.validate()
     batch_size, epochs = fed_config.batch_size, fed_config.local_epochs
     # Rows run longest first.  By sample count, descending, is by steps per
     # epoch, then by last batch size, both descending: the rows still

@@ -30,8 +30,6 @@ row, and is how the federation trains a round's clients in lockstep.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence, Union
@@ -147,10 +145,6 @@ class ModelConfig:
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
 
 # Layer plan entries: ("kan", in, out) or ("linear", in, out, hidden), where a

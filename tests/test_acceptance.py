@@ -19,13 +19,19 @@ import pytest
 
 from fedbeam.cli import EXIT_OK, main
 from fedbeam.data import (
-    chrono_split,
+    Scaler,
     default_profiles,
-    fit_scaler,
     generate_synthetic,
-    make_windows,
+    train_count,
+    window_arrays,
 )
-from fedbeam.federation import ClientUpdate, FederationConfig, aggregate, run_experiment
+from fedbeam.federation import (
+    ClientUpdate,
+    FederationConfig,
+    aggregate,
+    build_client,
+    run_experiment,
+)
 from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 from fedbeam.layers import (
     MODE_EVAL,
@@ -280,18 +286,23 @@ def test_criterion4_fedavg_algebra():
 @pytest.mark.acceptance("5-data-pipeline")
 def test_criterion5_data_pipeline():
     series = generate_synthetic(7, 743, default_profiles(1)[0])
-    samples = make_windows(series, 5)
-    assert len(samples) == 738
-    train, test = chrono_split(samples, 0.8)
-    assert len(train) == 590
-    assert len(test) == 148
-    # Chronological and disjoint: every sample appears exactly once, in order.
-    rejoined = train + test
-    for original, again in zip(samples, rejoined):
-        assert original is again
+    features, targets = window_arrays(series, 5)
+    assert len(features) == len(targets) == 738
+    n_train = train_count(len(features), 0.8)
+    assert n_train == 590
+    assert len(features) - n_train == 148
+    scaler_train = Scaler.fit(features[:n_train])
+    # Chronological and disjoint: the train rows then the test rows are the
+    # windows in order, scaled with the training range only.
+    client = build_client(series, 5, 0.8)
+    assert len(client.train_features) == 590
+    assert len(client.test_features) == 148
+    rows = np.concatenate([client.train_features, client.test_features])
+    assert rows.tobytes() == scaler_train.transform(features).tobytes()
+    row_targets = np.concatenate([client.train_targets, client.test_targets])
+    assert row_targets.tobytes() == targets.tobytes()
     # Leakage tripwire: the scaler must depend only on the training range.
-    scaler_train = fit_scaler(train)
-    scaler_all = fit_scaler(train + test)
+    scaler_all = Scaler.fit(features)
     assert not (
         np.array_equal(scaler_train.feature_min, scaler_all.feature_min)
         and np.array_equal(scaler_train.feature_max, scaler_all.feature_max)

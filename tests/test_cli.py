@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import ctypes
+import hashlib
 import importlib
 import json
 import os
@@ -177,10 +178,17 @@ def test_train_on_generated_csv_files(tmp_path):
         data={"beam_files": [str(gen_dir / "beam-01.csv"), str(gen_dir / "beam-02.csv")]},
     )
     assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
-    report = parse_experiment_csv(
-        (tmp_path / "out" / "report_fed_kan.csv").read_text(encoding="utf-8")
-    )
+    data = (tmp_path / "out" / "report_fed_kan.csv").read_bytes()
+    report = parse_experiment_csv(data.decode("utf-8"))
     assert report["meta"]["data"]["beam_ids"] == ["beam-01", "beam-02"]
+    # SHA-256 of the report on the CSV route: ingest, window, split, scale.
+    # Rule: a change that moves bits updates this constant in the same commit
+    # and records the old and new digests in CHANGES.md.  It depends on the
+    # BLAS build; a mismatch on another machine is a finding to report, not a
+    # reason to turn the pin into a tolerance.
+    assert hashlib.sha256(data).hexdigest() == (
+        "086abe2a804822021140677932ba8ca5c4ae5da5aaa722f0ac85f723042132b8"
+    )
 
 
 def test_compare_outputs_and_summary(tmp_path, capsys):
@@ -331,6 +339,27 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     rejected = run("generate", "--beams", "0", "--out", str(tmp_path / "beams"))
     assert rejected.returncode == EXIT_CONFIG
     assert rejected.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("level", ["bogus", "info", ""])
+def test_an_unknown_log_level_exits_2_with_one_error_line(tmp_path, level):
+    # A subprocess, because under pytest the root logger already has
+    # handlers and basicConfig would not read the level at all.
+    src = str(Path(fedbeam.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "FEDBEAM_LOG": level,
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "fedbeam", "generate", "--out", str(tmp_path / "g")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr == f"error: FEDBEAM_LOG must name a logging level, got {level!r}\n"
+    assert not (tmp_path / "g").exists()
 
 
 def test_main_keeps_freed_pages_once_before_the_subcommand(tmp_path, monkeypatch):

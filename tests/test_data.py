@@ -7,17 +7,16 @@ from fedbeam.data import (
     CATEGORIES,
     CSV_HEADER,
     BeamSeries,
-    WindowedSample,
-    apply_scaler,
-    chrono_split,
+    Scaler,
     default_profiles,
-    fit_scaler,
     generate_synthetic,
     load_csv,
-    make_windows,
     render_csv,
+    train_count,
+    window_arrays,
 )
 from fedbeam.errors import ConfigurationError, IngestionError
+from fedbeam.federation import build_client
 
 
 def toy_series(n: int) -> BeamSeries:
@@ -30,94 +29,94 @@ def toy_series(n: int) -> BeamSeries:
 def test_window_count_743_hours():
     series = generate_synthetic(7, 743, default_profiles(1)[0])
     assert len(series) == 743
-    assert len(make_windows(series, 5)) == 738
+    features, targets = window_arrays(series, 5)
+    assert features.shape == (738, 10)
+    assert targets.shape == (738, 4)
 
 
 def test_window_count_boundary():
-    assert len(make_windows(toy_series(6), 5)) == 1
+    features, targets = window_arrays(toy_series(6), 5)
+    assert len(features) == len(targets) == 1
 
 
 def test_window_indexing_contract():
-    samples = make_windows(toy_series(8), 5)
-    first = samples[0]
+    features, targets = window_arrays(toy_series(8), 5)
     # Hours 0..4 interleaved as [dl_t, ul_t], oldest first.
     expected = np.array([0.0, 1.0, 10.0, 11.0, 20.0, 21.0, 30.0, 31.0, 40.0, 41.0])
-    assert np.array_equal(first.features, expected)
-    assert np.array_equal(first.target, np.array([0.4, 0.3, 0.2, 0.1]))
-    # Sample t starts at hour t.
-    assert samples[1].features[0] == 10.0
+    assert np.array_equal(features[0], expected)
+    assert np.array_equal(targets[0], np.array([0.4, 0.3, 0.2, 0.1]))
+    # Window t starts at hour t.
+    assert features[1, 0] == 10.0
 
 
 def test_window_rejects_short_series():
     with pytest.raises(ConfigurationError):
-        make_windows(toy_series(5), 5)
+        window_arrays(toy_series(5), 5)
     with pytest.raises(ConfigurationError):
-        make_windows(toy_series(10), 0)
+        window_arrays(toy_series(10), 0)
 
 
 def test_split_738_into_590_148():
-    samples = make_windows(generate_synthetic(7, 743, default_profiles(1)[0]), 5)
-    train, test = chrono_split(samples, 0.8)
-    assert len(train) == 590
-    assert len(test) == 148
+    features, _ = window_arrays(generate_synthetic(7, 743, default_profiles(1)[0]), 5)
+    n_train = train_count(len(features), 0.8)
+    assert n_train == 590
+    assert len(features) - n_train == 148
 
 
 def test_split_small_case_and_partition():
-    samples = make_windows(toy_series(15), 5)
-    train, test = chrono_split(samples, 0.8)
-    assert len(train) == 8 and len(test) == 2
-    rejoined = train + test
-    for before, after in zip(samples, rejoined):
-        assert np.array_equal(before.features, after.features)
-        assert np.array_equal(before.target, after.target)
+    features, targets = window_arrays(toy_series(15), 5)
+    n_train = train_count(len(features), 0.8)
+    assert n_train == 8 and len(features) - n_train == 2
+    client = build_client(toy_series(15), 5, 0.8)
+    # The test windows are the ones right after the training windows.
+    assert client.test_features.shape == (2, 10)
+    assert np.array_equal(
+        np.concatenate([client.train_targets, client.test_targets]), targets
+    )
 
 
 def test_split_rejects_bad_fraction_and_empty_sides():
-    samples = make_windows(toy_series(10), 5)
+    n = len(window_arrays(toy_series(10), 5)[0])
     with pytest.raises(ConfigurationError):
-        chrono_split(samples, 0.0)
+        train_count(n, 0.0)
     with pytest.raises(ConfigurationError):
-        chrono_split(samples, 1.0)
+        train_count(n, 1.0)
     with pytest.raises(ConfigurationError):
-        chrono_split(samples, 0.05)
+        train_count(n, 0.05)
 
 
 def test_scaler_maps_fit_set_into_unit_interval():
-    samples = make_windows(generate_synthetic(3, 120, default_profiles(1)[0]), 5)
-    train, test = chrono_split(samples, 0.8)
-    scaler = fit_scaler(train)
-    scaled = apply_scaler(scaler, train)
-    stacked = np.stack([s.features for s in scaled])
-    assert stacked.min() >= 0.0
-    assert stacked.max() <= 1.0
-    # Targets pass through untouched.
-    for before, after in zip(train, scaled):
-        assert np.array_equal(before.target, after.target)
+    series = generate_synthetic(3, 120, default_profiles(1)[0])
+    features, targets = window_arrays(series, 5)
+    n_train = train_count(len(features), 0.8)
+    scaled = Scaler.fit(features[:n_train]).transform(features[:n_train])
+    assert scaled.min() >= 0.0
+    assert scaled.max() <= 1.0
+    # A client's training rows are these; its targets pass through untouched.
+    client = build_client(series, 5, 0.8)
+    assert np.array_equal(client.train_features, scaled)
+    assert np.array_equal(client.train_targets, targets[:n_train])
 
 
 def test_scaler_degenerate_column_maps_to_zero():
-    samples = [
-        WindowedSample(np.array([2.0, 5.0]), np.array([1.0, 0.0, 0.0, 0.0])),
-        WindowedSample(np.array([2.0, 9.0]), np.array([1.0, 0.0, 0.0, 0.0])),
-    ]
-    scaler = fit_scaler(samples)
-    scaled = apply_scaler(scaler, samples)
-    assert scaled[0].features[0] == 0.0
-    assert scaled[1].features[0] == 0.0
-    assert scaled[1].features[1] == 1.0
+    features = np.array([[2.0, 5.0], [2.0, 9.0]])
+    scaled = Scaler.fit(features).transform(features)
+    assert scaled[0, 0] == 0.0
+    assert scaled[1, 0] == 0.0
+    assert scaled[1, 1] == 1.0
 
 
 def test_scaler_leakage_tripwire():
     # Refitting with test data included must change the scaler whenever the
     # test range extends past the training range.
-    samples = make_windows(toy_series(20), 5)
-    train, test = chrono_split(samples, 0.8)
-    scaler_train = fit_scaler(train)
-    scaler_all = fit_scaler(train + test)
+    features, _ = window_arrays(toy_series(20), 5)
+    n_train = train_count(len(features), 0.8)
+    scaler_train = Scaler.fit(features[:n_train])
+    scaler_all = Scaler.fit(features)
     assert not np.array_equal(scaler_train.feature_max, scaler_all.feature_max)
     # Out-of-range test features may exceed 1 after scaling.
-    scaled_test = apply_scaler(scaler_train, test)
-    assert max(s.features.max() for s in scaled_test) > 1.0
+    assert scaler_train.transform(features[n_train:]).max() > 1.0
+    assert build_client(toy_series(20), 5, 0.8).test_features.max() > 1.0
 
 
 def test_synthetic_is_deterministic():

@@ -31,7 +31,6 @@ from fedbeam.federation import (
     _draw_kept,
     _runs,
     _step_masks,
-    minibatch_slices,
     run_experiment,
     run_round,
 )
@@ -79,20 +78,29 @@ def update_of(cid: str, value: float, count: int) -> ClientUpdate:
     return ClientUpdate(cid, vector_of(value), count, 0.1)
 
 
-def test_minibatch_slices_cover_590_in_37():
-    slices = minibatch_slices(590, 16)
-    assert len(slices) == 37
-    lengths = [s.stop - s.start for s in slices]
-    assert lengths[:-1] == [16] * 36
-    assert lengths[-1] == 14
-    assert slices[0].start == 0 and slices[-1].stop == 590
+def test_lockstep_calls_cover_590_in_37():
+    calls = list(_lockstep_calls([590], 1, 16))
+    assert len(calls) == 37
+    assert [size for _, _, _, size, _, _ in calls] == [16] * 36 + [14]
+    assert [starts for _, _, _, _, starts, _ in calls] == [[a] for a in range(0, 590, 16)]
 
 
-def test_minibatch_slices_rejects_empty():
+def test_local_train_rejects_what_it_cannot_batch():
+    clients = small_clients()
+    template = build_model(ModelConfig.fed_kan(), seed=0)
+    weights = export_weights(template)
+    rngs = [np.random.default_rng(i) for i in range(len(clients))]
+    # A config that never went through validate() must still be refused,
+    # before a zero batch size divides or zero epochs leave no loss to report.
+    for fed in (FederationConfig(batch_size=0), FederationConfig(local_epochs=0)):
+        with pytest.raises(ConfigurationError):
+            local_train(clients, template, weights, fed, rngs)
+    first = clients[0]
+    empty = dataclasses.replace(
+        first, train_features=first.train_features[:0], train_targets=first.train_targets[:0]
+    )
     with pytest.raises(ConfigurationError):
-        minibatch_slices(0, 16)
-    with pytest.raises(ConfigurationError):
-        minibatch_slices(10, 0)
+        local_train([empty, clients[1]], template, weights, FederationConfig(), rngs)
 
 
 def test_aggregate_idempotent_on_identical_updates():
@@ -434,7 +442,7 @@ def lockstep_calls_all_at_once(counts, epochs, batch_size):
     """The whole lockstep schedule built before its first call, as one array
     per quantity over every global step: the form ``_lockstep_calls`` had
     before it worked one epoch at a time."""
-    steps = np.array([len(minibatch_slices(n, batch_size)) for n in counts])
+    steps = -(-np.array(counts) // batch_size)
     g = np.arange(epochs * steps[0])[:, None]
     starts = g % steps * batch_size
     sizes = np.minimum(batch_size, np.array(counts) - starts)

@@ -105,12 +105,10 @@ def test_validate_rejects_bad_configs():
         ModelConfig.from_dict({})
 
 
-def test_config_dict_round_trip_and_hash():
+def test_config_dict_round_trip():
     cfg = ModelConfig.fed_kan()
     again = ModelConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    assert again.config_hash() == cfg.config_hash()
-    assert ModelConfig.fed_mlp().config_hash() != cfg.config_hash()
 
 
 def test_fed_kan_blocks_have_no_dropout_on_kan_layers():
