@@ -22,7 +22,7 @@ class IncompatibleWeightsError(FedbeamError):
 
 
 class IngestionError(FedbeamError):
-    """An external file (CSV, weights file) could not be parsed or validated."""
+    """An input (config file, beam CSV, report) could not be read, parsed or validated."""
 
 
 class NumericsError(FedbeamError):

@@ -14,13 +14,15 @@ Adam moment buffers, which each call updates in place, and each row's
 arithmetic is the same as training that client alone, so the stacking
 cannot change results.
 
-Every client also keeps its own seeded dropout generator.  When a client
-starts an epoch, that epoch's uniforms are drawn from its generator in one
-call, and each step reads its masks from that block in stream order: its
-batch's rows, layer by layer.  That is the order in which per-step draws,
-one per dropout layer, would consume the stream, and a PCG64 stream gives
-the same doubles however its draws are chunked, so the masks are bitwise
-those of drawing them step by step.  With ``dropout_p`` 0 nothing is drawn.
+Every client also keeps its own seeded dropout generator, and only this
+module draws from it: the model applies the masks it is given.  When a
+client starts an epoch, that epoch's uniforms are drawn from its generator
+(``DRAW_CHUNK`` at a time), and each step reads its masks from that block
+in stream order: its batch's rows, layer by layer.  That is the order in
+which drawing each step's masks one layer at a time would consume the
+stream, and a PCG64 stream gives the same doubles however its draws are
+chunked, so the masks are bitwise those of drawing them step by step.
+With ``dropout_p`` 0 nothing is drawn.
 
 A spline first layer reads only the client's fixed training windows, so
 when a round trains more than one local epoch each participant's layer-0
@@ -49,9 +51,8 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .layers import MODE_EVAL, MODE_TRAIN, dropout_scale
+from .layers import KanLayerParams, dropout_scale
 from .model import (
-    KanBlock,
     Model,
     ModelConfig,
     build_model,
@@ -371,7 +372,7 @@ def local_train(
     counts = [c.sample_count for c in rows]
     # Each step gathers its rows from its client's source: the layer-0
     # plane when a later epoch reads every row again, else the features.
-    planned = epochs > 1 and isinstance(template.blocks[0], KanBlock)
+    planned = epochs > 1 and isinstance(template.blocks[0], KanLayerParams)
     sources = [
         input_plane(template, c.train_features) if planned else c.train_features
         for c in rows
@@ -409,7 +410,7 @@ def local_train(
                 if a == 0:  # row r starts an epoch
                     kept[r] = _draw_kept(rngs[order[r]], counts[r] * sum(widths), 1 - drop_prob)
             masks = _step_masks(kept, parts, size, widths, drop_prob)
-        preds, caches = forward_with_caches(part, xb, MODE_TRAIN, masks, planned)
+        preds, caches = forward_with_caches(part, xb, masks, planned)
         losses, loss_grad = mse_loss(preds, yb)
         finite = np.isfinite(losses)
         if not finite.all():
@@ -459,13 +460,13 @@ def aggregate(updates: list[ClientUpdate], scheme: str = AGG_UNIFORM) -> Paramet
 def evaluate_global(
     weights: ParameterVector, clients: list[ClientState], template: Model
 ) -> tuple[dict[str, float], float]:
-    """Eval-mode MSE per client plus the unweighted average."""
+    """Evaluation-pass MSE per client plus the unweighted average."""
     if not clients:
         raise ContractViolationError("cannot evaluate on zero clients")
     model = import_weights(template, weights)
     per_client: dict[str, float] = {}
     for client in sorted(clients, key=lambda c: c.client_id):
-        preds = forward(model, client.test_features, MODE_EVAL)
+        preds = forward(model, client.test_features)
         loss, _ = mse_loss(preds, client.test_targets)
         if not np.isfinite(loss):
             raise NumericsError(

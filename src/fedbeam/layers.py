@@ -29,9 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolationError
 from .splines import SplineGrid, basis_and_derivative
 
-MODE_TRAIN = "train"
-MODE_EVAL = "eval"
-
 
 @dataclass(frozen=True, eq=False)
 class KanLayerParams:
@@ -238,8 +235,8 @@ def relu(x: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np
     """ReLU, then inverted dropout when ``scale`` is given, as one mask.
 
     Returns (output, mask); the backward pass is ``relu_backward(upstream,
-    mask)``.  ``scale`` is a dropout mask as ``dropout`` draws it (0 or
-    ``1 / keep`` per entry).  ``x * ((x > 0) * scale)`` is bitwise
+    mask)``.  ``scale`` is a dropout mask as ``dropout_scale`` builds it
+    (0 or ``1 / keep`` per entry).  ``x * ((x > 0) * scale)`` is bitwise
     ``(x * (x > 0)) * scale``, signed zeros, NaN and infinities included,
     and so is the backward product, except where ``upstream * scale``
     overflows at an entry the ReLU zeroes: relu then dropout gives NaN
@@ -258,30 +255,3 @@ def relu_backward(upstream: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def dropout_scale(kept: np.ndarray, drop_prob: float) -> np.ndarray:
     """Inverted-dropout multipliers: ``1 / (1 - drop_prob)`` where kept, else 0."""
     return kept.astype(np.float64) / (1.0 - drop_prob)
-
-
-def dropout(
-    inputs: np.ndarray, drop_prob: float, mode: str, rng: np.random.Generator | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout.  Eval mode (or drop_prob 0) is the identity with an
-    all-ones mask and draws nothing from rng.
-
-    A train-mode call draws ``rng.random(inputs.shape)`` and keeps the
-    entries below ``1 - drop_prob``.  A PCG64 stream gives the same doubles
-    however its draws are chunked, so masks cut in order from one larger
-    draw (see ``fedbeam.federation``) are bitwise the masks of successive
-    calls.
-    """
-    if not 0.0 <= drop_prob < 1.0:
-        raise ConfigurationError(f"dropout probability must be in [0, 1), got {drop_prob}")
-    if mode == MODE_EVAL or drop_prob == 0.0:
-        mask = np.ones_like(inputs)
-        return inputs, mask
-    if mode != MODE_TRAIN:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    mask = dropout_scale(rng.random(inputs.shape) < 1.0 - drop_prob, drop_prob)
-    return inputs * mask, mask
-
-
-def dropout_backward(upstream: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return upstream * mask

@@ -4,9 +4,10 @@ Two architectures share one config type.  ``fed_kan`` stacks spline layers
 over [input] + kan_hidden_widths, then a fully connected head (ReLU and
 dropout after every head layer except the last).  ``fed_mlp`` is a plain
 multilayer perceptron with ReLU and dropout after each hidden layer.  Both
-end in a linear readout of ``output_width`` traffic shares.  A hidden
-affine block applies its ReLU and dropout as one mask, and caches only
-that mask for the backward pass.
+end in a linear readout of ``output_width`` traffic shares, so an affine
+block is followed by ReLU and dropout exactly when it is not the last
+block.  It applies the two as one mask, and caches only that mask for the
+backward pass.
 
 A built model owns one flat float64 weight buffer; every layer array is a
 reshaped view into it.  A spline layer is one array, its weight block
@@ -19,8 +20,12 @@ views ``model_backward`` fills, and the ``ParameterVector`` that
 
 ``build_model`` is the only step that plans: it validates the config, lays
 out the blocks and builds the spline grid.  Every later model is the built
-one re-viewed over a new buffer (``with_weights``): the same blocks, grids
-and hidden flags, only the arrays they view change.
+one re-viewed over a new buffer (``with_weights``): the same blocks and
+grids, only the arrays they view change.
+
+The model draws no dropout masks: a training pass is given them
+(``forward_with_caches``), and the evaluation pass (``forward``) applies
+none.
 
 The buffer may also be a stack of shape ``(clients, parameters)``: one row
 per model, every layer array then carrying a leading ``clients`` axis.  Such
@@ -31,7 +36,7 @@ row, and is how the federation trains a round's clients in lockstep.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -44,11 +49,8 @@ from .errors import (
     require_int,
 )
 from .layers import (
-    MODE_EVAL,
-    MODE_TRAIN,
     KanLayerParams,
     LinearLayerParams,
-    dropout,
     kan_layer_backward,
     kan_layer_forward,
     kan_plane,
@@ -95,12 +97,8 @@ class ModelConfig:
             )
         require_int("input_width", self.input_width, 1)
         require_int("output_width", self.output_width, 1)
-        for name, widths in (
-            ("kan_hidden_widths", self.kan_hidden_widths),
-            ("mlp_hidden_widths", self.mlp_hidden_widths),
-            ("fc_head_widths", self.fc_head_widths),
-        ):
-            for w in widths:
+        for name in _WIDTH_FIELDS:
+            for w in getattr(self, name):
                 require_int(f"{name} entries", w, 1)
         if self.kind == KIND_FED_KAN and self.fc_head_widths:
             if self.fc_head_widths[-1] != self.output_width:
@@ -147,32 +145,19 @@ class ModelConfig:
         return cfg
 
 
-# Layer plan entries: ("kan", in, out) or ("linear", in, out, hidden), where a
-# hidden affine layer is followed by ReLU and dropout.
-def layer_plan(config: ModelConfig) -> list[tuple]:
+# Layer plan entries: (kind, in, out), kind "kan" or "linear".
+def layer_plan(config: ModelConfig) -> list[tuple[str, int, int]]:
     """Expand a config into the ordered list of concrete layers."""
     config.validate()
-    plan: list[tuple] = []
     if config.kind == KIND_FED_KAN:
         widths = [config.input_width, *config.kan_hidden_widths]
-        for a, b in zip(widths[:-1], widths[1:]):
-            plan.append(("kan", a, b))
-        head_in = widths[-1]
-        head = list(config.fc_head_widths)
-        if not head:
-            # Degenerate config: no head means a single plain readout.
-            plan.append(("linear", head_in, config.output_width, False))
-            return plan
-        for i, w in enumerate(head):
-            last = i == len(head) - 1
-            plan.append(("linear", head_in, w, not last))
-            head_in = w
+        plan = [("kan", a, b) for a, b in zip(widths[:-1], widths[1:])]
+        # Degenerate config: no head means a single plain readout.
+        head = [widths[-1], *(config.fc_head_widths or (config.output_width,))]
     else:
-        widths = [config.input_width, *config.mlp_hidden_widths, config.output_width]
-        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-            last = i == len(widths) - 2
-            plan.append(("linear", a, b, not last))
-    return plan
+        plan = []
+        head = [config.input_width, *config.mlp_hidden_widths, config.output_width]
+    return plan + [("linear", a, b) for a, b in zip(head[:-1], head[1:])]
 
 
 def count_parameters(config: ModelConfig) -> int:
@@ -196,10 +181,9 @@ def parameter_layout(config: ModelConfig) -> Layout:
     return _plan_layout(layer_plan(config), config.grid_intervals + config.spline_order)
 
 
-def _plan_layout(plan: list[tuple], bases: int) -> Layout:
+def _plan_layout(plan: list[tuple[str, int, int]], bases: int) -> Layout:
     layout: list[tuple[str, tuple[int, ...]]] = []
-    for i, entry in enumerate(plan):
-        kind, a, b = entry[:3]
+    for i, (kind, a, b) in enumerate(plan):
         name = f"layer{i:02d}"
         if kind == "kan":
             layout.append((f"{name}.weights", (a, bases + 1, b)))
@@ -224,20 +208,7 @@ def segment_views(layout: Layout, flat: np.ndarray) -> list[np.ndarray]:
     return views
 
 
-@dataclass(frozen=True)
-class KanBlock:
-    params: KanLayerParams
-
-
-@dataclass(frozen=True)
-class LinearBlock:
-    """An affine layer; a ``hidden`` one is followed by ReLU and dropout."""
-
-    params: LinearLayerParams
-    hidden: bool
-
-
-Block = Union[KanBlock, LinearBlock]
+Block = Union[KanLayerParams, LinearLayerParams]
 
 
 @dataclass(frozen=True)
@@ -257,8 +228,8 @@ class Model:
 def with_weights(model: Model, weights: np.ndarray) -> Model:
     """The model's blocks re-viewed over another ``(P,)`` or ``(m, P)`` buffer.
 
-    Grids and hidden flags are the model's own; nothing is re-planned
-    and nothing is copied, so the result trains ``weights`` in place.
+    Grids are the model's own; nothing is re-planned and nothing is
+    copied, so the result trains ``weights`` in place.
     """
     if weights.shape[-1:] != model.weights.shape[-1:]:
         raise ContractViolationError(
@@ -266,13 +237,12 @@ def with_weights(model: Model, weights: np.ndarray) -> Model:
             f"{model.weights.shape[-1]} parameters per row"
         )
     views = iter(segment_views(model.layout, weights))
-    blocks: list[Block] = []
-    for block in model.blocks:
-        if isinstance(block, KanBlock):
-            params = KanLayerParams(next(views), block.params.grid)
-        else:
-            params = LinearLayerParams(next(views), next(views))
-        blocks.append(replace(block, params=params))
+    blocks = [
+        KanLayerParams(next(views), block.grid)
+        if isinstance(block, KanLayerParams)
+        else LinearLayerParams(next(views), next(views))
+        for block in model.blocks
+    ]
     return Model(model.config, tuple(blocks), weights, model.layout)
 
 
@@ -283,15 +253,14 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     plan = layer_plan(config)
     blocks: list[Block] = []
     arrays: list[np.ndarray] = []
-    for entry in plan:
-        if entry[0] == "kan":
-            params = KanLayerParams.initialized(*entry[1:], grid, rng)
-            blocks.append(KanBlock(params))
+    for kind, a, b in plan:
+        if kind == "kan":
+            params = KanLayerParams.initialized(a, b, grid, rng)
             arrays.append(params.weights)
         else:
-            params = LinearLayerParams.initialized(*entry[1:3], rng)
-            blocks.append(LinearBlock(params, *entry[3:]))
+            params = LinearLayerParams.initialized(a, b, rng)
             arrays += [params.weights, params.biases]
+        blocks.append(params)
     weights = np.concatenate([a.reshape(-1) for a in arrays])
     layout = _plan_layout(plan, grid.num_bases)
     # The initial blocks hold the drawn arrays; re-view them over the buffer.
@@ -299,24 +268,16 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 
 def dropout_widths(model: Model) -> list[int]:
-    """Widths of the blocks whose outputs pass through dropout, in order."""
-    return [
-        b.params.out_width for b in model.blocks if isinstance(b, LinearBlock) and b.hidden
-    ]
+    """Widths of the blocks whose outputs pass through dropout, in order:
+    every affine block but the last."""
+    return [b.out_width for b in model.blocks[:-1] if isinstance(b, LinearLayerParams)]
 
 
-def forward(
-    model: Model,
-    batch: np.ndarray,
-    mode: str = MODE_EVAL,
-    masks: np.random.Generator | Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Plain forward pass; training mode needs dropout masks or their generator.
-
-    Nothing is kept for a backward pass, so no spline layer evaluates its
-    basis derivatives.
+def forward(model: Model, batch: np.ndarray) -> np.ndarray:
+    """The evaluation pass: no dropout, and nothing kept for a backward pass,
+    so no spline layer evaluates its basis derivatives.
     """
-    return _forward(model, batch, mode, masks, None, False)
+    return _forward(model, batch, None, None, False)
 
 
 def input_plane(model: Model, features: np.ndarray) -> np.ndarray:
@@ -328,29 +289,25 @@ def input_plane(model: Model, features: np.ndarray) -> np.ndarray:
     rows in ``forward_with_caches(..., planned=True)`` for any weights.
     """
     first = model.blocks[0]
-    if not isinstance(first, KanBlock):
+    if not isinstance(first, KanLayerParams):
         raise ContractViolationError("only a spline first block has an input plane")
-    return kan_plane(features, first.params.grid)[0]
+    return kan_plane(features, first.grid)[0]
 
 
 def forward_with_caches(
     model: Model,
     batch: np.ndarray,
-    mode: str = MODE_EVAL,
-    masks: np.random.Generator | Sequence[np.ndarray] | None = None,
+    masks: Sequence[np.ndarray] | None = None,
     planned: bool = False,
 ) -> tuple[np.ndarray, list[dict]]:
     """Forward pass keeping what model_backward needs.
 
     ``batch`` is ``(n, input_width)`` for one model and ``(clients, n,
-    input_width)`` for a stack of models.  In training mode ``masks`` gives
-    the dropout masks: either a Generator, from which each dropout layer
-    draws its own in turn (``fedbeam.layers.dropout``), or the masks drawn
-    ahead, one per entry of ``dropout_widths`` and each of that layer's
-    output shape, as ``fedbeam.layers.dropout`` scales them.  Dropout is
-    the identity in eval mode and with ``dropout_p`` 0, and nothing is drawn
-    there.  The first block's input gradient is never read, so a spline
-    layer there caches no basis derivatives.
+    input_width)`` for a stack of models.  ``masks`` are the dropout masks
+    drawn ahead, one per entry of ``dropout_widths`` and each of that
+    layer's output shape, as ``fedbeam.layers.dropout_scale`` builds them;
+    None applies no dropout.  The first block's input gradient is never
+    read, so a spline layer there caches no basis derivatives.
 
     With ``planned`` the batch holds rows of the first block's plane
     (``input_plane``) in place of feature rows, ``(..., n, input_width *
@@ -359,15 +316,14 @@ def forward_with_caches(
     them here.
     """
     caches: list[dict] = []
-    out = _forward(model, batch, mode, masks, caches, planned)
+    out = _forward(model, batch, masks, caches, planned)
     return out, caches
 
 
 def _forward(
     model: Model,
     batch: np.ndarray,
-    mode: str,
-    masks: np.random.Generator | Sequence[np.ndarray] | None,
+    masks: Sequence[np.ndarray] | None,
     caches: list[dict] | None,
     planned: bool,
 ) -> np.ndarray:
@@ -379,47 +335,37 @@ def _forward(
     lead = model.weights.shape[:-1]
     width = model.config.input_width
     if planned:
-        if not isinstance(model.blocks[0], KanBlock):
+        if not isinstance(model.blocks[0], KanLayerParams):
             raise ContractViolationError("only a spline first block takes a plane")
-        width *= model.blocks[0].params.grid.num_bases + 1
+        width *= model.blocks[0].grid.num_bases + 1
     if batch.ndim != len(lead) + 2 or batch.shape[:-2] != lead or batch.shape[-1] != width:
         raise ContractViolationError(
             f"expected batch of shape {(*lead, 'n', width)}, got {batch.shape}"
         )
-    if mode not in (MODE_TRAIN, MODE_EVAL):
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    drop_prob = model.config.dropout_p
-    drawing = mode == MODE_TRAIN and drop_prob > 0.0
-    if drawing and masks is None:
-        raise ContractViolationError("training mode with dropout needs masks or a generator")
-    ahead = None
-    if drawing and not isinstance(masks, np.random.Generator):
+    if masks is not None:
         layers = len(dropout_widths(model))
         if len(masks) != layers:
             raise ContractViolationError(f"{len(masks)} dropout masks for {layers} dropout layers")
-        ahead = iter(masks)
+    ahead = iter(() if masks is None else masks)
     x = np.asarray(batch, dtype=np.float64)
+    last = len(model.blocks) - 1
     for i, block in enumerate(model.blocks):
-        if isinstance(block, KanBlock):
+        if isinstance(block, KanLayerParams):
             if planned and i == 0:
-                x, cache = kan_product(x, block.params)
+                x, cache = kan_product(x, block)
             else:
                 derivative = caches is not None and i > 0
-                x, cache = kan_layer_forward(x, block.params, derivative)
-            entry = {"kind": "kan", "layer": cache}
+                x, cache = kan_layer_forward(x, block, derivative)
+            entry = {"layer": cache}
         else:
-            x, cache = linear_forward(x, block.params)
-            entry = {"kind": "linear", "layer": cache, "mask": None}
-            if block.hidden:
-                scale = None
-                if ahead is not None:
-                    scale = next(ahead)
-                    if scale.shape != x.shape:
-                        raise ContractViolationError(
-                            f"dropout mask of shape {scale.shape} for an output of {x.shape}"
-                        )
-                elif drawing:
-                    scale = dropout(x, drop_prob, mode, masks)[1]
+            x, cache = linear_forward(x, block)
+            entry = {"layer": cache, "mask": None}
+            if i < last:
+                scale = next(ahead, None)
+                if scale is not None and scale.shape != x.shape:
+                    raise ContractViolationError(
+                        f"dropout mask of shape {scale.shape} for an output of {x.shape}"
+                    )
                 x, entry["mask"] = relu(x, scale)
         if caches is not None:
             caches.append(entry)
@@ -454,14 +400,14 @@ def model_backward(
     for i in range(len(model.blocks) - 1, -1, -1):
         block = model.blocks[i]
         entry = caches[i]
-        if isinstance(block, KanBlock):
-            u, d_weights = kan_layer_backward(u, block.params, entry["layer"])
+        if isinstance(block, KanLayerParams):
+            u, d_weights = kan_layer_backward(u, block, entry["layer"])
             j -= 1
             grad_views[j][...] = d_weights
         else:
             if entry["mask"] is not None:
                 u = relu_backward(u, entry["mask"])
-            u, d_weights, d_biases = linear_backward(u, block.params, entry["layer"])
+            u, d_weights, d_biases = linear_backward(u, block, entry["layer"])
             j -= 2
             grad_views[j][...] = d_weights
             grad_views[j + 1][...] = d_biases

@@ -34,7 +34,6 @@ from fedbeam.federation import (
 )
 from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 from fedbeam.layers import (
-    MODE_EVAL,
     KanLayerParams,
     LinearLayerParams,
     kan_layer_backward,
@@ -141,16 +140,14 @@ def full_model_gradcheck(config: ModelConfig, seed: int) -> float:
     targets = targets / targets.sum(axis=1, keepdims=True)
 
     def stacked_loss(rows: np.ndarray) -> np.ndarray:
-        # One eval forward over every probe: a stack of len(rows) models,
-        # each seeing the same batch.
+        # One forward without dropout over every probe: a stack of
+        # len(rows) models, each seeing the same batch.
         model = with_weights(template, rows)
-        preds, _ = forward_with_caches(
-            model, np.broadcast_to(batch, (len(rows), *batch.shape)), MODE_EVAL
-        )
+        preds, _ = forward_with_caches(model, np.broadcast_to(batch, (len(rows), *batch.shape)))
         values, _ = mse_loss(preds, np.broadcast_to(targets, preds.shape))
         return values
 
-    preds, caches = forward_with_caches(template, batch, MODE_EVAL)
+    preds, caches = forward_with_caches(template, batch)
     _, loss_grad = mse_loss(preds, targets)
     analytic = np.empty_like(template.weights)
     model_backward(template, caches, loss_grad, segment_views(template.layout, analytic))

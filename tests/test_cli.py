@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fedbeam
 import fedbeam.cli
+import fedbeam.federation
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedbeam.data import default_profiles, generate_synthetic, render_csv
 from fedbeam.errors import IngestionError
@@ -189,6 +190,60 @@ def test_train_on_generated_csv_files(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "086abe2a804822021140677932ba8ca5c4ae5da5aaa722f0ac85f723042132b8"
     )
+
+
+# SHA-256 of the files a fleet-shaped compare writes: uneven beams read from
+# CSV, one local epoch, ragged lockstep, partial rounds and sample-weighted
+# aggregation.
+# Rule: a change that moves bits updates these constants in the same commit
+# and records the old and new digests in CHANGES.md.  They depend on the
+# BLAS build; a mismatch on another machine is a finding to report, not a
+# reason to turn the pin into a tolerance.
+FLEET_DIGESTS = {
+    "comparison.csv": "e71825ef8bc99ea1e6ec32a45d1e3ce2eebb7ba7c80c3df4a98d6bdfa10fb5da",
+    "report_fed_kan.csv": "4c8ba3f7341550f2bca82564049d4e5034bdcee98a5780d08a7f5a7f6aaf1609",
+    "report_fed_mlp.csv": "c7ca1765ed69c99ed13ff38eacc40ec3ce2a147f398444de48d880085d280066",
+}
+
+
+def test_fleet_shaped_compare_matches_its_pinned_digests(tmp_path, monkeypatch):
+    # beam-0k comes from a set generated at its own length, so the three
+    # clients train 92, 73 and 60 windows: last batches of 12, 9 and 12.
+    files = []
+    for k, hours in enumerate((120, 97, 81), start=1):
+        out = tmp_path / f"h{hours}"
+        argv = ["generate", "--seed", "3", "--hours", str(hours), "--beams", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        files.append(str(out / f"beam-{k:02d}.csv"))
+    participants = []
+    run_round = fedbeam.federation.run_round
+
+    def recording_run_round(*args):
+        new_weights, report = run_round(*args)
+        participants.append(report.participants)
+        return new_weights, report
+
+    monkeypatch.setattr(fedbeam.federation, "run_round", recording_run_round)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        model=None,
+        federation={
+            "rounds": 3,
+            "local_epochs": 1,
+            "batch_size": 16,
+            "availability_prob": 0.75,
+            "aggregation": "sample_weighted",
+            "seed": 5,
+        },
+        data={"beam_files": files},
+    )
+    assert main(["compare", "--config", str(cfg_path)]) == EXIT_OK
+    # Round 1 of each model trains only two of the three clients.
+    assert participants[0] == participants[3] == ("beam-02", "beam-03")
+    for name, digest in FLEET_DIGESTS.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_compare_outputs_and_summary(tmp_path, capsys):

@@ -34,11 +34,11 @@ from fedbeam.federation import (
     run_experiment,
     run_round,
 )
-from fedbeam.layers import MODE_EVAL, MODE_TRAIN, dropout
+from fedbeam.layers import KanLayerParams, dropout_scale
 from fedbeam.model import (
-    KanBlock,
     ModelConfig,
     build_model,
+    dropout_widths,
     export_weights,
     forward,
     forward_with_caches,
@@ -183,10 +183,10 @@ def test_local_train_is_deterministic():
 def layer_arrays(model) -> list[np.ndarray]:
     arrays = []
     for block in model.blocks:
-        if isinstance(block, KanBlock):
-            arrays.append(block.params.weights)
+        if isinstance(block, KanLayerParams):
+            arrays.append(block.weights)
         else:
-            arrays += [block.params.weights, block.params.biases]
+            arrays += [block.weights, block.biases]
     return arrays
 
 
@@ -365,9 +365,11 @@ def train_alone(client, template, weights, fed, rng):
     Follows the schedule ``local_train`` documents: chronological batches,
     every epoch in turn, one Adam step number per step from 1, fresh
     moments, and the element-weighted mean of the final epoch's losses.
-    Each step's dropout layers draw their masks from ``rng`` in turn.
+    Each step draws its dropout masks from ``rng`` one layer at a time.
     """
     model = import_weights(template, weights)
+    drop_prob = template.config.dropout_p
+    widths = dropout_widths(template)
     grads = np.zeros_like(model.weights)
     segments = segment_views(model.layout, grads)
     state = AdamState.initial(grads.shape, fed.learning_rate, fed.weight_decay)
@@ -378,7 +380,13 @@ def train_alone(client, template, weights, fed, rng):
         for start in range(0, n, fed.batch_size):
             stop = min(start + fed.batch_size, n)
             features = client.train_features[start:stop]
-            preds, caches = forward_with_caches(model, features, MODE_TRAIN, rng)
+            masks = None
+            if drop_prob > 0.0:
+                masks = [
+                    dropout_scale(rng.random((stop - start, w)) < 1.0 - drop_prob, drop_prob)
+                    for w in widths
+                ]
+            preds, caches = forward_with_caches(model, features, masks)
             loss, loss_grad = mse_loss(preds, client.train_targets[start:stop])
             model_backward(model, caches, loss_grad, segments)
             clip_gradient_norm(grads, fed.max_grad_norm, segments)
@@ -602,7 +610,8 @@ def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_
                 size = min(batch_size, n - a)
                 got = _step_masks(kept, [(r, a)], size, widths, drop_prob)
                 for mask, w in zip(got, widths, strict=True):
-                    want = dropout(np.ones((1, size, w)), drop_prob, MODE_TRAIN, oracles[r])[1]
+                    draws = oracles[r].random((1, size, w))
+                    want = dropout_scale(draws < 1.0 - drop_prob, drop_prob)
                     assert mask.tobytes() == want.tobytes()
         # A stacked call at different starts: each row is its own call's.
         for a, b in ((16, 32), (48, 32)):
@@ -622,16 +631,7 @@ def test_no_dropout_leaves_every_generator_untouched(make):
     rngs = [np.random.default_rng(i) for i in range(4)]
     before = [r.bit_generator.state for r in rngs]
     local_train(clients, template, export_weights(template), FAST_FED, rngs)
-    forward(template, clients[0].test_features, MODE_TRAIN, rngs[0])
     assert [r.bit_generator.state for r in rngs] == before
-
-
-def test_eval_mode_draws_nothing():
-    template = build_model(ModelConfig.fed_mlp(), seed=7)
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    forward_with_caches(template, np.zeros((5, 10)), MODE_EVAL, rng)
-    assert rng.bit_generator.state == before
 
 
 def test_local_train_rejects_a_wrong_rng_count():
@@ -661,7 +661,7 @@ def test_evaluate_global_zero_loss_on_matching_targets():
     template = build_model(cfg, seed=2)
     weights = export_weights(template)
     features = np.random.default_rng(0).random((6, 10))
-    targets = forward(template, features, MODE_EVAL)
+    targets = forward(template, features)
     client = ClientState("solo", features, targets, features, targets)
     per_client, avg = evaluate_global(weights, [client], template)
     assert per_client["solo"] == 0.0

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from fedbeam.errors import ConfigurationError, ContractViolationError
+from fedbeam.errors import ContractViolationError
 from fedbeam.gradcheck import finite_difference_gradient
 from fedbeam.layers import (
-    MODE_EVAL,
-    MODE_TRAIN,
     KanLayerParams,
     LinearLayerParams,
-    dropout,
-    dropout_backward,
+    dropout_scale,
     kan_layer_backward,
     kan_layer_forward,
     linear_backward,
@@ -207,43 +204,33 @@ def test_relu_values_and_backward():
     assert np.array_equal(relu_backward(up, mask), np.array([[0.0, 1.0, 0.0]]))
 
 
-def test_dropout_eval_is_identity():
-    x = np.random.default_rng(3).standard_normal((4, 4))
-    out, mask = dropout(x, 0.5, MODE_EVAL, np.random.default_rng(0))
-    assert np.array_equal(out, x)
-    assert np.array_equal(mask, np.ones_like(x))
+def drawn_scale(rng, shape, drop_prob):
+    """A dropout mask drawn in one call, as the federation's draws build it."""
+    return dropout_scale(rng.random(shape) < 1.0 - drop_prob, drop_prob)
 
 
 def test_dropout_zero_prob_is_identity_in_train():
     x = np.random.default_rng(3).standard_normal((4, 4))
-    out, mask = dropout(x, 0.0, MODE_TRAIN, np.random.default_rng(0))
-    assert np.array_equal(out, x)
-    assert np.array_equal(mask, np.ones_like(x))
+    scale = drawn_scale(np.random.default_rng(0), x.shape, 0.0)
+    assert np.array_equal(scale, np.ones_like(x))
+    out, mask = relu(x, scale)
+    assert out.tobytes() == relu(x)[0].tobytes()
+    assert mask.tobytes() == (x > 0).astype(np.float64).tobytes()
 
 
 def test_dropout_preserves_expectation():
-    ones = np.ones(1_000_000)
-    out, _ = dropout(ones, 0.5, MODE_TRAIN, np.random.default_rng(17))
-    assert abs(out.mean() - 1.0) < 0.01
-
-
-def test_dropout_rejects_bad_prob():
-    x = np.ones((2, 2))
-    with pytest.raises(ConfigurationError):
-        dropout(x, 1.0, MODE_TRAIN, np.random.default_rng(0))
-    with pytest.raises(ConfigurationError):
-        dropout(x, -0.1, MODE_TRAIN, np.random.default_rng(0))
-    with pytest.raises(ConfigurationError):
-        dropout(x, 0.5, "warmup", np.random.default_rng(0))
+    scale = drawn_scale(np.random.default_rng(17), 1_000_000, 0.5)
+    assert set(np.unique(scale)) == {0.0, 2.0}
+    assert abs(scale.mean() - 1.0) < 0.01
 
 
 def test_dropout_mask_replays_with_same_seed():
     x = np.ones((8, 8))
-    out_a, mask_a = dropout(x, 0.5, MODE_TRAIN, np.random.default_rng(23))
-    out_b, mask_b = dropout(x, 0.5, MODE_TRAIN, np.random.default_rng(23))
+    out_a, mask_a = relu(x, drawn_scale(np.random.default_rng(23), x.shape, 0.5))
+    out_b, mask_b = relu(x, drawn_scale(np.random.default_rng(23), x.shape, 0.5))
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(mask_a, mask_b)
-    back = dropout_backward(np.ones_like(x), mask_a)
+    back = relu_backward(np.ones_like(x), mask_a)
     assert np.array_equal(back, mask_a)
 
 
@@ -327,11 +314,11 @@ def test_relu_and_dropout_as_one_mask_are_bitwise_the_two_in_turn(drop_prob):
     rng.shuffle(x.reshape(-1))
     rng.shuffle(upstream.reshape(-1))
 
+    scale = drawn_scale(np.random.default_rng(5), x.shape, drop_prob)
     with np.errstate(invalid="ignore"):
         relu_out, relu_mask = relu(x)
-        out, drop_mask = dropout(relu_out, drop_prob, MODE_TRAIN, np.random.default_rng(5))
-        back = relu_backward(dropout_backward(upstream, drop_mask), relu_mask)
-        scale = dropout(x, drop_prob, MODE_TRAIN, np.random.default_rng(5))[1]
+        out = relu_out * scale
+        back = relu_backward(upstream * scale, relu_mask)
         fused_out, mask = relu(x, scale)
         fused_back = relu_backward(upstream, mask)
     assert fused_out.tobytes() == out.tobytes()
@@ -346,7 +333,7 @@ def test_one_mask_differs_only_where_the_scaled_gradient_overflows():
     _, relu_mask = relu(x)
     _, mask = relu(x, scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        two = relu_backward(dropout_backward(upstream, scale), relu_mask)
+        two = relu_backward(upstream * scale, relu_mask)
         one = relu_backward(upstream, mask)
     assert np.isnan(two[0]) and one[0] == 0.0
     assert two[1] == one[1] == np.inf

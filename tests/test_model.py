@@ -11,10 +11,15 @@ from fedbeam.errors import (
     IncompatibleWeightsError,
 )
 from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
-from fedbeam.layers import MODE_EVAL, MODE_TRAIN, dropout
+from fedbeam.layers import (
+    KanLayerParams,
+    LinearLayerParams,
+    dropout_scale,
+    kan_layer_forward,
+    linear_forward,
+    relu,
+)
 from fedbeam.model import (
-    KanBlock,
-    LinearBlock,
     ModelConfig,
     build_model,
     count_parameters,
@@ -34,22 +39,29 @@ from fedbeam.params import ParameterVector
 
 
 def test_fed_mlp_plan_is_four_linear_layers():
-    plan = layer_plan(ModelConfig.fed_mlp())
-    assert [entry[0] for entry in plan] == ["linear"] * 4
-    assert [(entry[1], entry[2]) for entry in plan] == [(10, 8), (8, 16), (16, 48), (48, 4)]
+    config = ModelConfig.fed_mlp()
+    assert layer_plan(config) == [
+        ("linear", 10, 8),
+        ("linear", 8, 16),
+        ("linear", 16, 48),
+        ("linear", 48, 4),
+    ]
     # ReLU + dropout after each hidden layer, plain final readout.
-    assert [entry[3:] for entry in plan] == [(True,), (True,), (True,), (False,)]
+    assert dropout_widths(build_model(config, seed=0)) == [8, 16, 48]
 
 
 def test_fed_kan_plan_chains_widths():
-    plan = layer_plan(ModelConfig.fed_kan())
-    kinds = [entry[0] for entry in plan]
+    config = ModelConfig.fed_kan()
+    plan = layer_plan(config)
+    kinds = [kind for kind, _, _ in plan]
     assert kinds == ["kan", "kan", "kan", "linear", "linear"]
-    widths = [(entry[1], entry[2]) for entry in plan]
+    widths = [(a, b) for _, a, b in plan]
     assert widths == [(10, 2), (2, 4), (4, 8), (8, 8), (8, 4)]
-    # Head: FC1 carries ReLU and dropout, the output layer is plain.
-    assert plan[3][3:] == (True,)
-    assert plan[4][3:] == (False,)
+    # Head: FC1 carries ReLU and dropout, the output layer is plain, with
+    # or without spline layers before it.
+    assert dropout_widths(build_model(config, seed=0)) == [8]
+    head_only = ModelConfig.fed_kan(kan_hidden_widths=())
+    assert dropout_widths(build_model(head_only, seed=0)) == [8]
 
 
 def test_count_parameters_fed_mlp_is_1244():
@@ -113,57 +125,87 @@ def test_config_dict_round_trip():
 
 def test_fed_kan_blocks_have_no_dropout_on_kan_layers():
     model = build_model(ModelConfig.fed_kan(), seed=0)
-    kan_blocks = [b for b in model.blocks if isinstance(b, KanBlock)]
-    linear_blocks = [b for b in model.blocks if isinstance(b, LinearBlock)]
+    kan_blocks = [b for b in model.blocks if isinstance(b, KanLayerParams)]
+    linear_blocks = [b for b in model.blocks if isinstance(b, LinearLayerParams)]
     assert len(kan_blocks) == 3 and len(linear_blocks) == 2
-    assert linear_blocks[0].hidden and not linear_blocks[1].hidden
+    # Only the head's first layer, 8 wide, takes dropout.
+    assert dropout_widths(model) == [linear_blocks[0].out_width] == [8]
 
 
 def test_forward_eval_is_deterministic():
     model = build_model(ModelConfig.fed_kan(), seed=4)
     batch = np.random.default_rng(0).random((7, 10))
-    a = forward(model, batch, MODE_EVAL)
-    b = forward(model, batch, MODE_EVAL)
+    a = forward(model, batch)
+    b = forward(model, batch)
     assert np.array_equal(a, b)
     assert a.shape == (7, 4)
+
+
+def draw_masks(rng, lead, widths, drop_prob):
+    """One step's dropout masks, drawn one layer at a time."""
+    return [dropout_scale(rng.random((*lead, w)) < 1.0 - drop_prob, drop_prob) for w in widths]
 
 
 def test_forward_train_replays_with_seeded_rng():
     model = build_model(ModelConfig.fed_mlp(), seed=4)
     batch = np.random.default_rng(1).random((5, 10))
-    a = forward(model, batch, MODE_TRAIN, np.random.default_rng(77))
-    b = forward(model, batch, MODE_TRAIN, np.random.default_rng(77))
+    widths, p = dropout_widths(model), model.config.dropout_p
+    a, _ = forward_with_caches(model, batch, draw_masks(np.random.default_rng(77), (5,), widths, p))
+    b, _ = forward_with_caches(model, batch, draw_masks(np.random.default_rng(77), (5,), widths, p))
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, forward(model, batch))
 
 
-@pytest.mark.parametrize("mode", [MODE_EVAL, MODE_TRAIN])
+def layers_in_turn(model, batch, masks):
+    """The blocks applied one after another: ReLU and a mask after every
+    affine block but the last."""
+    masks = iter(masks)
+    x = batch
+    for i, block in enumerate(model.blocks):
+        if isinstance(block, KanLayerParams):
+            x, _ = kan_layer_forward(x, block)
+        else:
+            x, _ = linear_forward(x, block)
+            if i < len(model.blocks) - 1:
+                x, _ = relu(x, next(masks))
+    return x
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
 @pytest.mark.parametrize("config", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()])
 def test_forward_is_bitwise_forward_with_caches(config, mode):
+    # Eval: the evaluation pass is the caching pass given no masks.  Train:
+    # the caching pass applies the masks it is given, one per dropout layer.
     model = build_model(config, seed=4)
     stacked = import_weights(model, export_weights(model), copies=3)
     batch = np.random.default_rng(2).uniform(-1.5, 1.5, (3, 9, 10))
-
-    def one():
-        return np.random.default_rng(77)
-
-    def ahead():
-        # The stack's masks drawn before the call, one per dropout layer.
-        rng = np.random.default_rng(77)
-        return [
-            dropout(np.ones((3, 9, w)), config.dropout_p, MODE_TRAIN, rng)[1]
-            for w in dropout_widths(model)
-        ]
-
-    for m, x, masks in ((model, batch[0], one), (stacked, batch, ahead)):
-        out = forward(m, x, mode, masks())
-        cached, caches = forward_with_caches(m, x, mode, masks())
+    widths = dropout_widths(model)
+    for m, x in ((model, batch[0]), (stacked, batch)):
+        if mode == "eval":
+            out = forward(m, x)
+            cached, caches = forward_with_caches(m, x)
+        else:
+            masks = draw_masks(np.random.default_rng(77), x.shape[:-1], widths, config.dropout_p)
+            out = layers_in_turn(m, x, masks)
+            cached, caches = forward_with_caches(m, x, masks)
         assert out.tobytes() == cached.tobytes()
         # Only the spline layers after the first cache basis derivatives,
         # and the backward pass returns no gradient for the batch.
-        kan = [c["layer"]["dplane"] is None for c in caches if c["kind"] == "kan"]
+        kan = [c["layer"]["dplane"] is None for c in caches if "plane" in c["layer"]]
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
         grads = segment_views(m.layout, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None
+
+
+def test_forward_with_caches_rejects_masks_that_do_not_fit():
+    model = build_model(ModelConfig.fed_mlp(), seed=4)
+    batch = np.zeros((5, 10))
+    masks = draw_masks(np.random.default_rng(0), (5,), dropout_widths(model), 0.5)
+    with pytest.raises(ContractViolationError, match="2 dropout masks for 3 dropout layers"):
+        forward_with_caches(model, batch, masks[:2])
+    masks[1] = masks[1][:4]
+    with pytest.raises(ContractViolationError, match=r"dropout mask of shape \(4, 16\)"):
+        forward_with_caches(model, batch, masks)
 
 
 def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
@@ -176,12 +218,9 @@ def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
     # Batches gathered from one plane built over all rows, against batches
     # whose plane is built from their own feature rows.
     picks = np.array([[3, 4, 5, 6], [0, 1, 2, 3], [36, 37, 38, 39]])
-    out, caches = forward_with_caches(
-        stacked, features[picks], MODE_TRAIN, np.random.default_rng(77)
-    )
-    planned_out, planned_caches = forward_with_caches(
-        stacked, plane[picks], MODE_TRAIN, np.random.default_rng(77), True
-    )
+    masks = draw_masks(np.random.default_rng(77), picks.shape, dropout_widths(model), 0.5)
+    out, caches = forward_with_caches(stacked, features[picks], masks)
+    planned_out, planned_caches = forward_with_caches(stacked, plane[picks], masks, True)
     assert planned_out.tobytes() == out.tobytes()
     assert planned_caches[0]["layer"]["plane"].tobytes() == caches[0]["layer"]["plane"].tobytes()
     grads = np.empty((2, *stacked.weights.shape))
@@ -198,11 +237,11 @@ def test_only_a_spline_first_block_takes_a_plane_of_its_width():
     with pytest.raises(ContractViolationError):
         input_plane(mlp, features)
     with pytest.raises(ContractViolationError):
-        forward_with_caches(mlp, features, MODE_EVAL, None, True)
+        forward_with_caches(mlp, features, None, True)
     with pytest.raises(ContractViolationError):
-        forward_with_caches(kan, features, MODE_EVAL, None, True)
+        forward_with_caches(kan, features, None, True)
     with pytest.raises(ContractViolationError):
-        forward_with_caches(kan, input_plane(kan, features)[:, :-1], MODE_EVAL, None, True)
+        forward_with_caches(kan, input_plane(kan, features)[:, :-1], None, True)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 12])
@@ -219,31 +258,24 @@ def test_spline_blocks_place_the_initial_draws_in_their_slots(seed):
         coeffs = rng.uniform(-0.1, 0.1, size=(a, b, m)) / np.sqrt(a)
         bound = np.sqrt(6.0 / a)
         base = rng.uniform(-bound, bound, size=(a, b))
-        weights = next(blocks).params.weights
+        weights = next(blocks).weights
         assert weights.shape == (a, m + 1, b)
         assert weights[:, 0].tobytes() == base.tobytes()
         assert weights[:, 1:].tobytes() == coeffs.swapaxes(-1, -2).tobytes()
     head_in = widths[-1]
     for width in config.fc_head_widths:
         bound = np.sqrt(6.0 / head_in)
-        params = next(blocks).params
+        params = next(blocks)
         assert params.weights.tobytes() == rng.uniform(-bound, bound, (width, head_in)).tobytes()
         assert not params.biases.any()
         head_in = width
     assert next(blocks, None) is None
 
 
-def test_forward_train_requires_rng_when_dropout_active():
-    model = build_model(ModelConfig.fed_mlp(), seed=4)
-    batch = np.zeros((2, 10))
-    with pytest.raises(ContractViolationError):
-        forward(model, batch, MODE_TRAIN)
-
-
 def test_forward_rejects_bad_batch_width():
     model = build_model(ModelConfig.fed_mlp(), seed=4)
     with pytest.raises(ContractViolationError):
-        forward(model, np.zeros((2, 9)), MODE_EVAL)
+        forward(model, np.zeros((2, 9)))
 
 
 def test_stacked_copies_run_a_stack_of_batches():
@@ -252,11 +284,11 @@ def test_stacked_copies_run_a_stack_of_batches():
     assert stacked.weights.shape == (2, model.weights.shape[0])
     batch = np.random.default_rng(1).random((5, 10))
     with pytest.raises(ContractViolationError):
-        forward(stacked, batch, MODE_EVAL)
+        forward(stacked, batch)
     with pytest.raises(ContractViolationError):
-        forward(model, np.stack([batch, batch]), MODE_EVAL)
-    out = forward(stacked, np.stack([batch, batch]), MODE_EVAL)
-    expected = forward(model, batch, MODE_EVAL)
+        forward(model, np.stack([batch, batch]))
+    out = forward(stacked, np.stack([batch, batch]))
+    expected = forward(model, batch)
     assert np.array_equal(out[0], expected) and np.array_equal(out[1], expected)
 
 
@@ -268,7 +300,7 @@ def test_zeroed_final_layer_gives_zero_outputs():
         if name.startswith("layer03."):
             view[...] = 0.0
     zeroed = import_weights(model, ParameterVector.from_flat(vec.layout(), flat))
-    out = forward(zeroed, np.random.default_rng(0).random((3, 10)), MODE_EVAL)
+    out = forward(zeroed, np.random.default_rng(0).random((3, 10)))
     assert np.array_equal(out, np.zeros((3, 4)))
 
 
@@ -280,8 +312,8 @@ def test_import_export_round_trip_is_bitwise():
     assert np.array_equal(vec.to_flat(), again.to_flat())
     batch = np.random.default_rng(2).random((4, 10))
     assert np.array_equal(
-        forward(model, batch, MODE_EVAL),
-        forward(import_weights(model, vec), batch, MODE_EVAL),
+        forward(model, batch),
+        forward(import_weights(model, vec), batch),
     )
 
 
@@ -313,10 +345,9 @@ def test_with_weights_reuses_the_blocks_plan():
     assert stacked.layout is model.layout
     for block, again in zip(model.blocks, stacked.blocks):
         assert type(block) is type(again)
-        if isinstance(block, KanBlock):
-            assert again.params.grid is block.params.grid
-        else:
-            assert again.hidden == block.hidden
+        if isinstance(block, KanLayerParams):
+            assert again.grid is block.grid
+    assert dropout_widths(stacked) == dropout_widths(model) == [8]
     with pytest.raises(ContractViolationError):
         with_weights(model, model.weights[:-1])
 
@@ -331,12 +362,12 @@ def test_stacked_differences_match_the_serial_helper(config):
     def serial_loss(flat):
         vector = ParameterVector.from_flat(template.layout, flat)
         model = import_weights(template, vector)
-        value, _ = mse_loss(forward(model, batch, MODE_EVAL), targets)
+        value, _ = mse_loss(forward(model, batch), targets)
         return value
 
     def stacked_loss(rows):
         model = with_weights(template, rows)
-        preds = forward(model, np.broadcast_to(batch, (len(rows), *batch.shape)), MODE_EVAL)
+        preds = forward(model, np.broadcast_to(batch, (len(rows), *batch.shape)))
         values, _ = mse_loss(preds, np.broadcast_to(targets, preds.shape))
         return values
 
@@ -367,8 +398,9 @@ def test_degenerate_fed_kan_is_single_linear():
     cfg = ModelConfig.fed_kan(kan_hidden_widths=(), fc_head_widths=())
     model = build_model(cfg, seed=1)
     assert len(model.blocks) == 1
-    assert isinstance(model.blocks[0], LinearBlock)
-    out = forward(model, np.zeros((2, 10)), MODE_EVAL)
+    assert isinstance(model.blocks[0], LinearLayerParams)
+    assert dropout_widths(model) == []
+    out = forward(model, np.zeros((2, 10)))
     assert out.shape == (2, 4)
 
 
