@@ -15,7 +15,6 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     FedbeamError,
-    IncompatibleWeightsError,
     IngestionError,
     NumericsError,
 )
@@ -43,7 +42,6 @@ from .model import (
     forward,
     import_weights,
 )
-from .params import ParameterVector
 from .splines import SplineGrid, basis_matrix
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "ConfigurationError",
     "ContractViolationError",
     "FedbeamError",
-    "IncompatibleWeightsError",
     "IngestionError",
     "NumericsError",
     "ClientState",
@@ -81,7 +78,6 @@ __all__ = [
     "export_weights",
     "forward",
     "import_weights",
-    "ParameterVector",
     "SplineGrid",
     "basis_matrix",
 ]

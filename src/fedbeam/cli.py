@@ -24,11 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import BeamSeries, default_profiles, generate_synthetic, load_csv, render_csv
+from .data import (
+    BeamSeries,
+    check_train_fraction,
+    default_profiles,
+    generate_synthetic,
+    load_csv,
+    render_csv,
+)
 from .errors import (
     ConfigurationError,
     ContractViolationError,
-    IncompatibleWeightsError,
     IngestionError,
     NumericsError,
     require_finite,
@@ -172,6 +178,7 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
     )
     # Checked here, before any beam is loaded or generated.
     check_model_fits_data(model, window_hours)
+    check_train_fraction(train_fraction)
     out_dir = raw.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigurationError(f"out_dir must be a path, got {out_dir!r}")
@@ -326,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         # NumPy's overflow and invalid-value warnings would only repeat it.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ConfigurationError, ContractViolationError, IncompatibleWeightsError) as exc:
+    except (ConfigurationError, ContractViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IngestionError, OSError) as exc:

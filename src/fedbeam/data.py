@@ -322,12 +322,17 @@ def window_arrays(series: BeamSeries, window_hours: int) -> tuple[np.ndarray, np
     return windows.reshape(m, 2 * window_hours), series.hourly_shares[window_hours:]
 
 
-def train_count(n: int, train_fraction: float) -> int:
-    """floor(f*n): how many of n chronological samples train."""
+def check_train_fraction(train_fraction: float) -> None:
+    """Raise ConfigurationError unless 0 < train_fraction < 1."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError(
             f"train_fraction must be in (0, 1), got {train_fraction}"
         )
+
+
+def train_count(n: int, train_fraction: float) -> int:
+    """floor(f*n): how many of n chronological samples train."""
+    check_train_fraction(train_fraction)
     n_train = int(math.floor(train_fraction * n))
     if n_train == 0 or n_train == n:
         raise ConfigurationError(

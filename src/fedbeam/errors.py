@@ -14,11 +14,8 @@ class ConfigurationError(FedbeamError):
 
 
 class ContractViolationError(FedbeamError):
-    """A caller broke an API contract (shape mismatch, stale cache, empty input)."""
-
-
-class IncompatibleWeightsError(FedbeamError):
-    """A parameter vector does not match the layout the receiver expects."""
+    """A caller broke an API contract: a shape mismatch (a weight vector of the
+    wrong length included), a stale cache or an empty input."""
 
 
 class IngestionError(FedbeamError):

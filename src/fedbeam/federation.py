@@ -3,6 +3,8 @@
 One round: broadcast the global weights, train each available client for
 local_epochs over its own windowed series, aggregate the returned weight
 vectors, then evaluate the new global model on every client's test set.
+Every weight vector exchanged here is a read-only ``(parameters,)`` float64
+array in the model's layout (see ``fedbeam.model``).
 
 A round trains all its participants in lockstep, one row per client of a
 stacked model, even when their series differ in length.  The clients step
@@ -67,7 +69,6 @@ from .model import (
     with_weights,
 )
 from .optim import AdamState, adam_step, clip_gradient_norm, mse_loss
-from .params import ParameterVector
 
 log = logging.getLogger(__name__)
 
@@ -167,7 +168,7 @@ class ClientState:
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: str
-    weights: ParameterVector
+    weights: np.ndarray
     sample_count: int
     local_train_loss: float
 
@@ -189,7 +190,7 @@ class ExperimentReport:
     dataset_digest: str
     rounds: tuple[RoundReport, ...]
     final_avg_test_loss: float
-    final_weights: ParameterVector
+    final_weights: np.ndarray
 
 
 def check_model_fits_data(model_config: ModelConfig, window_hours: int) -> None:
@@ -332,7 +333,7 @@ def _step_masks(
 def local_train(
     clients: list[ClientState],
     template: Model,
-    global_weights: ParameterVector,
+    global_weights: np.ndarray,
     fed_config: FederationConfig,
     rngs: list[np.random.Generator],
 ) -> list[ClientUpdate]:
@@ -423,27 +424,28 @@ def local_train(
             final_losses[r].append(losses[r - lo])
             final_sizes[r].append(size)
 
+    trained = export_weights(model)
     updates: list[ClientUpdate] = [None] * len(rows)  # type: ignore[list-item]
     for r, client in enumerate(rows):
         updates[order[r]] = ClientUpdate(
             client_id=client.client_id,
-            weights=ParameterVector.from_flat(model.layout, model.weights[r]),
+            weights=trained[r],
             sample_count=client.sample_count,
             local_train_loss=float(np.average(final_losses[r], weights=final_sizes[r])),
         )
     return updates
 
 
-def aggregate(updates: list[ClientUpdate], scheme: str = AGG_UNIFORM) -> ParameterVector:
+def aggregate(updates: list[ClientUpdate], scheme: str = AGG_UNIFORM) -> np.ndarray:
     """Average client weight vectors, summing in client-id order."""
     if not updates:
         raise ContractViolationError("cannot aggregate zero updates")
     if scheme not in (AGG_UNIFORM, AGG_SAMPLE_WEIGHTED):
         raise ConfigurationError(f"unknown aggregation scheme {scheme!r}")
     ordered = sorted(updates, key=lambda u: u.client_id)
-    layout = ordered[0].weights.layout()
-    for u in ordered[1:]:
-        ordered[0].weights.require_same_layout(u.weights)
+    shapes = {u.weights.shape for u in ordered}
+    if len(shapes) != 1:
+        raise ContractViolationError(f"client weight vectors differ in shape: {sorted(shapes)}")
     if scheme == AGG_UNIFORM:
         coefficients = [1.0 / len(ordered)] * len(ordered)
     else:
@@ -451,14 +453,15 @@ def aggregate(updates: list[ClientUpdate], scheme: str = AGG_UNIFORM) -> Paramet
         if total <= 0:
             raise ContractViolationError("sample_weighted aggregation needs samples")
         coefficients = [u.sample_count / total for u in ordered]
-    acc = np.zeros_like(ordered[0].weights.to_flat())
+    acc = np.zeros(ordered[0].weights.shape)
     for coef, update in zip(coefficients, ordered):
-        acc = acc + coef * update.weights.to_flat()
-    return ParameterVector.from_flat(layout, acc)
+        acc = acc + coef * update.weights
+    acc.flags.writeable = False
+    return acc
 
 
 def evaluate_global(
-    weights: ParameterVector, clients: list[ClientState], template: Model
+    weights: np.ndarray, clients: list[ClientState], template: Model
 ) -> tuple[dict[str, float], float]:
     """Evaluation-pass MSE per client plus the unweighted average."""
     if not clients:
@@ -488,12 +491,12 @@ def _availability_draw(
 
 
 def run_round(
-    global_weights: ParameterVector,
+    global_weights: np.ndarray,
     clients: list[ClientState],
     template: Model,
     fed_config: FederationConfig,
     round_index: int,
-) -> tuple[ParameterVector, RoundReport]:
+) -> tuple[np.ndarray, RoundReport]:
     """One synchronous round; evaluates the new weights on every client.
 
     All participants train in one local_train call.

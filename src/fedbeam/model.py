@@ -15,8 +15,10 @@ reshaped view into it.  A spline layer is one array, its weight block
 product reads them); an affine layer is two, weights and biases.
 ``parameter_layout`` fixes the order and shape of those arrays (the
 segments), and the same layout serves the gradient buffer, whose segment
-views ``model_backward`` fills, and the ``ParameterVector`` that
-``export_weights`` and ``import_weights`` exchange with the federation.
+views ``model_backward`` fills.  Only this module knows the layout: the
+federation exchanges plain read-only ``(parameters,)`` float64 arrays in
+it, which ``export_weights`` copies out of a model and ``import_weights``
+copies into one.
 
 ``build_model`` is the only step that plans: it validates the config, lays
 out the blocks and builds the spline grid.  Every later model is the built
@@ -44,7 +46,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     ContractViolationError,
-    IncompatibleWeightsError,
     require_finite,
     require_int,
 )
@@ -60,12 +61,14 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .params import Layout, ParameterVector
 from .splines import MAX_SPLINE_ORDER, SplineGrid
 
 KIND_FED_KAN = "fed_kan"
 KIND_FED_MLP = "fed_mlp"
 _WIDTH_FIELDS = ("kan_hidden_widths", "mlp_hidden_widths", "fc_head_widths")
+
+# The name and shape of every trainable array, in buffer order.
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -413,20 +416,26 @@ def model_backward(
             grad_views[j + 1][...] = d_biases
 
 
-def export_weights(model: Model) -> ParameterVector:
-    """Snapshot all trainable arrays of one model as a named parameter vector."""
-    return ParameterVector.from_flat(model.layout, model.weights)
+def export_weights(model: Model) -> np.ndarray:
+    """A read-only copy of the model's flat weights, sharing no memory with it.
+
+    The copy is ``(parameters,)`` for one model; a stack's is ``(clients,
+    parameters)``, and each of its rows is one model's read-only weights.
+    """
+    weights = model.weights.copy()
+    weights.flags.writeable = False
+    return weights
 
 
-def import_weights(model: Model, vector: ParameterVector, copies: int | None = None) -> Model:
-    """Return a copy of the model carrying the vector's values.
+def import_weights(model: Model, weights: np.ndarray, copies: int | None = None) -> Model:
+    """Return a copy of the model carrying these ``(parameters,)`` weights.
 
     With ``copies`` set, the result is a stack of that many models, each
-    starting from the vector's values.
+    starting from the same weights.
     """
-    if model.layout != vector.layout():
-        raise IncompatibleWeightsError(
-            f"parameter layouts differ: {model.layout} vs {vector.layout()}"
+    if weights.shape != model.weights.shape[-1:]:
+        raise ContractViolationError(
+            f"weights of shape {weights.shape} do not fit a model of "
+            f"{model.weights.shape[-1]} parameters"
         )
-    flat = vector.to_flat()
-    return with_weights(model, flat.copy() if copies is None else np.tile(flat, (copies, 1)))
+    return with_weights(model, weights.copy() if copies is None else np.tile(weights, (copies, 1)))

@@ -29,7 +29,7 @@ without a copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import comb, factorial
 
@@ -37,30 +37,37 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Relative tolerance on knot spacing uniformity.
-_SPACING_RTOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class SplineGrid:
     """Extended uniform knot grid for B-splines on [range_min, range_max].
 
-    The knots are checked once, when the grid is built, and stored as a
-    read-only array, so a grid that exists is well-formed.  Grids compare
-    and hash by identity: an array field has no single truth value.
+    A grid is its four numbers.  They are checked, and the read-only knots
+    derived from them, once, when the grid is built, so a grid that exists
+    is well-formed.  Grids compare and hash by identity: an array field has
+    no single truth value.
     """
 
     range_min: float
     range_max: float
     intervals: int
     order: int
-    knots: np.ndarray
+    knots: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        knots = np.array(self.knots, dtype=np.float64)
+        if self.intervals < 1:
+            raise ConfigurationError(f"grid intervals must be >= 1, got {self.intervals}")
+        if self.order < 0:
+            raise ConfigurationError(f"spline order must be >= 0, got {self.order}")
+        if not self.range_max > self.range_min:
+            raise ConfigurationError(
+                f"grid range is empty: [{self.range_min}, {self.range_max}]"
+            )
+        knots = self.range_min + self.spacing * np.arange(
+            -self.order, self.intervals + self.order + 1, dtype=np.float64
+        )
         knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
-        self.validate()
 
     @classmethod
     def uniform(
@@ -71,19 +78,7 @@ class SplineGrid:
         range_max: float = 1.0,
     ) -> "SplineGrid":
         """Build the canonical evenly spaced grid for the given resolution."""
-        if intervals < 1:
-            raise ConfigurationError(f"grid intervals must be >= 1, got {intervals}")
-        if order < 0:
-            raise ConfigurationError(f"spline order must be >= 0, got {order}")
-        if not range_max > range_min:
-            raise ConfigurationError(
-                f"grid range is empty: [{range_min}, {range_max}]"
-            )
-        spacing = (range_max - range_min) / intervals
-        knots = range_min + spacing * np.arange(
-            -order, intervals + order + 1, dtype=np.float64
-        )
-        return cls(float(range_min), float(range_max), int(intervals), int(order), knots)
+        return cls(range_min, range_max, intervals, order)
 
     @property
     def num_bases(self) -> int:
@@ -92,27 +87,6 @@ class SplineGrid:
     @property
     def spacing(self) -> float:
         return (self.range_max - self.range_min) / self.intervals
-
-    def validate(self) -> None:
-        """Raise ConfigurationError unless the knot sequence is well-formed."""
-        expected = self.intervals + 2 * self.order + 1
-        if self.knots.ndim != 1 or self.knots.shape[0] != expected:
-            raise ConfigurationError(
-                f"knot sequence must have {expected} entries, got {self.knots.shape}"
-            )
-        steps = np.diff(self.knots)
-        if not np.all(steps > 0):
-            raise ConfigurationError("knot sequence must be strictly increasing")
-        spacing = self.spacing
-        tol = _SPACING_RTOL * max(abs(spacing), 1.0)
-        if np.max(np.abs(steps - spacing)) > tol:
-            raise ConfigurationError("knots must be evenly spaced")
-        ends = self.knots[[self.order, self.order + self.intervals]]
-        if np.max(np.abs(ends - (self.range_min, self.range_max))) > tol * self.intervals:
-            raise ConfigurationError(
-                f"knots must place the grid range [{self.range_min}, {self.range_max}] "
-                f"at knots {self.order} and {self.order + self.intervals}"
-            )
 
 
 # The piece matrix divides by order!, and 171! overflows a float64.

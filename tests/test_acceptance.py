@@ -51,7 +51,6 @@ from fedbeam.model import (
     with_weights,
 )
 from fedbeam.optim import mse_loss
-from fedbeam.params import ParameterVector
 from fedbeam.report import parse_comparison_csv, parse_experiment_csv
 from fedbeam.splines import SplineGrid, basis_matrix
 
@@ -251,10 +250,10 @@ def test_criterion3_spline_suite():
 @pytest.mark.acceptance("4-fedavg-algebra")
 def test_criterion4_fedavg_algebra():
     def update_of(cid: str, values: np.ndarray, count: int) -> ClientUpdate:
-        return ClientUpdate(cid, ParameterVector.from_arrays([("w", values)]), count, 0.0)
+        return ClientUpdate(cid, values, count, 0.0)
 
     identical = [update_of(f"c{i}", np.full(5, 0.37), 4) for i in range(4)]
-    agg = aggregate(identical, "uniform").to_flat()
+    agg = aggregate(identical, "uniform")
     assert np.max(np.abs(agg - 0.37)) <= 1e-15
 
     rng = np.random.default_rng(77)
@@ -262,11 +261,11 @@ def test_criterion4_fedavg_algebra():
     updates = [update_of(f"c{i}", values[i], i + 1) for i in range(4)]
     shuffled = [updates[2], updates[0], updates[3], updates[1]]
     assert np.array_equal(
-        aggregate(updates, "sample_weighted").to_flat(),
-        aggregate(shuffled, "sample_weighted").to_flat(),
+        aggregate(updates, "sample_weighted"),
+        aggregate(shuffled, "sample_weighted"),
     )
     for scheme in ("uniform", "sample_weighted"):
-        out = aggregate(updates, scheme).to_flat()
+        out = aggregate(updates, scheme)
         assert np.all(out >= values.min(axis=0) - 1e-12)
         assert np.all(out <= values.max(axis=0) + 1e-12)
 
@@ -274,7 +273,7 @@ def test_criterion4_fedavg_algebra():
         [update_of("a", np.full(3, 1.0), 3), update_of("b", np.full(3, 5.0), 1)],
         "sample_weighted",
     )
-    assert np.array_equal(weighted.to_flat(), np.full(3, 2.0))
+    assert np.array_equal(weighted, np.full(3, 2.0))
 
 
 # --- criterion 5: data pipeline ---------------------------------------------

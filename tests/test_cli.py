@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -217,9 +218,15 @@ def test_fleet_shaped_compare_matches_its_pinned_digests(tmp_path, monkeypatch):
         files.append(str(out / f"beam-{k:02d}.csv"))
     participants = []
     run_round = fedbeam.federation.run_round
+    signature = inspect.signature(run_round)
 
-    def recording_run_round(*args):
-        new_weights, report = run_round(*args)
+    def recording_run_round(*args, **kwargs):
+        # Bound by name, as perfbench's timed round binds them.
+        bound = signature.bind(*args, **kwargs).arguments
+        assert all(isinstance(c, fedbeam.federation.ClientState) for c in bound["clients"])
+        assert isinstance(bound["fed_config"], fedbeam.federation.FederationConfig)
+        assert bound["fed_config"].local_epochs == 1
+        new_weights, report = run_round(*args, **kwargs)
         participants.append(report.participants)
         return new_weights, report
 
@@ -350,21 +357,37 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, section, key, value
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "model, data, message",
+    [
+        pytest.param(
+            {"output_width": 3, "fc_head_widths": [8, 3]}, {}, "output_width 3", id="width3"
+        ),
+        *(
+            pytest.param(
+                {}, {"train_fraction": f}, f"in (0, 1), got {float(f)}", id=f"fraction{f}"
+            )
+            for f in (0, 1, 1.5)
+        ),
+    ],
+)
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("kind", ["fed_kan", "fed_mlp"])
 def test_an_output_width_other_than_the_four_shares_exits_2_before_loading(
-    tmp_path, capsys, command, kind
+    tmp_path, capsys, command, kind, model, data, message
 ):
-    # The beam file does not exist: loading it would exit 3.
+    # The beam file does not exist: loading it would exit 3.  A width other
+    # than the four shares and a train_fraction outside (0, 1) are config
+    # errors, found before any beam is read.
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
-        model={"kind": kind, "output_width": 3, "fc_head_widths": [8, 3]},
-        data={"beam_files": [str(tmp_path / "missing.csv")]},
+        model={"kind": kind, **model},
+        data={"beam_files": [str(tmp_path / "missing.csv")], **data},
     )
     assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "output_width 3" in err
+    assert err.startswith("error:") and message in err
     assert "missing.csv" not in err
 
 

@@ -15,7 +15,6 @@ from fedbeam.data import default_profiles, generate_synthetic
 from fedbeam.errors import (
     ConfigurationError,
     ContractViolationError,
-    IncompatibleWeightsError,
     NumericsError,
 )
 from fedbeam.federation import (
@@ -47,7 +46,6 @@ from fedbeam.model import (
     segment_views,
 )
 from fedbeam.optim import AdamState, adam_step, clip_gradient_norm, mse_loss
-from fedbeam.params import ParameterVector
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
@@ -70,8 +68,8 @@ def small_clients(n_beams: int = 2, hours: int = 80) -> list[ClientState]:
     return [build_client(generate_synthetic(3, hours, p), 5, 0.8) for p in profiles]
 
 
-def vector_of(value: float) -> ParameterVector:
-    return ParameterVector.from_arrays([("w", np.full(3, value))])
+def vector_of(value: float) -> np.ndarray:
+    return np.full(3, value)
 
 
 def update_of(cid: str, value: float, count: int) -> ClientUpdate:
@@ -106,41 +104,36 @@ def test_local_train_rejects_what_it_cannot_batch():
 def test_aggregate_idempotent_on_identical_updates():
     updates = [update_of(f"c{i}", 0.73, 10) for i in range(3)]
     out = aggregate(updates, "uniform")
-    assert np.max(np.abs(out.to_flat() - 0.73)) <= 1e-15
+    assert np.max(np.abs(out - 0.73)) <= 1e-15
 
 
 def test_aggregate_opposite_vectors_cancel():
     updates = [update_of("a", 1.5, 10), update_of("b", -1.5, 10)]
     out = aggregate(updates, "uniform")
-    assert np.array_equal(out.to_flat(), np.zeros(3))
+    assert np.array_equal(out, np.zeros(3))
 
 
 def test_aggregate_sample_weighted_hand_example():
     updates = [update_of("a", 1.0, 3), update_of("b", 5.0, 1)]
     out = aggregate(updates, "sample_weighted")
-    assert np.array_equal(out.to_flat(), np.full(3, 2.0))
+    assert np.array_equal(out, np.full(3, 2.0))
+    assert not out.flags.writeable
 
 
 def test_aggregate_is_permutation_invariant():
     rng = np.random.default_rng(8)
-    updates = [
-        ClientUpdate(f"c{i}", ParameterVector.from_arrays([("w", rng.standard_normal(6))]), i + 1, 0.1)
-        for i in range(4)
-    ]
+    updates = [ClientUpdate(f"c{i}", rng.standard_normal(6), i + 1, 0.1) for i in range(4)]
     forward_order = aggregate(updates, "sample_weighted")
     backward_order = aggregate(list(reversed(updates)), "sample_weighted")
-    assert np.array_equal(forward_order.to_flat(), backward_order.to_flat())
+    assert np.array_equal(forward_order, backward_order)
 
 
 def test_aggregate_respects_convex_hull():
     rng = np.random.default_rng(9)
     values = rng.standard_normal((5, 6))
-    updates = [
-        ClientUpdate(f"c{i}", ParameterVector.from_arrays([("w", values[i])]), 2 * i + 1, 0.1)
-        for i in range(5)
-    ]
+    updates = [ClientUpdate(f"c{i}", values[i], 2 * i + 1, 0.1) for i in range(5)]
     for scheme in ("uniform", "sample_weighted"):
-        out = aggregate(updates, scheme).to_flat()
+        out = aggregate(updates, scheme)
         assert np.all(out >= values.min(axis=0) - 1e-12)
         assert np.all(out <= values.max(axis=0) + 1e-12)
 
@@ -149,8 +142,8 @@ def test_aggregate_rejects_empty_and_mismatched():
     with pytest.raises(ContractViolationError):
         aggregate([], "uniform")
     good = update_of("a", 1.0, 1)
-    other = ClientUpdate("b", ParameterVector.from_arrays([("v", np.zeros(3))]), 1, 0.1)
-    with pytest.raises(IncompatibleWeightsError):
+    other = ClientUpdate("b", np.zeros(4), 1, 0.1)
+    with pytest.raises(ContractViolationError, match="differ in shape"):
         aggregate([good, other], "uniform")
     with pytest.raises(ConfigurationError):
         aggregate([good], "median")
@@ -163,7 +156,8 @@ def test_local_train_zero_lr_returns_global_bitwise():
     template = build_model(cfg, seed=5)
     global_weights = export_weights(template)
     [update] = local_train([clients[0]], template, global_weights, fed, [np.random.default_rng(0)])
-    assert np.array_equal(update.weights.to_flat(), global_weights.to_flat())
+    assert np.array_equal(update.weights, global_weights)
+    assert not update.weights.flags.writeable
     assert update.sample_count == clients[0].sample_count
 
 
@@ -174,10 +168,10 @@ def test_local_train_is_deterministic():
     global_weights = export_weights(template)
     [a] = local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(4)])
     [b] = local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(4)])
-    assert np.array_equal(a.weights.to_flat(), b.weights.to_flat())
+    assert np.array_equal(a.weights, b.weights)
     assert a.local_train_loss == b.local_train_loss
     [c] = local_train([clients[0]], template, global_weights, FAST_FED, [np.random.default_rng(5)])
-    assert not np.array_equal(a.weights.to_flat(), c.weights.to_flat())
+    assert not np.array_equal(a.weights, c.weights)
 
 
 def layer_arrays(model) -> list[np.ndarray]:
@@ -226,7 +220,7 @@ def test_training_leaves_template_and_global_weights_unchanged():
 
     def snapshot() -> list[bytes]:
         arrays = [template.weights, *layer_arrays(template)]
-        arrays.append(global_weights.to_flat())
+        arrays.append(global_weights)
         return [a.tobytes() for a in arrays]
 
     before = snapshot()
@@ -271,7 +265,7 @@ def test_run_round_single_client_adopts_its_update():
     new_weights, report = run_round(weights, clients, template, FAST_FED, round_index=1)
     rng = np.random.default_rng(np.random.SeedSequence((FAST_FED.seed, 1, 1, 0)))
     [update] = local_train([clients[0]], template, weights, FAST_FED, [rng])
-    assert np.array_equal(new_weights.to_flat(), update.weights.to_flat())
+    assert np.array_equal(new_weights, update.weights)
     assert report.avg_train_loss == update.local_train_loss
 
 
@@ -329,7 +323,7 @@ def test_lockstep_group_matches_each_client_alone(cfg):
     assert [u.client_id for u in together] == [c.client_id for c in clients]
     for i, (client, update) in enumerate(zip(clients, together)):
         [alone] = local_train([client], template, weights, FAST_FED, [np.random.default_rng(i)])
-        assert np.array_equal(update.weights.to_flat(), alone.weights.to_flat())
+        assert np.array_equal(update.weights, alone.weights)
         assert update.local_train_loss == alone.local_train_loss
         assert update.sample_count == alone.sample_count
 
@@ -352,7 +346,7 @@ def test_ragged_lockstep_matches_each_client_alone(cfg):
     assert [u.client_id for u in together] == [c.client_id for c in clients]
     for i, (client, update) in enumerate(zip(clients, together)):
         [alone] = local_train([client], template, weights, fed, [np.random.default_rng(i)])
-        assert update.weights.to_flat().tobytes() == alone.weights.to_flat().tobytes()
+        assert update.weights.tobytes() == alone.weights.tobytes()
         assert np.float64(update.local_train_loss).tobytes() == np.float64(
             alone.local_train_loss
         ).tobytes()
@@ -415,7 +409,7 @@ def test_local_train_matches_a_plain_loop_over_feature_rows(cfg, epochs):
     )
     for i, (client, update) in enumerate(zip(clients, updates)):
         alone, loss = train_alone(client, template, weights, fed, np.random.default_rng(i))
-        assert update.weights.to_flat().tobytes() == alone.tobytes()
+        assert update.weights.tobytes() == alone.tobytes()
         assert np.float64(update.local_train_loss).tobytes() == loss.tobytes()
 
 
@@ -557,7 +551,7 @@ def test_stacked_calls_are_split_at_max_stack_rows(monkeypatch):
     assert all(rows * size <= 40 for rows, size in shapes)
     assert {(2, 16), (3, 12), (1, 12)} <= set(shapes)
     for a, b in zip(unsplit, split):
-        assert a.weights.to_flat().tobytes() == b.weights.to_flat().tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
         assert a.local_train_loss == b.local_train_loss
 
 
@@ -589,7 +583,7 @@ def test_run_round_mixed_lengths_match_clients_trained_alone(monkeypatch):
         for idx, c in enumerate(clients)
     ]
     expected = aggregate(updates, fed.aggregation)
-    assert np.array_equal(new_weights.to_flat(), expected.to_flat())
+    assert np.array_equal(new_weights, expected)
     assert report.avg_train_loss == float(np.mean([u.local_train_loss for u in updates]))
 
 
@@ -679,7 +673,7 @@ def test_run_experiment_rounds_one_composes_run_round():
     template = build_model(cfg, seed=fed.seed)
     weights = export_weights(template)
     manual_weights, manual_round = run_round(weights, clients, template, fed, 1)
-    assert np.array_equal(report.final_weights.to_flat(), manual_weights.to_flat())
+    assert np.array_equal(report.final_weights, manual_weights)
     assert report.rounds == (manual_round,)
     assert report.final_avg_test_loss == manual_round.avg_test_loss
 
@@ -691,7 +685,7 @@ def test_run_experiment_is_deterministic():
     a = run_experiment(cfg, FAST_FED, beams)
     b = run_experiment(cfg, FAST_FED, beams)
     assert a.rounds == b.rounds
-    assert np.array_equal(a.final_weights.to_flat(), b.final_weights.to_flat())
+    assert np.array_equal(a.final_weights, b.final_weights)
     assert a.dataset_digest == b.dataset_digest
 
 
@@ -701,7 +695,10 @@ def test_run_experiment_layout_is_conserved():
     cfg = ModelConfig.fed_mlp()
     report = run_experiment(cfg, FAST_FED, beams)
     template = build_model(cfg, seed=FAST_FED.seed)
-    assert report.final_weights.layout() == export_weights(template).layout()
+    # The final weights are a read-only vector in the template's layout.
+    assert report.final_weights.shape == template.weights.shape
+    assert not report.final_weights.flags.writeable
+    assert import_weights(template, report.final_weights).layout == template.layout
 
 
 def test_run_experiment_rejects_mismatched_window():
