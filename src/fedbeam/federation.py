@@ -19,21 +19,29 @@ cannot change results.
 Every client also keeps its own seeded dropout generator, and only this
 module draws from it: the model applies the masks it is given.  When a
 client starts an epoch, that epoch's uniforms are drawn from its generator
-(``DRAW_CHUNK`` at a time), and each step reads its masks from that block
+(``DRAW_CHUNK`` at a time) into its row of one ``(clients, samples,
+dropout widths)`` bool buffer, and each step reads its masks from that row
 in stream order: its batch's rows, layer by layer.  That is the order in
 which drawing each step's masks one layer at a time would consume the
 stream, and a PCG64 stream gives the same doubles however its draws are
 chunked, so the masks are bitwise those of drawing them step by step.
 With ``dropout_p`` 0 nothing is drawn.
 
-A spline first layer reads only the client's fixed training windows, so
-when a round trains more than one local epoch each participant's layer-0
-plane (``silu`` and the B-spline bases of every feature) is built once per
-round, over all its training rows, and every step gathers its batch's rows
-of that plane in place of feature rows.  A point's plane bits do not depend
-on the points evaluated with it, so this cannot change results either.
-With one local epoch no row is read twice in a round, and nothing is built
-ahead.
+When a round trains more than one local epoch, every participant's
+training rows are stacked once per round: one ``(clients, samples, width)``
+source buffer and one of targets.  A spline first layer reads only the
+client's fixed training windows, so its source is the layer-0 plane
+(``silu`` and the B-spline bases of every feature), written straight into
+the buffer, and every step reads its batch's rows of that plane in place of
+feature rows.  A point's plane bits do not depend on the points evaluated
+with it, so this cannot change results either.  With one local epoch no
+row is read twice in a round, so nothing is stacked or built ahead: each
+step gathers its rows from the clients' own arrays.
+
+A stacked call whose rows share a batch start reads its batch, targets
+and dropout flags as basic-slice views of those buffers; rows at different
+starts are gathered row by row.  Every layer's product runs the same BLAS
+call on a view as on a copy, so views cannot change results either.
 """
 
 from __future__ import annotations
@@ -292,40 +300,47 @@ def _lockstep_calls(counts: list[int], epochs: int, batch_size: int) -> Iterator
                 yield step, lo, hi, size, start_g[lo:hi], range(max(lo, k), hi)
 
 
-def _draw_kept(rng: np.random.Generator, n: int, keep: float) -> np.ndarray:
-    """``rng.random(n) < keep``, drawn ``DRAW_CHUNK`` doubles at a time.
+def _draw_kept(rng: np.random.Generator, keep: float, out: np.ndarray) -> None:
+    """Fill the C-contiguous bool array ``out``, in flat order, with
+    ``rng.random(out.size) < keep``, drawn ``DRAW_CHUNK`` doubles at a time.
 
     A PCG64 stream gives the same doubles however its draws are chunked.
     """
-    kept = np.empty(n, dtype=bool)
+    kept = out.reshape(-1)
+    n = kept.size
     for lo in range(0, n, DRAW_CHUNK):
         np.less(rng.random(min(DRAW_CHUNK, n - lo)), keep, out=kept[lo : lo + DRAW_CHUNK])
-    return kept
 
 
-def _step_masks(
-    kept: list[np.ndarray],
-    parts: list[tuple[int, int]],
-    size: int,
-    widths: list[int],
-    drop_prob: float,
-) -> list[np.ndarray]:
-    """One stacked call's dropout masks, cut from its rows' epoch blocks.
+def _take(source, lo: int, starts: list[int], size: int) -> np.ndarray:
+    """Row ``lo + i``'s ``size`` samples from ``starts[i]``, for every i.
 
-    ``kept[r]`` is row ``r``'s epoch of kept flags, flat, ``sum(widths)``
-    per sample.  A row at batch start ``a`` reads ``[a * W, (a + size) *
-    W)`` and splits it into one ``(size, w)`` piece per dropout layer, in
-    layer order: the order per-step, per-layer draws consume the stream.
-    Returns one ``(len(parts), size, w)`` mask per layer.
+    ``source`` is a stacked array, one row per client and samples on axis
+    1, or a list of per-client arrays.  From a stacked array, rows that
+    share one start come back as a basic-slice view; otherwise each row's
+    samples are gathered into a new array.
     """
-    total = sum(widths)
-    scale = dropout_scale(
-        np.asarray([kept[r][a * total : (a + size) * total] for r, a in parts]), drop_prob
-    )
+    a = starts[0]
+    if isinstance(source, np.ndarray) and starts.count(a) == len(starts):
+        return source[lo : lo + len(starts), a : a + size]
+    return np.asarray([source[lo + i][s : s + size] for i, s in enumerate(starts)])
+
+
+def _step_masks(flags: np.ndarray, widths: list[int], drop_prob: float) -> list[np.ndarray]:
+    """One stacked call's dropout masks from its rows' kept flags.
+
+    ``flags`` is ``(rows, size, sum(widths))``: each row's ``size *
+    sum(widths)`` flags for this step, in stream order.  They split into
+    one ``(size, w)`` piece per dropout layer, in layer order: the order
+    per-step, per-layer draws consume the stream.  Returns one ``(rows,
+    size, w)`` mask per layer.
+    """
+    rows, size = flags.shape[:2]
+    scale = dropout_scale(flags, drop_prob).reshape(rows, -1)
     masks = []
     offset = 0
     for w in widths:
-        masks.append(scale[:, offset : offset + size * w].reshape(len(parts), size, w))
+        masks.append(scale[:, offset : offset + size * w].reshape(rows, size, w))
         offset += size * w
     return masks
 
@@ -350,10 +365,13 @@ def local_train(
     client's batch losses during its final epoch, dropout active.  Updates
     come back in the order of ``clients``.
 
-    With more than one epoch and a spline first block, each client's
-    layer-0 plane over all its training rows (``input_plane``) is built
-    once per call, and the steps gather rows of it instead of feature rows
-    (``forward_with_caches(..., planned=True)``).
+    With more than one epoch, every client's training rows are stacked
+    once per call into one source and one target buffer; with a spline
+    first block the source holds each client's layer-0 plane over all its
+    training rows (``input_plane``, written into the buffer), which the
+    steps read instead of feature rows (``forward_with_caches(...,
+    planned=True)``).  A call whose rows share a batch start reads its
+    batch, targets and dropout flags as views (see ``_take``).
     """
     if not clients or len(rngs) != len(clients):
         raise ContractViolationError(
@@ -371,17 +389,31 @@ def local_train(
     order = sorted(range(len(clients)), key=lambda i: -clients[i].sample_count)
     rows = [clients[i] for i in order]
     counts = [c.sample_count for c in rows]
-    # Each step gathers its rows from its client's source: the layer-0
-    # plane when a later epoch reads every row again, else the features.
+    # Each step reads its rows' samples from their sources: per-client
+    # arrays in a one-epoch round, which reads no row twice; otherwise one
+    # stacked buffer of every row's training features (for a spline first
+    # block, its layer-0 plane, written there directly) and one of targets.
     planned = epochs > 1 and isinstance(template.blocks[0], KanLayerParams)
-    sources = [
-        input_plane(template, c.train_features) if planned else c.train_features
-        for c in rows
-    ]
+    if epochs > 1:
+        width = template.config.input_width
+        if planned:
+            width *= template.blocks[0].grid.num_bases + 1
+        sources = np.empty((len(rows), counts[0], width))
+        targets = np.empty((len(rows), counts[0], template.config.output_width))
+        for r, client in enumerate(rows):
+            if planned:
+                input_plane(template, client.train_features, out=sources[r, : counts[r]])
+            else:
+                sources[r, : counts[r]] = client.train_features
+            targets[r, : counts[r]] = client.train_targets
+    else:
+        sources = [c.train_features for c in rows]
+        targets = [c.train_targets for c in rows]
     # Each row's kept flags for its current epoch, drawn when the epoch starts.
     drop_prob = template.config.dropout_p
     widths = dropout_widths(template)
-    kept: list[np.ndarray] = [None] * len(rows)  # type: ignore[list-item]
+    if drop_prob > 0.0:
+        kept = np.empty((len(rows), counts[0], sum(widths)), dtype=bool)
 
     # One row per client in the weight, gradient and Adam moment buffers.  A
     # call over rows [lo:hi] steps their row views in place, so whichever
@@ -402,15 +434,14 @@ def local_train(
                 AdamState(first[lo:hi], second[lo:hi], *rates),
             )
         part, part_grads, segments, state = stacks[lo, hi]
-        parts = list(zip(range(lo, hi), starts))
-        xb = np.asarray([sources[r][a : a + size] for r, a in parts])
-        yb = np.asarray([rows[r].train_targets[a : a + size] for r, a in parts])
+        xb = _take(sources, lo, starts, size)
+        yb = _take(targets, lo, starts, size)
         masks = None
         if drop_prob > 0.0:
-            for r, a in parts:
+            for r, a in zip(range(lo, hi), starts):
                 if a == 0:  # row r starts an epoch
-                    kept[r] = _draw_kept(rngs[order[r]], counts[r] * sum(widths), 1 - drop_prob)
-            masks = _step_masks(kept, parts, size, widths, drop_prob)
+                    _draw_kept(rngs[order[r]], 1 - drop_prob, kept[r, : counts[r]])
+            masks = _step_masks(_take(kept, lo, starts, size), widths, drop_prob)
         preds, caches = forward_with_caches(part, xb, masks, planned)
         losses, loss_grad = mse_loss(preds, yb)
         finite = np.isfinite(losses)

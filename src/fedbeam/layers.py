@@ -10,7 +10,10 @@ A hidden affine layer's ReLU and dropout are one elementwise mask
 (``relu`` with a dropout ``scale``), whose product gives the same bits as
 the two applied in turn.
 All arithmetic is float64 and every backward consumes the cache produced by
-the matching forward.
+the matching forward.  A backward writes its parameter gradients with
+``out=`` into the arrays it is given (in training, the segment views of the
+gradient buffer, so no copy follows) and returns only the input gradient;
+a view's bits are those of a new array.
 
 Every layer also accepts a stack of batches: inputs of shape
 ``(clients, batch, width)`` with parameters carrying the same leading
@@ -136,7 +139,10 @@ def _check_upstream(upstream: np.ndarray, cached: np.ndarray, out_width: int) ->
 
 
 def kan_plane(
-    inputs: np.ndarray, grid: SplineGrid, derivative: bool = False
+    inputs: np.ndarray,
+    grid: SplineGrid,
+    derivative: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The plane a spline layer multiplies by its weight block, and its derivative.
 
@@ -148,8 +154,14 @@ def kan_plane(
     is None and no derivative is computed.  The plane depends on the inputs
     and the grid alone, and each row's bits on that row alone, so a plane
     built once over fixed features serves every batch gathered from it.
+    ``out``, a C-contiguous float64 array of the plane's shape, is filled
+    with the plane and returned as it.
     """
-    plane, dplane = basis_and_derivative(inputs.reshape(-1), grid, derivative, pad=1)
+    if out is not None:
+        if not out.flags.c_contiguous:
+            raise ContractViolationError("a plane is written into a C-contiguous array")
+        out = out.reshape(-1, grid.num_bases + 1)
+    plane, dplane = basis_and_derivative(inputs.reshape(-1), grid, derivative, 1, out)
     slots = (*inputs.shape, -1)
     sig = sigmoid(inputs)
     np.multiply(inputs, sig, out=plane.reshape(slots)[..., 0])
@@ -191,24 +203,28 @@ def kan_layer_forward(
 
 
 def kan_layer_backward(
-    upstream: np.ndarray, params: KanLayerParams, cache: dict
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Backward pass; returns the gradients of (inputs, weights).
+    upstream: np.ndarray, params: KanLayerParams, cache: dict, d_weights: np.ndarray
+) -> np.ndarray | None:
+    """Backward pass: writes the weights' gradient into ``d_weights`` and
+    returns the inputs' gradient.
 
-    A cache built with ``derivative=False`` gives None for the inputs'
-    gradient and computes none of it.
+    ``d_weights`` has the weights' shape and must reshape to the flat
+    ``(..., in_width * (num_bases + 1), out_width)`` block without a copy,
+    as a segment view of a gradient buffer does: the product is written
+    through that reshaped view.  A cache built with ``derivative=False``
+    gives None for the inputs' gradient and computes none of it.
     """
     plane = cache["plane"]
     _check_upstream(upstream, plane, params.out_width)
     w = params.weights
-    d_weights = (plane.swapaxes(-1, -2) @ upstream).reshape(w.shape)
+    flat = w.reshape(*w.shape[:-3], -1, w.shape[-1])
+    np.matmul(plane.swapaxes(-1, -2), upstream, out=d_weights.reshape(flat.shape))
     dplane = cache["dplane"]
     if dplane is None:
-        return None, d_weights
+        return None
     # Each input's gradient sums its num_bases + 1 slots.
-    flat = w.reshape(*w.shape[:-3], -1, w.shape[-1])
     d_plane = (upstream @ flat.swapaxes(-1, -2)) * dplane
-    return d_plane.reshape(*plane.shape[:-1], params.in_width, -1).sum(axis=-1), d_weights
+    return d_plane.reshape(*plane.shape[:-1], params.in_width, -1).sum(axis=-1)
 
 
 def linear_forward(
@@ -220,15 +236,23 @@ def linear_forward(
 
 
 def linear_backward(
-    upstream: np.ndarray, params: LinearLayerParams, cache: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass; returns the gradients of (inputs, weights, biases)."""
+    upstream: np.ndarray,
+    params: LinearLayerParams,
+    cache: dict,
+    d_weights: np.ndarray,
+    d_biases: np.ndarray,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Backward pass: writes the weights' and biases' gradients into
+    ``d_weights`` and ``d_biases`` (arrays or views of their shapes) and
+    returns the inputs' gradient, or None without computing it when
+    ``input_grad`` is False.
+    """
     x = cache["inputs"]
     _check_upstream(upstream, x, params.out_width)
-    d_weights = upstream.swapaxes(-1, -2) @ x
-    d_biases = upstream.sum(axis=-2)
-    d_inputs = upstream @ params.weights
-    return d_inputs, d_weights, d_biases
+    np.matmul(upstream.swapaxes(-1, -2), x, out=d_weights)
+    np.add.reduce(upstream, axis=-2, out=d_biases)
+    return upstream @ params.weights if input_grad else None
 
 
 def relu(x: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -283,18 +283,22 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     return _forward(model, batch, None, None, False)
 
 
-def input_plane(model: Model, features: np.ndarray) -> np.ndarray:
+def input_plane(
+    model: Model, features: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The plane a spline first block multiplies by its weights, for these rows.
 
     ``features`` is ``(n, input_width)``; the plane is ``(n, input_width *
     (num_bases + 1))`` (see ``fedbeam.layers.kan_plane``).  It depends on
     the features alone, so rows gathered from it can stand in for feature
     rows in ``forward_with_caches(..., planned=True)`` for any weights.
+    With ``out``, a C-contiguous float64 array of the plane's shape, the
+    plane is written there and returned as it.
     """
     first = model.blocks[0]
     if not isinstance(first, KanLayerParams):
         raise ContractViolationError("only a spline first block has an input plane")
-    return kan_plane(features, first.grid)[0]
+    return kan_plane(features, first.grid, out=out)[0]
 
 
 def forward_with_caches(
@@ -381,12 +385,13 @@ def model_backward(
     """Backpropagate the loss gradient through every block.
 
     ``grad_views`` are the gradient buffer's per-segment views, in the
-    model's layout (see ``segment_views``); each block's parameter
-    gradients are written into its views, one for a spline block and two
-    for an affine block, walking the segments from the last.  A training
-    loop builds the views once per buffer and passes them to every step.
-    Nothing is returned: no caller reads the gradient with respect to the
-    batch, and a first spline block does not compute it.
+    model's layout (see ``segment_views``); each block's backward writes
+    its parameter gradients straight into its views, one for a spline block
+    and two for an affine block, walking the segments from the last.  A
+    training loop builds the views once per buffer and passes them to every
+    step.  Nothing is returned: no caller reads the gradient with respect
+    to the batch, and the first block, spline or affine, does not compute
+    it.
     """
     if len(caches) != len(model.blocks):
         raise ContractViolationError(
@@ -404,16 +409,15 @@ def model_backward(
         block = model.blocks[i]
         entry = caches[i]
         if isinstance(block, KanLayerParams):
-            u, d_weights = kan_layer_backward(u, block, entry["layer"])
             j -= 1
-            grad_views[j][...] = d_weights
+            u = kan_layer_backward(u, block, entry["layer"], grad_views[j])
         else:
             if entry["mask"] is not None:
                 u = relu_backward(u, entry["mask"])
-            u, d_weights, d_biases = linear_backward(u, block, entry["layer"])
             j -= 2
-            grad_views[j][...] = d_weights
-            grad_views[j + 1][...] = d_biases
+            u = linear_backward(
+                u, block, entry["layer"], grad_views[j], grad_views[j + 1], input_grad=i > 0
+            )
 
 
 def export_weights(model: Model) -> np.ndarray:

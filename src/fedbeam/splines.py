@@ -35,7 +35,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +147,20 @@ def _order_constants(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def basis_and_derivative(
-    x: np.ndarray, grid: SplineGrid, derivative: bool = True, pad: int = 0
+    x: np.ndarray,
+    grid: SplineGrid,
+    derivative: bool = True,
+    pad: int = 0,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate bases and, if asked, their derivatives with respect to the input.
 
     Returns two arrays of shape (len(x), pad + grid.num_bases): the first
     ``pad`` slots of each row are left zero for the caller to fill, and the
     bases follow in order.  With ``derivative=False`` the second is None and
-    no derivative is computed.
+    no derivative is computed.  ``out``, a C-contiguous float64 array of the
+    first result's shape, receives the values in place of a new array (its
+    pad slots are zeroed too) and is returned.
     The values are the same bits either way, and a point's bits do not
     depend on the other points evaluated with it.  Clamped points
     contribute zero derivative (the clamp is flat outside the range), which
@@ -172,6 +178,13 @@ def basis_and_derivative(
     values, derivs, rows, exponents = _order_constants(k)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
+    if out is not None and (
+        out.shape != (n, width) or out.dtype != np.float64 or not out.flags.c_contiguous
+    ):
+        raise ContractViolationError(
+            f"bases are written into a C-contiguous float64 array of shape "
+            f"{(n, width)}, got {out.dtype} {out.shape}"
+        )
     xc = np.minimum(np.maximum(x, grid.range_min), grid.range_max)
     # Interval s (counted from the first real knot) holds
     # knots[k + s] <= xc < knots[k + s + 1]; range_max joins the last one.
@@ -199,7 +212,11 @@ def basis_and_derivative(
     # A piece that vanishes at an interval end can round to -1e-17 there;
     # the bases are non-negative.
     np.maximum(pieces, 0.0, out=pieces)
-    bases = np.zeros((n, width))
+    if out is None:
+        bases = np.zeros((n, width))
+    else:
+        bases = out
+        bases.fill(0.0)
     bases.reshape(-1)[index] = pieces
     if not derivative:
         return bases, None

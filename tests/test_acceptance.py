@@ -164,7 +164,8 @@ def test_criterion2_layer_gradients():
         x = rng.uniform(-0.9, 0.9, (4, 2))
         probe = rng.standard_normal((4, 3))
         _, cache = kan_layer_forward(x, params)
-        _, d_weights = kan_layer_backward(probe, params, cache)
+        d_weights = np.empty_like(params.weights)
+        kan_layer_backward(probe, params, cache, d_weights)
 
         def kan_loss(flat: np.ndarray) -> float:
             p = KanLayerParams(flat.reshape(params.weights.shape), grid)
@@ -179,7 +180,8 @@ def test_criterion2_layer_gradients():
         xl = rng.standard_normal((4, 3))
         probe_l = rng.standard_normal((4, 2))
         _, cache_l = linear_forward(xl, lin)
-        _, d_weights, d_biases = linear_backward(probe_l, lin, cache_l)
+        d_weights, d_biases = np.empty_like(lin.weights), np.empty_like(lin.biases)
+        linear_backward(probe_l, lin, cache_l, d_weights, d_biases)
         n_w = lin.weights.size
 
         def lin_loss(flat: np.ndarray) -> float:

@@ -30,6 +30,7 @@ from fedbeam.federation import (
     _draw_kept,
     _runs,
     _step_masks,
+    _take,
     run_experiment,
     run_round,
 )
@@ -333,11 +334,19 @@ def uneven_clients(hours=(80, 95, 120, 80)) -> list[ClientState]:
     return [build_client(generate_synthetic(3, h, p), 5, 0.8) for h, p in zip(hours, profiles)]
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
 @pytest.mark.parametrize("cfg", DROPOUT_CONFIGS)
-def test_ragged_lockstep_matches_each_client_alone(cfg):
+def test_ragged_lockstep_matches_each_client_alone(cfg, epochs):
     clients = uneven_clients()
     assert [c.sample_count for c in clients] == [60, 72, 92, 60]
-    fed = dataclasses.replace(FAST_FED, local_epochs=3, batch_size=16)
+    fed = dataclasses.replace(FAST_FED, local_epochs=epochs, batch_size=16)
+    # One epoch reads per-client sources.  Three read stacked ones: as views
+    # in calls whose rows share a batch start, gathered row by row in calls
+    # whose rows do not.
+    calls = list(_lockstep_calls([92, 72, 60, 60], epochs, 16))
+    multirow = [starts for _, lo, hi, _, starts, _ in calls if hi - lo > 1]
+    assert any(len(set(starts)) == 1 for starts in multirow)
+    assert any(len(set(starts)) > 1 for starts in multirow) == (epochs > 1)
     template = build_model(cfg, seed=7)
     weights = export_weights(template)
     together = local_train(
@@ -422,9 +431,9 @@ def test_layer_zero_planes_are_kept_only_when_an_epoch_reads_them_again(monkeypa
     width = template.config.input_width
     calls = []
 
-    def recording_basis(x, grid, derivative=True, pad=0):
+    def recording_basis(x, grid, derivative=True, pad=0, out=None):
         calls.append((len(x), derivative))
-        return basis_and_derivative(x, grid, derivative, pad)
+        return basis_and_derivative(x, grid, derivative, pad, out)
 
     monkeypatch.setattr(fedbeam.layers, "basis_and_derivative", recording_basis)
     local_train(clients, template, weights, fed, [np.random.default_rng(i) for i in range(4)])
@@ -497,10 +506,10 @@ def test_layer_zero_training_planes_are_built_once_per_round(monkeypatch, epochs
     training = []
     calls = []
 
-    def recording_basis(x, grid, derivative=True, pad=0):
+    def recording_basis(x, grid, derivative=True, pad=0, out=None):
         if training:
             calls.append((x.copy(), derivative))
-        return basis_and_derivative(x, grid, derivative, pad)
+        return basis_and_derivative(x, grid, derivative, pad, out)
 
     def recording_local_train(*args):
         training.append(True)
@@ -596,13 +605,13 @@ def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_
     total = sum(widths)
     blocks = [np.random.default_rng(r) for r in range(2)]
     oracles = [np.random.default_rng(r) for r in range(2)]
-    kept = [None, None]
+    kept = np.empty((2, max(counts), total), dtype=bool)
     for epoch in range(2):
         for r, n in enumerate(counts):
-            kept[r] = _draw_kept(blocks[r], n * total, 1.0 - drop_prob)
+            _draw_kept(blocks[r], 1.0 - drop_prob, kept[r, :n])
             for a in range(0, n, batch_size):
                 size = min(batch_size, n - a)
-                got = _step_masks(kept, [(r, a)], size, widths, drop_prob)
+                got = _step_masks(kept[r : r + 1, a : a + size], widths, drop_prob)
                 for mask, w in zip(got, widths, strict=True):
                     draws = oracles[r].random((1, size, w))
                     want = dropout_scale(draws < 1.0 - drop_prob, drop_prob)
@@ -610,9 +619,10 @@ def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_
         # A stacked call at different starts: each row is its own call's.
         for a, b in ((16, 32), (48, 32)):
             size = min(batch_size, counts[0] - a, counts[1] - b)
-            pair = _step_masks(kept, [(0, a), (1, b)], size, widths, drop_prob)
+            pair = _step_masks(_take(kept, 0, [a, b], size), widths, drop_prob)
             alone = [
-                _step_masks(kept, [part], size, widths, drop_prob) for part in ((0, a), (1, b))
+                _step_masks(kept[r : r + 1, s : s + size], widths, drop_prob)
+                for r, s in ((0, a), (1, b))
             ]
             for layer, mask in enumerate(pair):
                 assert mask.tobytes() == np.concatenate([m[layer] for m in alone]).tobytes()

@@ -11,6 +11,7 @@ from fedbeam.layers import (
     dropout_scale,
     kan_layer_backward,
     kan_layer_forward,
+    kan_plane,
     linear_backward,
     linear_forward,
     relu,
@@ -20,6 +21,19 @@ from fedbeam.layers import (
 from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix
 
 GRID = SplineGrid.uniform(5, 3)
+
+
+def kan_grads(upstream, params, cache):
+    """The (inputs, weights) gradients, the weights' written into a new array."""
+    d_weights = np.empty_like(params.weights)
+    return kan_layer_backward(upstream, params, cache, d_weights), d_weights
+
+
+def linear_grads(upstream, params, cache, input_grad=True):
+    """The (inputs, weights, biases) gradients, the last two written into new arrays."""
+    d_weights, d_biases = np.empty_like(params.weights), np.empty_like(params.biases)
+    d_in = linear_backward(upstream, params, cache, d_weights, d_biases, input_grad)
+    return d_in, d_weights, d_biases
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,14 +80,14 @@ def test_kan_backward_rejects_bad_upstream():
     x = np.random.default_rng(1).uniform(-1, 1, (2, 4))
     _, cache = kan_layer_forward(x, params)
     with pytest.raises(ContractViolationError):
-        kan_layer_backward(np.zeros((2, 4)), params, cache)
+        kan_grads(np.zeros((2, 4)), params, cache)
 
 
 def test_zero_upstream_gives_zero_grads():
     params = KanLayerParams.initialized(2, 3, GRID, np.random.default_rng(5))
     x = np.random.default_rng(6).uniform(-1, 1, (4, 2))
     _, cache = kan_layer_forward(x, params)
-    d_in, d_weights = kan_layer_backward(np.zeros((4, 3)), params, cache)
+    d_in, d_weights = kan_grads(np.zeros((4, 3)), params, cache)
     assert np.array_equal(d_in, np.zeros((4, 2)))
     assert np.array_equal(d_weights, np.zeros_like(params.weights))
 
@@ -85,7 +99,7 @@ def test_kan_backward_matches_finite_differences():
     probe = rng.standard_normal((4, 3))
 
     out, cache = kan_layer_forward(x, params)
-    d_in, d_weights = kan_layer_backward(probe, params, cache)
+    d_in, d_weights = kan_grads(probe, params, cache)
 
     def loss_of_params(flat: np.ndarray) -> float:
         p = KanLayerParams(weights=flat.reshape(params.weights.shape), grid=GRID)
@@ -110,7 +124,7 @@ def test_base_weight_grad_closed_form():
     x = rng.uniform(-0.8, 0.8, (6, 1))
     upstream = rng.standard_normal((6, 1))
     _, cache = kan_layer_forward(x, params)
-    _, d_weights = kan_layer_backward(upstream, params, cache)
+    _, d_weights = kan_grads(upstream, params, cache)
     d_base = d_weights[:, 0]
     silu = x[:, 0] * sigmoid(x[:, 0])
     expected = float(np.sum(upstream[:, 0] * silu))
@@ -127,7 +141,7 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     x = rng.uniform(-1.2, 1.2, (batch, in_width))
     upstream = rng.standard_normal((batch, out_width))
     out, cache = kan_layer_forward(x, params)
-    d_in, d_weights = kan_layer_backward(upstream, params, cache)
+    d_in, d_weights = kan_grads(upstream, params, cache)
     d_base, d_coeffs = d_weights[:, 0], d_weights[:, 1:]
 
     shape = (batch, in_width, GRID.num_bases)
@@ -146,7 +160,7 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
 
     # Without basis derivatives: the same output and parameter gradients, no input gradient.
     out_v, cache_v = kan_layer_forward(x, params, derivative=False)
-    none, d_weights_v = kan_layer_backward(upstream, params, cache_v)
+    none, d_weights_v = kan_grads(upstream, params, cache_v)
     assert none is None and cache_v["dplane"] is None
     assert out_v.tobytes() == out.tobytes()
     assert d_weights_v.tobytes() == d_weights.tobytes()
@@ -165,7 +179,7 @@ def test_linear_backward_matches_finite_differences():
     x = rng.standard_normal((5, 3))
     probe = rng.standard_normal((5, 2))
     out, cache = linear_forward(x, params)
-    d_in, d_weights, d_biases = linear_backward(probe, params, cache)
+    d_in, d_weights, d_biases = linear_grads(probe, params, cache)
 
     n_w = params.weights.size
 
@@ -193,7 +207,7 @@ def test_bias_grad_is_upstream_column_sum():
     x = rng.standard_normal((5, 3))
     probe = rng.standard_normal((5, 2))
     _, cache = linear_forward(x, params)
-    _, _, d_biases = linear_backward(probe, params, cache)
+    _, _, d_biases = linear_grads(probe, params, cache)
     assert np.allclose(d_biases, probe.sum(axis=0), rtol=0, atol=0)
 
 
@@ -279,8 +293,8 @@ def test_stacked_layers_match_each_batch_alone():
     x = rng.uniform(-1.2, 1.2, (clients, batch, 4))
     upstream = rng.standard_normal((clients, batch, 3))
     for fwd, bwd, stacked, alone in (
-        (kan_layer_forward, kan_layer_backward, stacked_kan, kan),
-        (linear_forward, linear_backward, stacked_lin, lin),
+        (kan_layer_forward, kan_grads, stacked_kan, kan),
+        (linear_forward, linear_grads, stacked_lin, lin),
     ):
         out, cache = fwd(x, stacked)
         grads = bwd(upstream, stacked, cache)
@@ -293,12 +307,64 @@ def test_stacked_layers_match_each_batch_alone():
     # A stacked cache without basis derivatives gives the same parameter
     # gradients and no input gradient.
     _, cache = kan_layer_forward(x, stacked_kan, derivative=False)
-    none, d_weights = kan_layer_backward(upstream, stacked_kan, cache)
+    none, d_weights = kan_grads(upstream, stacked_kan, cache)
     _, full = kan_layer_forward(x, stacked_kan)
-    _, full_weights = kan_layer_backward(upstream, stacked_kan, full)
+    _, full_weights = kan_grads(upstream, stacked_kan, full)
     assert none is None
     assert d_weights.tobytes() == full_weights.tobytes()
 
+
+
+def test_backward_writes_into_strided_gradient_views():
+    # Gradient views as a stacked buffer's segment views give them: each
+    # row's slice is contiguous, the rows are a whole buffer row apart.
+    rng = np.random.default_rng(33)
+    clients, batch = 3, 16
+    kan = KanLayerParams(
+        np.stack([KanLayerParams.initialized(4, 3, GRID, rng).weights for _ in range(clients)]),
+        GRID,
+    )
+    lin = LinearLayerParams(rng.standard_normal((clients, 3, 4)), rng.standard_normal((clients, 3)))
+    buffer = np.full((clients, 200), np.nan)
+    d_kan = buffer[:, 5 : 5 + kan.weights[0].size].reshape(kan.weights.shape)
+    d_lin_w = buffer[:, 150:162].reshape(clients, 3, 4)
+    d_lin_b = buffer[:, 170:173]
+    x = rng.uniform(-1.2, 1.2, (clients, batch, 4))
+    upstream = rng.standard_normal((clients, batch, 3))
+
+    _, cache = kan_layer_forward(x, kan)
+    d_in = kan_layer_backward(upstream, kan, cache, d_kan)
+    want_in, want = kan_grads(upstream, kan, cache)
+    assert d_in.tobytes() == want_in.tobytes()
+    assert d_kan.tobytes() == want.tobytes()
+
+    _, cache = linear_forward(x, lin)
+    none = linear_backward(upstream, lin, cache, d_lin_w, d_lin_b, input_grad=False)
+    assert none is None
+    _, want_w, want_b = linear_grads(upstream, lin, cache)
+    assert d_lin_w.tobytes() == want_w.tobytes()
+    assert d_lin_b.tobytes() == want_b.tobytes()
+    # Nothing outside the three views was written.
+    inside = np.zeros(buffer.shape, dtype=bool)
+    for lo, hi in ((5, 5 + kan.weights[0].size), (150, 162), (170, 173)):
+        inside[:, lo:hi] = True
+    assert np.array_equal(~np.isnan(buffer), inside)
+
+
+def test_a_plane_written_into_a_buffer_row_is_the_same_bits():
+    rng = np.random.default_rng(35)
+    features = rng.uniform(-1.3, 1.3, (7, 4))
+    width = 4 * (GRID.num_bases + 1)
+    fresh, _ = kan_plane(features, GRID)
+    stack = np.full((2, 9, width), np.nan)
+    written, _ = kan_plane(features, GRID, out=stack[1, :7])
+    assert np.shares_memory(written, stack)
+    assert stack[1, :7].tobytes() == fresh.tobytes()
+    assert np.isnan(stack[0]).all() and np.isnan(stack[1, 7:]).all()
+    with pytest.raises(ContractViolationError):
+        kan_plane(features, GRID, out=np.empty((7, 2 * width))[:, :width])
+    with pytest.raises(ContractViolationError):
+        basis_and_derivative(features.reshape(-1), GRID, pad=1, out=np.empty((28, 3)))
 
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, -2.5, 3.5])
 

@@ -63,8 +63,10 @@ def test_mse_grad_matches_finite_differences():
 def test_clip_below_threshold_is_unchanged():
     g, views = flat_of(np.array([[0.3]]), np.array([0.4]))
     before = g.copy()
-    clip_gradient_norm(g, 1.0, views)
-    assert np.array_equal(g, before)
+    # A NumPy max_norm whose square overflows warns of nothing.
+    for max_norm in (1.0, np.float64(1e300)):
+        clip_gradient_norm(g, max_norm, views)
+        assert np.array_equal(g, before)
 
 
 def test_clip_hand_example():
@@ -87,31 +89,89 @@ def test_clip_scales_to_max_norm():
     assert cosine == pytest.approx(1.0, abs=1e-12)
 
 
+def clip_by_reference(raw, max_norm, layout, lead):
+    """``raw`` clipped with the per-segment norm deciding every row."""
+    expected = raw.copy()
+    norm = np.atleast_1d(per_segment_norm(segment_views(layout, expected), lead))
+    over = norm > max_norm
+    rows = expected.reshape(-1, expected.shape[-1])
+    rows[over] *= (max_norm / norm[over])[:, None]
+    return expected
+
+
+def edge_rows(layout, size, rng):
+    """(rows, max_norm) cases at the edges of the clip screen."""
+    base = rng.standard_normal(size)
+    norm = float(per_segment_norm(segment_views(layout, base)))
+    cases = []
+    # Row norms within 1e-12 relative of max_norm, on either side, and one
+    # ulp either side of it.
+    near = [base * ((1.0 + d) / norm) for d in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+    cases.append((np.array(near), 1.0))
+    for max_norm in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, np.inf)):
+        cases.append((base[None].copy(), max_norm))
+    # NaN and +-inf entries, and squares that overflow, beside finite rows.
+    odd = np.array([base / norm * 0.5] * 5)
+    odd[0, 3] = np.nan
+    odd[1, -1] = np.inf
+    odd[2, 0] = -np.inf
+    odd[3] = base * 1e200
+    cases.append((odd, 1.0))
+    # A max_norm whose square is subnormal, and one whose square overflows.
+    for max_norm in (1e-160, 1e300):
+        scales = max_norm * 10.0 ** rng.uniform(-1.0, 1.0, (6, 1))
+        rows = base / norm * scales
+        if max_norm > 1.0:
+            rows[0] = base * 1e200
+        cases.append((rows, max_norm))
+    return cases
+
+
 @pytest.mark.parametrize("config", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()])
 def test_clip_is_bitwise_the_per_segment_norm(config):
     layout = parameter_layout(config)
+    size = count_parameters(config)
     rng = np.random.default_rng(17)
     for clients in (None, 1, 4, 12):
         lead = () if clients is None else (clients,)
         for _ in range(20):
-            raw = rng.standard_normal((*lead, count_parameters(config)))
+            raw = rng.standard_normal((*lead, size))
             # Row norms from 1e-8 to 1e3 around max_norm 1.
             raw *= 10.0 ** rng.uniform(-8.0, 3.0, (*lead, 1)) / np.sqrt(raw.shape[-1])
-            max_norm = 1.0
             grads = raw.copy()
+            clip_gradient_norm(grads, 1.0, segment_views(layout, grads))
+            assert grads.tobytes() == clip_by_reference(raw, 1.0, layout, lead).tobytes()
+    # The screen's edges, each row alone and all of a case's rows stacked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, max_norm in edge_rows(layout, size, rng):
+            for raw, lead in [(row, ()) for row in rows] + [(rows, rows.shape[:1])]:
+                grads = raw.copy()
+                clip_gradient_norm(grads, max_norm, segment_views(layout, grads))
+                expected = clip_by_reference(raw, max_norm, layout, lead)
+                assert grads.tobytes() == expected.tobytes()
+
+
+def test_clip_screen_edges_do_clip_where_the_norm_says():
+    # The edge cases are not vacuous: the rows one ulp over max_norm, the
+    # infinite and overflowing rows are clipped; the NaN row is not.
+    layout = parameter_layout(ModelConfig.fed_mlp())
+    cases = edge_rows(layout, count_parameters(ModelConfig.fed_mlp()), np.random.default_rng(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        changed = []
+        for rows, max_norm in cases:
+            grads = rows.copy()
             clip_gradient_norm(grads, max_norm, segment_views(layout, grads))
-            expected = raw.copy()
-            norm = np.atleast_1d(per_segment_norm(segment_views(layout, expected), lead))
-            over = norm > max_norm
-            rows = expected.reshape(-1, expected.shape[-1])
-            rows[over] *= (max_norm / norm[over])[:, None]
-            assert grads.tobytes() == expected.tobytes()
+            changed.append([g.tobytes() != r.tobytes() for g, r in zip(grads, rows)])
+    assert changed[1] == [True] and changed[2] == [False] and changed[3] == [False]
+    assert changed[4] == [False, True, True, True, False]
+    assert changed[6][0]
 
 
 def test_clip_rejects_bad_max_norm():
     g, views = flat_of(np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(ContractViolationError):
-        clip_gradient_norm(g, 0.0, views)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractViolationError):
+            clip_gradient_norm(g, bad, views)
 
 
 def test_adam_zero_grad_is_identity():
@@ -174,6 +234,16 @@ def test_adam_is_bitwise_deterministic():
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(state_a.first_moment, state_b.first_moment)
     assert np.array_equal(state_a.second_moment, state_b.second_moment)
+
+
+def test_adam_rejects_a_step_below_one():
+    for step in (0, -1):
+        params = np.array([1.0, -2.0])
+        state = AdamState.initial(2, learning_rate=0.001)
+        with pytest.raises(ContractViolationError):
+            adam_step(params, np.array([0.5, 0.5]), state, step)
+        assert np.array_equal(params, [1.0, -2.0])
+        assert not state.first_moment.any() and not state.second_moment.any()
 
 
 def test_adam_rejects_length_mismatch():
