@@ -42,7 +42,7 @@ from .model import (
     forward,
     import_weights,
 )
-from .splines import SplineGrid, basis_matrix
+from .splines import SplineGrid
 
 __all__ = [
     "__version__",
@@ -79,5 +79,4 @@ __all__ = [
     "forward",
     "import_weights",
     "SplineGrid",
-    "basis_matrix",
 ]

@@ -210,13 +210,8 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         fed = dataclasses.replace(fed, seed=args.seed)
     if args.availability is not None:
         fed = dataclasses.replace(fed, availability_prob=args.availability)
-    fed.validate()
     out_dir = args.out if args.out is not None else config.out_dir
     return dataclasses.replace(config, federation=fed, out_dir=out_dir)
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -231,7 +226,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     ]
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, text in rendered:
-        _write_text(path, text)
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -254,7 +249,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"report_{config.model.kind}.csv"
-    _write_text(out_path, text)
+    out_path.write_text(text, encoding="utf-8")
     print(f"wrote {out_path}")
     print(f"final average test loss ({config.model.kind}): {report.final_avg_test_loss:.6f}")
     return EXIT_OK
@@ -277,7 +272,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ("report_fed_mlp.csv", mlp_text),
         ("comparison.csv", comparison_text),
     ):
-        _write_text(out_dir / name, text)
+        (out_dir / name).write_text(text, encoding="utf-8")
         print(f"wrote {out_dir / name}")
     print(summary_table(kan_report, mlp_report))
     return EXIT_OK
@@ -302,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--seed", type=int, default=None, help="override federation seed")
         cmd.add_argument("--out", default=None, help="override output directory")
-        cmd.add_argument(
-            "--parallel-clients",
-            action="store_true",
-            help="accepted for compatibility and has no effect: a round's clients "
-            "always train in lockstep, whatever their lengths",
-        )
         cmd.add_argument(
             "--availability",
             type=float,

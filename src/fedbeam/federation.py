@@ -61,7 +61,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .layers import KanLayerParams, dropout_scale
+from .layers import KanLayerParams, dropout_scale, kan_plane
 from .model import (
     Model,
     ModelConfig,
@@ -71,7 +71,6 @@ from .model import (
     forward,
     forward_with_caches,
     import_weights,
-    input_plane,
     model_backward,
     segment_views,
     with_weights,
@@ -115,7 +114,7 @@ class FederationConfig:
     weight_decay: float = 1e-5
     max_grad_norm: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_int("rounds", self.rounds, 1)
         require_int("local_epochs", self.local_epochs, 1)
         require_int("batch_size", self.batch_size, 1)
@@ -153,9 +152,7 @@ class FederationConfig:
         extra = set(raw) - known
         if extra:
             raise ConfigurationError(f"unknown federation config keys: {sorted(extra)}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -368,10 +365,10 @@ def local_train(
     With more than one epoch, every client's training rows are stacked
     once per call into one source and one target buffer; with a spline
     first block the source holds each client's layer-0 plane over all its
-    training rows (``input_plane``, written into the buffer), which the
-    steps read instead of feature rows (``forward_with_caches(...,
-    planned=True)``).  A call whose rows share a batch start reads its
-    batch, targets and dropout flags as views (see ``_take``).
+    training rows (``kan_plane``, written into the buffer), whose rows the
+    steps pass to ``forward_with_caches`` instead of feature rows.  A call
+    whose rows share a batch start reads its batch, targets and dropout
+    flags as views (see ``_take``).
     """
     if not clients or len(rngs) != len(clients):
         raise ContractViolationError(
@@ -381,7 +378,6 @@ def local_train(
     for client in clients:
         if client.sample_count < 1:
             raise ConfigurationError(f"client {client.client_id!r} has no training data")
-    fed_config.validate()
     batch_size, epochs = fed_config.batch_size, fed_config.local_epochs
     # Rows run longest first.  By sample count, descending, is by steps per
     # epoch, then by last batch size, both descending: the rows still
@@ -393,16 +389,17 @@ def local_train(
     # arrays in a one-epoch round, which reads no row twice; otherwise one
     # stacked buffer of every row's training features (for a spline first
     # block, its layer-0 plane, written there directly) and one of targets.
-    planned = epochs > 1 and isinstance(template.blocks[0], KanLayerParams)
     if epochs > 1:
+        layer0 = template.blocks[0]
+        spline_first = isinstance(layer0, KanLayerParams)
         width = template.config.input_width
-        if planned:
-            width *= template.blocks[0].grid.num_bases + 1
+        if spline_first:
+            width *= layer0.grid.num_bases + 1
         sources = np.empty((len(rows), counts[0], width))
         targets = np.empty((len(rows), counts[0], template.config.output_width))
         for r, client in enumerate(rows):
-            if planned:
-                input_plane(template, client.train_features, out=sources[r, : counts[r]])
+            if spline_first:
+                kan_plane(client.train_features, layer0.grid, out=sources[r, : counts[r]])
             else:
                 sources[r, : counts[r]] = client.train_features
             targets[r, : counts[r]] = client.train_targets
@@ -442,7 +439,7 @@ def local_train(
                 if a == 0:  # row r starts an epoch
                     _draw_kept(rngs[order[r]], 1 - drop_prob, kept[r, : counts[r]])
             masks = _step_masks(_take(kept, lo, starts, size), widths, drop_prob)
-        preds, caches = forward_with_caches(part, xb, masks, planned)
+        preds, caches = forward_with_caches(part, xb, masks)
         losses, loss_grad = mse_loss(preds, yb)
         finite = np.isfinite(losses)
         if not finite.all():
@@ -578,8 +575,6 @@ def run_experiment(
     train_fraction: float = 0.8,
 ) -> ExperimentReport:
     """Full FedAvg run: build clients, train for rounds, report."""
-    model_config.validate()
-    fed_config.validate()
     if not beams:
         raise ConfigurationError("run_experiment needs at least one beam")
     check_model_fits_data(model_config, window_hours)

@@ -20,8 +20,9 @@ federation exchanges plain read-only ``(parameters,)`` float64 arrays in
 it, which ``export_weights`` copies out of a model and ``import_weights``
 copies into one.
 
-``build_model`` is the only step that plans: it validates the config, lays
-out the blocks and builds the spline grid.  Every later model is the built
+A ``ModelConfig`` is checked when it is built, so every config that exists
+is valid.  ``build_model`` is the only step that plans: it lays out the
+blocks and builds the spline grid.  Every later model is the built
 one re-viewed over a new buffer (``with_weights``): the same blocks and
 grids, only the arrays they view change.
 
@@ -54,7 +55,6 @@ from .layers import (
     LinearLayerParams,
     kan_layer_backward,
     kan_layer_forward,
-    kan_plane,
     kan_product,
     linear_backward,
     linear_forward,
@@ -93,7 +93,7 @@ class ModelConfig:
     def fed_mlp(cls, **overrides) -> "ModelConfig":
         return cls(kind=KIND_FED_MLP, **overrides)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in (KIND_FED_KAN, KIND_FED_MLP):
             raise ConfigurationError(
                 f"kind must be {KIND_FED_KAN!r} or {KIND_FED_MLP!r}, got {self.kind!r}"
@@ -143,15 +143,12 @@ class ModelConfig:
                         f"{key} must be a list of integers, got {kwargs[key]!r}"
                     )
                 kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
 
 # Layer plan entries: (kind, in, out), kind "kan" or "linear".
 def layer_plan(config: ModelConfig) -> list[tuple[str, int, int]]:
     """Expand a config into the ordered list of concrete layers."""
-    config.validate()
     if config.kind == KIND_FED_KAN:
         widths = [config.input_width, *config.kan_hidden_widths]
         plan = [("kan", a, b) for a, b in zip(widths[:-1], widths[1:])]
@@ -280,32 +277,13 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """The evaluation pass: no dropout, and nothing kept for a backward pass,
     so no spline layer evaluates its basis derivatives.
     """
-    return _forward(model, batch, None, None, False)
-
-
-def input_plane(
-    model: Model, features: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The plane a spline first block multiplies by its weights, for these rows.
-
-    ``features`` is ``(n, input_width)``; the plane is ``(n, input_width *
-    (num_bases + 1))`` (see ``fedbeam.layers.kan_plane``).  It depends on
-    the features alone, so rows gathered from it can stand in for feature
-    rows in ``forward_with_caches(..., planned=True)`` for any weights.
-    With ``out``, a C-contiguous float64 array of the plane's shape, the
-    plane is written there and returned as it.
-    """
-    first = model.blocks[0]
-    if not isinstance(first, KanLayerParams):
-        raise ContractViolationError("only a spline first block has an input plane")
-    return kan_plane(features, first.grid, out=out)[0]
+    return _forward(model, batch, None, None)
 
 
 def forward_with_caches(
     model: Model,
     batch: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
-    planned: bool = False,
 ) -> tuple[np.ndarray, list[dict]]:
     """Forward pass keeping what model_backward needs.
 
@@ -316,14 +294,15 @@ def forward_with_caches(
     None applies no dropout.  The first block's input gradient is never
     read, so a spline layer there caches no basis derivatives.
 
-    With ``planned`` the batch holds rows of the first block's plane
-    (``input_plane``) in place of feature rows, ``(..., n, input_width *
-    (num_bases + 1))``, and that block only multiplies them by its weights.
+    When the first block is a spline block, the batch may instead hold
+    rows of its plane (``fedbeam.layers.kan_plane``), ``(..., n,
+    input_width * (num_bases + 1))``: the batch's width tells which, since
+    num_bases >= 1.  That block then only multiplies them by its weights.
     Rows gathered from a plane built once give the same bits as building
     them here.
     """
     caches: list[dict] = []
-    out = _forward(model, batch, masks, caches, planned)
+    out = _forward(model, batch, masks, caches)
     return out, caches
 
 
@@ -332,20 +311,18 @@ def _forward(
     batch: np.ndarray,
     masks: Sequence[np.ndarray] | None,
     caches: list[dict] | None,
-    planned: bool,
 ) -> np.ndarray:
     """The forward loop; appends one cache per block to ``caches`` unless None.
 
-    With ``planned`` the batch is the first block's plane (see
-    ``forward_with_caches``).
+    A batch as wide as a spline first block's plane holds rows of that
+    plane (see ``forward_with_caches``).
     """
     lead = model.weights.shape[:-1]
     width = model.config.input_width
-    if planned:
-        if not isinstance(model.blocks[0], KanLayerParams):
-            raise ContractViolationError("only a spline first block takes a plane")
-        width *= model.blocks[0].grid.num_bases + 1
-    if batch.ndim != len(lead) + 2 or batch.shape[:-2] != lead or batch.shape[-1] != width:
+    first = model.blocks[0]
+    plane_width = width * (first.grid.num_bases + 1) if isinstance(first, KanLayerParams) else None
+    shaped = batch.ndim == len(lead) + 2 and batch.shape[:-2] == lead
+    if not shaped or batch.shape[-1] not in (width, plane_width):
         raise ContractViolationError(
             f"expected batch of shape {(*lead, 'n', width)}, got {batch.shape}"
         )
@@ -358,7 +335,7 @@ def _forward(
     last = len(model.blocks) - 1
     for i, block in enumerate(model.blocks):
         if isinstance(block, KanLayerParams):
-            if planned and i == 0:
+            if i == 0 and x.shape[-1] == plane_width:
                 x, cache = kan_product(x, block)
             else:
                 derivative = caches is not None and i > 0

@@ -120,12 +120,6 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
-    @classmethod
-    def initial(
-        cls, shape: int | tuple[int, ...], learning_rate: float, weight_decay: float = 0.0
-    ) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape), learning_rate, weight_decay)
-
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, step: int) -> None:
     """Adam update number ``step`` (1 for the first), in place.

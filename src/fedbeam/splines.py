@@ -226,13 +226,3 @@ def basis_and_derivative(
     dbases = np.zeros((n, width))
     dbases.reshape(-1)[index] = pieces
     return bases, dbases
-
-
-def basis_matrix(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
-    """Evaluate all basis functions at each point of ``x``.
-
-    Returns an array of shape (len(x), grid.num_bases).  Values are
-    non-negative and sum to 1 for points inside the grid range; points
-    outside are clamped first.
-    """
-    return basis_and_derivative(x, grid, derivative=False)[0]

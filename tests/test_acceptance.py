@@ -32,7 +32,6 @@ from fedbeam.federation import (
     build_client,
     run_experiment,
 )
-from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 from fedbeam.layers import (
     KanLayerParams,
     LinearLayerParams,
@@ -52,7 +51,10 @@ from fedbeam.model import (
 )
 from fedbeam.optim import mse_loss
 from fedbeam.report import parse_comparison_csv, parse_experiment_csv
-from fedbeam.splines import SplineGrid, basis_matrix
+from fedbeam.splines import SplineGrid
+
+from gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
+from helpers import basis_matrix
 
 REL_TOL_GRADIENT = 1e-4
 PARTITION_TOL = 1e-9
@@ -69,6 +71,16 @@ PROTOCOL_DIGESTS = {
     "comparison.csv": "76f65d82c84e5eaae459c9aa7895e1c1377f3c3a7451a2e30974fc3c6d1f193b",
     "report_fed_kan.csv": "3701fa1323fa8baede32ecba1f06f7b7198a7d35340727850384b762a26ba210",
     "report_fed_mlp.csv": "4f81cb1cc5ad11ebb597e8b4a33a1028c72dc70f768f6bd37e221f2d3c184fd6",
+}
+
+# SHA-256 of the three files the README quick start writes: the same seed-7
+# beams written by `generate` and read back from CSV, then `compare` at the
+# README config (20 rounds, seed 0, every other setting at its default).
+# The same rule as PROTOCOL_DIGESTS applies.
+QUICK_START_DIGESTS = {
+    "comparison.csv": "231769c8e745efe719c8f0a71b414283c771fd8865dbf7705fc4251434ceb7ea",
+    "report_fed_kan.csv": "0f548283e0f6db1c6ffc165949ae8ae29fe6f46a397ce1008b1b55ad571581d0",
+    "report_fed_mlp.csv": "d74293fb5d6c9ce927407c12813539ab87c0b1e881f519cfa2b7d99e9220d10a",
 }
 
 PAPER_FEDERATION = {
@@ -375,22 +387,36 @@ def test_criterion7_comparative_tendency(protocol_run, capsys):
 def test_criterion8_byte_identical_compare(protocol_run):
     root = protocol_run["root"]
     base_config = json.loads(protocol_run["config_path"].read_text(encoding="utf-8"))
-    reruns = [("runB", []), ("runC", ["--parallel-clients"])]
-    for name, extra in reruns:
-        out_dir = root / name
-        config = dict(base_config, out_dir=str(out_dir))
-        config_path = root / f"config_{name}.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["compare", "--config", str(config_path)] + extra) == EXIT_OK
+    config = dict(base_config, out_dir=str(root / "runB"))
+    config_path = root / "config_runB.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["compare", "--config", str(config_path)]) == EXIT_OK
     for name in ("report_fed_kan.csv", "report_fed_mlp.csv", "comparison.csv"):
         baseline = (protocol_run["out_dir"] / name).read_bytes()
         assert baseline == (root / "runB" / name).read_bytes()
-        assert baseline == (root / "runC" / name).read_bytes()
 
 
 def test_protocol_reports_match_their_pinned_digests(protocol_run):
     for name, digest in PROTOCOL_DIGESTS.items():
         data = (protocol_run["out_dir"] / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_readme_quick_start_matches_its_pinned_digests(tmp_path):
+    beams = tmp_path / "beams"
+    argv = ["generate", "--seed", "7", "--hours", "743", "--beams", "4", "--out", str(beams)]
+    assert main(argv) == EXIT_OK
+    config = {
+        "model": {},
+        "federation": {"rounds": 20, "seed": 0},
+        "data": {"beam_files": [str(beams / f"beam-0{k}.csv") for k in range(1, 5)]},
+        "out_dir": str(tmp_path / "runs" / "demo"),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["compare", "--config", str(config_path)]) == EXIT_OK
+    for name, digest in QUICK_START_DIGESTS.items():
+        data = (tmp_path / "runs" / "demo" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 

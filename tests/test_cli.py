@@ -188,6 +188,11 @@ def test_train_on_generated_csv_files(tmp_path):
     # and records the old and new digests in CHANGES.md.  It depends on the
     # BLAS build; a mismatch on another machine is a finding to report, not a
     # reason to turn the pin into a tolerance.
+    # It is no kernel oracle.  Its 2 rounds x 2 epochs of fed_kan need not
+    # carry a last-bit kernel change into a reported repr: spline powers by
+    # repeated multiplication plus a one-branch sigmoid left these bytes
+    # unchanged, though either change alone moved them, while
+    # PROTOCOL_DIGESTS, QUICK_START_DIGESTS and FLEET_DIGESTS all moved.
     assert hashlib.sha256(data).hexdigest() == (
         "086abe2a804822021140677932ba8ca5c4ae5da5aaa722f0ac85f723042132b8"
     )
@@ -276,15 +281,10 @@ def test_compare_outputs_and_summary(tmp_path, capsys):
 def test_compare_is_byte_deterministic(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, model={})
-    for out_name, extra in (("r1", []), ("r2", []), ("r3", ["--parallel-clients"])):
-        assert (
-            main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / out_name)] + extra)
-            == EXIT_OK
-        )
+    for out_name in ("r1", "r2"):
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / out_name)]) == EXIT_OK
     for name in ("report_fed_kan.csv", "report_fed_mlp.csv", "comparison.csv"):
-        first = (tmp_path / "r1" / name).read_bytes()
-        assert first == (tmp_path / "r2" / name).read_bytes()
-        assert first == (tmp_path / "r3" / name).read_bytes()
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -417,6 +417,11 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     rejected = run("generate", "--beams", "0", "--out", str(tmp_path / "beams"))
     assert rejected.returncode == EXIT_CONFIG
     assert rejected.stderr.startswith("error:")
+    # An unknown flag is argparse's usage error, also exit 2.
+    for command in ("train", "compare"):
+        rejected = run(command, "--config", str(tmp_path / "cfg.json"), "--parallel-clients")
+        assert rejected.returncode == EXIT_CONFIG
+        assert "unrecognized arguments: --parallel-clients" in rejected.stderr
 
 
 @pytest.mark.parametrize("level", ["bogus", "info", ""])

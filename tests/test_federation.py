@@ -46,8 +46,10 @@ from fedbeam.model import (
     model_backward,
     segment_views,
 )
-from fedbeam.optim import AdamState, adam_step, clip_gradient_norm, mse_loss
+from fedbeam.optim import adam_step, clip_gradient_norm, mse_loss
 from fedbeam.splines import SplineGrid, basis_and_derivative
+
+from helpers import initial_adam_state
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
 
@@ -89,11 +91,11 @@ def test_local_train_rejects_what_it_cannot_batch():
     template = build_model(ModelConfig.fed_kan(), seed=0)
     weights = export_weights(template)
     rngs = [np.random.default_rng(i) for i in range(len(clients))]
-    # A config that never went through validate() must still be refused,
-    # before a zero batch size divides or zero epochs leave no loss to report.
-    for fed in (FederationConfig(batch_size=0), FederationConfig(local_epochs=0)):
+    # A config that cannot batch is refused when it is built, before a zero
+    # batch size divides or zero epochs leave no loss to report.
+    for overrides in ({"batch_size": 0}, {"local_epochs": 0}):
         with pytest.raises(ConfigurationError):
-            local_train(clients, template, weights, fed, rngs)
+            local_train(clients, template, weights, FederationConfig(**overrides), rngs)
     first = clients[0]
     empty = dataclasses.replace(
         first, train_features=first.train_features[:0], train_targets=first.train_targets[:0]
@@ -204,7 +206,7 @@ def test_training_after_build_never_replans(monkeypatch):
             raise AssertionError("re-planned a built model")
 
         with monkeypatch.context() as patch:
-            patch.setattr(ModelConfig, "validate", forbidden)
+            patch.setattr(ModelConfig, "__post_init__", forbidden)
             patch.setattr(SplineGrid, "uniform", forbidden)
             patch.setattr(fedbeam.model, "layer_plan", forbidden)
             import_weights(template, global_weights)
@@ -233,17 +235,20 @@ def test_training_leaves_template_and_global_weights_unchanged():
 
 def test_federation_config_validation():
     with pytest.raises(ConfigurationError):
-        FederationConfig(rounds=0).validate()
+        FederationConfig(rounds=0)
     with pytest.raises(ConfigurationError):
-        FederationConfig(local_epochs=0).validate()
+        FederationConfig(local_epochs=0)
     with pytest.raises(ConfigurationError):
-        FederationConfig(batch_size=0).validate()
+        FederationConfig(batch_size=0)
     with pytest.raises(ConfigurationError):
-        FederationConfig(aggregation="median").validate()
+        FederationConfig(aggregation="median")
     with pytest.raises(ConfigurationError):
-        FederationConfig(availability_prob=0.0).validate()
+        FederationConfig(availability_prob=0.0)
     with pytest.raises(ConfigurationError):
-        FederationConfig(max_grad_norm=0.0).validate()
+        FederationConfig(max_grad_norm=0.0)
+    # An override re-checks the config, as the CLI's --availability does.
+    with pytest.raises(ConfigurationError, match="availability_prob"):
+        dataclasses.replace(FederationConfig(), availability_prob=1.5)
     with pytest.raises(ConfigurationError):
         FederationConfig.from_dict({"cadence": 3})
 
@@ -375,7 +380,7 @@ def train_alone(client, template, weights, fed, rng):
     widths = dropout_widths(template)
     grads = np.zeros_like(model.weights)
     segments = segment_views(model.layout, grads)
-    state = AdamState.initial(grads.shape, fed.learning_rate, fed.weight_decay)
+    state = initial_adam_state(grads.shape, fed.learning_rate, fed.weight_decay)
     n = client.sample_count
     step = 0
     losses, sizes = [], []

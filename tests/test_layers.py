@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ContractViolationError
-from fedbeam.gradcheck import finite_difference_gradient
 from fedbeam.layers import (
     KanLayerParams,
     LinearLayerParams,
@@ -18,7 +17,10 @@ from fedbeam.layers import (
     relu_backward,
     sigmoid,
 )
-from fedbeam.splines import SplineGrid, basis_and_derivative, basis_matrix
+from fedbeam.splines import SplineGrid, basis_and_derivative
+
+from gradcheck import finite_difference_gradient
+from helpers import basis_matrix
 
 GRID = SplineGrid.uniform(5, 3)
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ConfigurationError, ContractViolationError
-from fedbeam.gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 from fedbeam.layers import (
     KanLayerParams,
     LinearLayerParams,
     dropout_scale,
     kan_layer_forward,
+    kan_plane,
     linear_forward,
     relu,
 )
@@ -24,13 +24,14 @@ from fedbeam.model import (
     forward,
     forward_with_caches,
     import_weights,
-    input_plane,
     layer_plan,
     model_backward,
     segment_views,
     with_weights,
 )
 from fedbeam.optim import mse_loss
+
+from gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
 
 
 def test_fed_mlp_plan_is_four_linear_layers():
@@ -99,13 +100,15 @@ def test_build_is_deterministic():
 
 def test_validate_rejects_bad_configs():
     with pytest.raises(ConfigurationError):
-        ModelConfig(kind="transformer").validate()
+        ModelConfig(kind="transformer")
     with pytest.raises(ConfigurationError):
-        ModelConfig.fed_kan(fc_head_widths=(8, 5)).validate()
+        ModelConfig.fed_kan(fc_head_widths=(8, 5))
     with pytest.raises(ConfigurationError):
-        ModelConfig.fed_mlp(dropout_p=1.0).validate()
+        ModelConfig.fed_mlp(dropout_p=1.0)
     with pytest.raises(ConfigurationError):
-        ModelConfig.fed_mlp(mlp_hidden_widths=(0,)).validate()
+        ModelConfig.fed_mlp(mlp_hidden_widths=(0,))
+    with pytest.raises(ConfigurationError, match="dropout_p"):
+        dataclasses.replace(ModelConfig.fed_kan(), dropout_p=1.0)
     with pytest.raises(ConfigurationError):
         ModelConfig.from_dict({"kind": "fed_kan", "flux": 1})
     with pytest.raises(ConfigurationError):
@@ -207,7 +210,7 @@ def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
     model = build_model(ModelConfig.fed_kan(), seed=4)
     stacked = import_weights(model, export_weights(model), copies=3)
     features = np.random.default_rng(2).uniform(-1.5, 1.5, (40, 10))
-    plane = input_plane(model, features)
+    plane = kan_plane(features, model.blocks[0].grid)[0]
     slots = model.config.grid_intervals + model.config.spline_order + 1
     assert plane.shape == (40, 10 * slots)
     # Batches gathered from one plane built over all rows, against batches
@@ -215,7 +218,7 @@ def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
     picks = np.array([[3, 4, 5, 6], [0, 1, 2, 3], [36, 37, 38, 39]])
     masks = draw_masks(np.random.default_rng(77), picks.shape, dropout_widths(model), 0.5)
     out, caches = forward_with_caches(stacked, features[picks], masks)
-    planned_out, planned_caches = forward_with_caches(stacked, plane[picks], masks, True)
+    planned_out, planned_caches = forward_with_caches(stacked, plane[picks], masks)
     assert planned_out.tobytes() == out.tobytes()
     assert planned_caches[0]["layer"]["plane"].tobytes() == caches[0]["layer"]["plane"].tobytes()
     grads = np.empty((2, *stacked.weights.shape))
@@ -229,14 +232,11 @@ def test_only_a_spline_first_block_takes_a_plane_of_its_width():
     kan = build_model(ModelConfig.fed_kan(), seed=4)
     mlp = build_model(ModelConfig.fed_mlp(), seed=4)
     features = np.random.default_rng(2).random((5, 10))
+    plane = kan_plane(features, kan.blocks[0].grid)[0]
     with pytest.raises(ContractViolationError):
-        input_plane(mlp, features)
+        forward_with_caches(mlp, plane)
     with pytest.raises(ContractViolationError):
-        forward_with_caches(mlp, features, None, True)
-    with pytest.raises(ContractViolationError):
-        forward_with_caches(kan, features, None, True)
-    with pytest.raises(ContractViolationError):
-        forward_with_caches(kan, input_plane(kan, features)[:, :-1], None, True)
+        forward_with_caches(kan, plane[:, :-1])
 
 
 @pytest.mark.parametrize("seed", [0, 4, 12])

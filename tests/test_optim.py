@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ContractViolationError
-from fedbeam.gradcheck import finite_difference_gradient
 from fedbeam.model import ModelConfig, count_parameters, parameter_layout, segment_views
 from fedbeam.optim import AdamState, adam_step, clip_gradient_norm, mse_loss
+
+from gradcheck import finite_difference_gradient
+from helpers import initial_adam_state
 
 
 def flat_of(*arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -177,13 +179,13 @@ def test_clip_rejects_bad_max_norm():
 def test_adam_zero_grad_is_identity():
     params = np.array([1.0, -2.0, 0.5])
     before = params.copy()
-    adam_step(params, np.zeros(3), AdamState.initial(3, learning_rate=0.001), 1)
+    adam_step(params, np.zeros(3), initial_adam_state(3, learning_rate=0.001), 1)
     assert np.array_equal(params, before)
 
 
 def test_adam_first_step_identity():
     params = np.zeros(1)
-    adam_step(params, np.array([0.2]), AdamState.initial(1, learning_rate=0.001), 1)
+    adam_step(params, np.array([0.2]), initial_adam_state(1, learning_rate=0.001), 1)
     assert abs(params[0] + 0.001) < 1e-6
 
 
@@ -205,7 +207,7 @@ def scalar_adam_oracle(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
 def test_adam_two_steps_match_scalar_oracle():
     grads = [0.3, 0.3, -0.1, 0.25, 0.05, -0.4, 0.2, 0.0, 0.15, -0.05]
     for wd in (0.0, 1e-5):
-        state = AdamState.initial(1, learning_rate=0.001, weight_decay=wd)
+        state = initial_adam_state(1, learning_rate=0.001, weight_decay=wd)
         params = np.array([0.7])
         for step, g in enumerate(grads, start=1):
             adam_step(params, np.array([g]), state, step)
@@ -215,8 +217,8 @@ def test_adam_two_steps_match_scalar_oracle():
 
 
 def test_adam_state_compares_by_identity():
-    a = AdamState.initial(3, 0.1)
-    b = AdamState.initial(3, 0.1)
+    a = initial_adam_state(3, 0.1)
+    b = initial_adam_state(3, 0.1)
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
@@ -227,8 +229,8 @@ def test_adam_is_bitwise_deterministic():
     params = rng.standard_normal(20)
     grads = rng.standard_normal(20)
     out_a, out_b = params.copy(), params.copy()
-    state_a = AdamState.initial(20, learning_rate=0.001, weight_decay=1e-5)
-    state_b = AdamState.initial(20, learning_rate=0.001, weight_decay=1e-5)
+    state_a = initial_adam_state(20, learning_rate=0.001, weight_decay=1e-5)
+    state_b = initial_adam_state(20, learning_rate=0.001, weight_decay=1e-5)
     adam_step(out_a, grads, state_a, 1)
     adam_step(out_b, grads, state_b, 1)
     assert np.array_equal(out_a, out_b)
@@ -239,7 +241,7 @@ def test_adam_is_bitwise_deterministic():
 def test_adam_rejects_a_step_below_one():
     for step in (0, -1):
         params = np.array([1.0, -2.0])
-        state = AdamState.initial(2, learning_rate=0.001)
+        state = initial_adam_state(2, learning_rate=0.001)
         with pytest.raises(ContractViolationError):
             adam_step(params, np.array([0.5, 0.5]), state, step)
         assert np.array_equal(params, [1.0, -2.0])
@@ -247,7 +249,7 @@ def test_adam_rejects_a_step_below_one():
 
 
 def test_adam_rejects_length_mismatch():
-    state = AdamState.initial(3, learning_rate=0.001)
+    state = initial_adam_state(3, learning_rate=0.001)
     with pytest.raises(ContractViolationError):
         adam_step(np.zeros(4), np.zeros(4), state, 1)
     with pytest.raises(ContractViolationError):
@@ -266,10 +268,10 @@ def test_stacked_rows_match_each_row_alone():
     stacked = grads.copy()
     clip_gradient_norm(stacked, 1.0, segment_views(layout, stacked))
     new_params = params.copy()
-    state = AdamState.initial((3, 16), learning_rate=0.01, weight_decay=1e-5)
+    state = initial_adam_state((3, 16), learning_rate=0.01, weight_decay=1e-5)
     adam_step(new_params, stacked, state, 1)
     # Adam on the row view [1:3] of shared buffers writes only those rows.
-    shared = AdamState.initial((3, 16), learning_rate=0.01, weight_decay=1e-5)
+    shared = initial_adam_state((3, 16), learning_rate=0.01, weight_decay=1e-5)
     shared_params = params.copy()
     rows = AdamState(shared.first_moment[1:3], shared.second_moment[1:3], 0.01, 1e-5)
     adam_step(shared_params[1:3], stacked[1:3], rows, 1)
@@ -283,7 +285,7 @@ def test_stacked_rows_match_each_row_alone():
         clip_gradient_norm(row, 1.0, segment_views(layout, row))
         assert np.array_equal(stacked[c], row)
         params_c = params[c].copy()
-        alone = AdamState.initial(16, learning_rate=0.01, weight_decay=1e-5)
+        alone = initial_adam_state(16, learning_rate=0.01, weight_decay=1e-5)
         adam_step(params_c, row, alone, 1)
         for stepped, moments in [(new_params, state), (shared_params, shared)][: 1 + (c > 0)]:
             assert np.array_equal(stepped[c], params_c)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ConfigurationError
-from fedbeam.splines import SplineGrid, _piece_matrix, basis_and_derivative, basis_matrix
+from fedbeam.splines import SplineGrid, _piece_matrix, basis_and_derivative
+
+from helpers import basis_matrix
 
 
 def naive_cox_de_boor(x: float, k: int, i: int, knots: np.ndarray) -> float:
