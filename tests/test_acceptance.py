@@ -68,8 +68,8 @@ GRADIENT_SEEDS = 20
 # BLAS build; a mismatch on another machine is a finding to report, not a
 # reason to turn the pin into a tolerance.
 PROTOCOL_DIGESTS = {
-    "comparison.csv": "76f65d82c84e5eaae459c9aa7895e1c1377f3c3a7451a2e30974fc3c6d1f193b",
-    "report_fed_kan.csv": "3701fa1323fa8baede32ecba1f06f7b7198a7d35340727850384b762a26ba210",
+    "comparison.csv": "3597c50c111f7b453fe5b9f6894a174cf60ba81d9515185ab7d5269fe66f3187",
+    "report_fed_kan.csv": "29618573be68d86373a32ced4fd3e6168f64ac6c76f11243632a7beace1d19ee",
     "report_fed_mlp.csv": "4f81cb1cc5ad11ebb597e8b4a33a1028c72dc70f768f6bd37e221f2d3c184fd6",
 }
 
@@ -78,8 +78,8 @@ PROTOCOL_DIGESTS = {
 # README config (20 rounds, seed 0, every other setting at its default).
 # The same rule as PROTOCOL_DIGESTS applies.
 QUICK_START_DIGESTS = {
-    "comparison.csv": "231769c8e745efe719c8f0a71b414283c771fd8865dbf7705fc4251434ceb7ea",
-    "report_fed_kan.csv": "0f548283e0f6db1c6ffc165949ae8ae29fe6f46a397ce1008b1b55ad571581d0",
+    "comparison.csv": "0982592699d3c335da4714c8a3fd82722e82645617c1b5f3c26e1a3cc29004d6",
+    "report_fed_kan.csv": "2b4f9b87443eb40583e11d78d388fa89f887fbeef255a29fda5b721d718773b4",
     "report_fed_mlp.csv": "d74293fb5d6c9ce927407c12813539ab87c0b1e881f519cfa2b7d99e9220d10a",
 }
 

@@ -206,8 +206,8 @@ def test_train_on_generated_csv_files(tmp_path):
 # BLAS build; a mismatch on another machine is a finding to report, not a
 # reason to turn the pin into a tolerance.
 FLEET_DIGESTS = {
-    "comparison.csv": "e71825ef8bc99ea1e6ec32a45d1e3ce2eebb7ba7c80c3df4a98d6bdfa10fb5da",
-    "report_fed_kan.csv": "4c8ba3f7341550f2bca82564049d4e5034bdcee98a5780d08a7f5a7f6aaf1609",
+    "comparison.csv": "b53ad5d7c8011af7240a0122e9f093340fb66a549ce7cefd420a585fceed5e8b",
+    "report_fed_kan.csv": "ca01d99b634304a9d63edd28998f369801a041897b2055695ff2d3864367e6ec",
     "report_fed_mlp.csv": "c7ca1765ed69c99ed13ff38eacc40ec3ce2a147f398444de48d880085d280066",
 }
 

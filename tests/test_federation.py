@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedbeam.federation
 import fedbeam.layers
@@ -425,6 +427,69 @@ def test_local_train_matches_a_plain_loop_over_feature_rows(cfg, epochs):
         alone, loss = train_alone(client, template, weights, fed, np.random.default_rng(i))
         assert update.weights.tobytes() == alone.tobytes()
         assert np.float64(update.local_train_loss).tobytes() == loss.tobytes()
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A group of 1-6 clients of 1-120 training rows, a schedule, a model
+    and a ``MAX_STACK_ROWS``: from 1 up to the most batch rows a call can
+    hold here (6 x 32), or the default."""
+    counts = draw(st.lists(st.integers(1, 120), min_size=1, max_size=6))
+    fed = dataclasses.replace(
+        FAST_FED, batch_size=draw(st.integers(1, 32)), local_epochs=draw(st.integers(1, 4))
+    )
+    make = draw(st.sampled_from([ModelConfig.fed_kan, ModelConfig.fed_mlp]))
+    cfg = make(dropout_p=draw(st.sampled_from([0.0, 0.3])))
+    max_rows = draw(st.integers(1, 6 * 32) | st.just(fedbeam.federation.MAX_STACK_ROWS))
+    return counts, fed, cfg, max_rows
+
+
+def test_lockstep_training_matches_each_client_alone_on_drawn_groups(monkeypatch):
+    # Six distinct beams of 124 training rows, cut to each drawn count.
+    beams = uneven_clients((160,) * 6)
+    seen = set()
+
+    @settings(max_examples=70, derandomize=True, deadline=None, database=None)
+    @given(lockstep_cases())
+    def check(case):
+        counts, fed, cfg, max_rows = case
+        clients = [
+            dataclasses.replace(
+                beam, train_features=beam.train_features[:n], train_targets=beam.train_targets[:n]
+            )
+            for beam, n in zip(beams, counts)
+        ]
+        template = build_model(cfg, seed=7)
+        weights = export_weights(template)
+        monkeypatch.setattr(fedbeam.federation, "MAX_STACK_ROWS", max_rows)
+        updates = local_train(
+            clients, template, weights, fed, [np.random.default_rng(i) for i in range(len(clients))]
+        )
+        for i, (client, update) in enumerate(zip(clients, updates)):
+            alone, loss = train_alone(client, template, weights, fed, np.random.default_rng(i))
+            assert update.weights.tobytes() == alone.tobytes()
+            assert np.float64(update.local_train_loss).tobytes() == loss.tobytes()
+        seen.add(("model", cfg.kind))
+        seen.add(("dropout", cfg.dropout_p > 0.0))
+        seen.add(("epochs", fed.local_epochs > 1))
+        seen.add(("ragged", len(set(counts)) > 1))
+        # Runs are maximal, so two calls of one step and one size are a split.
+        calls = list(_lockstep_calls(sorted(counts, reverse=True), fed.local_epochs, fed.batch_size))
+        seen.add(("split", any(a[0] == b[0] and a[3] == b[3] for a, b in zip(calls, calls[1:]))))
+
+    check()
+    # The sample reaches both models, both dropout settings, one and several
+    # epochs, uneven groups, and calls split at MAX_STACK_ROWS.
+    assert seen >= {
+        ("model", "fed_kan"),
+        ("model", "fed_mlp"),
+        ("dropout", False),
+        ("dropout", True),
+        ("epochs", False),
+        ("epochs", True),
+        ("ragged", True),
+        ("split", True),
+    }, seen
 
 
 @pytest.mark.parametrize("epochs", [1, 3])

@@ -1,5 +1,8 @@
 """Layer forward/backward tests, anchored by finite differences."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -250,24 +253,61 @@ def test_dropout_mask_replays_with_same_seed():
     assert np.array_equal(back, mask_a)
 
 
-def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
-    """The earlier masked formula, kept as the oracle."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+def mpmath_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function at 80 bits, rounded once to float64."""
+    with mpmath.workprec(80):
+        return np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in x])
 
 
-@pytest.mark.parametrize("shape", [(16, 10), (64, 10), (16, 2), (1000,)])
-def test_sigmoid_is_bitwise_the_two_branch_formula(shape):
-    rng = np.random.default_rng(sum(shape))
-    x = rng.standard_normal(shape) * 10.0
-    edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300])
-    x.reshape(-1)[: edges.size] = edges
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+def test_sigmoid_is_within_4e_16_of_mpmath():
+    x = np.linspace(-708.0, 708.0, 50_001)
+    exact = mpmath_sigmoid(x)
+    assert np.max(np.abs(sigmoid(x) - exact) / exact) <= 4e-16
+
+
+def test_sigmoid_below_minus_709_is_the_clamp_value():
+    # exp sees at most 709, so everything below -709 gets sigmoid(-709),
+    # 1.2e-308, where the true value is smaller still.
+    x = -np.geomspace(709.0, 1e300, 2_001)
+    got = sigmoid(x)
+    assert np.max(np.abs(got - mpmath_sigmoid(x))) <= 1.3e-308
+    assert np.all(got == mpmath_sigmoid(np.array([-709.0]))[0])
+
+
+def test_sigmoid_edges_are_exact_and_quiet():
+    clamp = mpmath_sigmoid(np.array([-709.0]))[0]
+    x, expected = np.array(
+        [
+            (0.0, 0.5),
+            (-0.0, 0.5),
+            (1e-300, 0.5),
+            (-1e-300, 0.5),
+            (800.0, 1.0),
+            (-800.0, clamp),
+            (np.inf, 1.0),
+            (-np.inf, clamp),
+        ]
+    ).T
+    assert np.signbit(x[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        nan = sigmoid(np.array([np.nan, -np.nan]))
+    assert got.tobytes() == expected.tobytes()
+    assert np.isnan(nan).all()
+
+
+def test_silu_derivative_matches_finite_differences():
+    # Slot 0 of the derivative plane is silu'(x) = s(x) * (1 + x * (1 - s(x))).
+    x = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e-300, 1e-300]])
+    _, dplane = kan_plane(x[:, None], GRID, derivative=True)
+    step = 1e-6
+
+    def silu(v):
+        return kan_plane(v[:, None], GRID)[0][:, 0]
+
+    fd = (silu(x + step) - silu(x - step)) / (2.0 * step)
+    np.testing.assert_allclose(dplane[:, 0], fd, rtol=1e-7, atol=1e-8)
 
 
 def test_array_holding_params_compare_by_identity():

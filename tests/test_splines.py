@@ -35,7 +35,9 @@ def reference_basis_and_derivative(x: np.ndarray, grid: SplineGrid):
 
     It multiplies the powers of u by the whole piece matrix at once and
     scatters values and derivatives into two planes through one index.
-    For two or more points its bits are what every report was made with.
+    The powers are a running product along each point's row, 1, u, u*u,
+    (u*u)*u, ..., the rounding the package's powers are defined by.  For
+    two or more points its bits are what every report was made with.
     """
     k, m = grid.order, grid.num_bases
     n = x.shape[0]
@@ -43,7 +45,9 @@ def reference_basis_and_derivative(x: np.ndarray, grid: SplineGrid):
     s = np.searchsorted(grid.knots, xc, side="right") - 1
     np.minimum(np.maximum(s, k, out=s), k + grid.intervals - 1, out=s)
     u = (xc - grid.knots[s]) / grid.spacing
-    pieces = (u[:, None] ** np.arange(k + 1)) @ _piece_matrix(k)
+    factors = np.ones((n, k + 1))
+    factors[:, 1:] = u[:, None]
+    pieces = np.cumprod(factors, axis=1) @ _piece_matrix(k)
     values = pieces[:, : k + 1]
     np.maximum(values, 0.0, out=values)
     pieces[:, k + 1 :] *= ((x == xc) / grid.spacing)[:, None]
