@@ -5,7 +5,9 @@ Two trainable layer kinds exist: spline layers whose per-edge activation is
 spline layer treats ``silu`` as one more basis: it evaluates every input's
 ``silu`` and bases into one plane (``kan_plane``) and multiplies that by
 one weight block (``kan_product``); a plane built in advance can be
-multiplied directly.
+multiplied directly.  Its input gradient needs only the ``order + 1``
+nonzero basis derivatives of each input and ``silu'``, so they are kept
+as those terms, never as a dense plane.
 A hidden affine layer's ReLU and dropout are one elementwise mask
 (``relu`` with a dropout ``scale``), whose product gives the same bits as
 the two applied in turn.
@@ -148,47 +150,53 @@ def kan_plane(
     grid: SplineGrid,
     derivative: bool = False,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The plane a spline layer multiplies by its weight block, and its derivative.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """The plane a spline layer multiplies by its weight block, and its derivative terms.
 
     inputs has shape (..., batch, in_width); the plane has shape
     (..., batch, in_width * (num_bases + 1)), matching the rows of the
     block: each input gets num_bases + 1 slots, ``silu(x)`` in slot 0 and
-    its bases after it.  With ``derivative`` the second plane holds
-    ``silu'(x)`` in slot 0 and the basis derivatives after it; otherwise it
-    is None and no derivative is computed.  The plane depends on the inputs
-    and the grid alone, and each row's bits on that row alone, so a plane
-    built once over fixed features serves every batch gathered from it.
-    ``out``, a C-contiguous float64 array of the plane's shape, is filled
-    with the plane and returned as it.
+    its bases after it.  With ``derivative`` the second result holds the
+    derivative terms: the ``(order + 1, n)`` basis derivatives of the n
+    inputs, in the plane's order, with their flat positions in the plane
+    (see ``basis_and_derivative``), and ``silu'(x)`` in the inputs' shape.
+    Otherwise it is None and no derivative is computed.  The plane depends
+    on the inputs and the grid alone, and each row's bits on that row
+    alone, so a plane built once over fixed features serves every batch
+    gathered from it.  ``out``, a C-contiguous float64 array of the
+    plane's shape, is filled with the plane and returned as it.
     """
+    slots = grid.num_bases + 1
     if out is not None:
-        if not out.flags.c_contiguous:
-            raise ContractViolationError("a plane is written into a C-contiguous array")
-        out = out.reshape(-1, grid.num_bases + 1)
-    plane, dplane = basis_and_derivative(inputs.reshape(-1), grid, derivative, 1, out)
-    slots = (*inputs.shape, -1)
+        expected = (*inputs.shape[:-1], inputs.shape[-1] * slots)
+        if out.shape != expected or not out.flags.c_contiguous:
+            raise ContractViolationError(
+                f"a plane is written into a C-contiguous array of shape {expected}, "
+                f"got {out.shape}"
+            )
+        out = out.reshape(-1, slots)
+    plane, dterms = basis_and_derivative(inputs.reshape(-1), grid, derivative, 1, out)
     sig = sigmoid(inputs)
-    np.multiply(inputs, sig, out=plane.reshape(slots)[..., 0])
-    if dplane is not None:
+    np.multiply(inputs, sig, out=plane.reshape(*inputs.shape, slots)[..., 0])
+    if dterms is not None:
         # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-        np.multiply(sig, 1.0 + inputs * (1.0 - sig), out=dplane.reshape(slots)[..., 0])
-        dplane = dplane.reshape(*inputs.shape[:-1], -1)
-    return plane.reshape(*inputs.shape[:-1], -1), dplane
+        dterms = (*dterms, sig * (1.0 + inputs * (1.0 - sig)))
+    return plane.reshape(*inputs.shape[:-1], -1), dterms
 
 
 def kan_product(
-    plane: np.ndarray, params: KanLayerParams, dplane: np.ndarray | None = None
+    plane: np.ndarray, params: KanLayerParams, dterms: tuple | None = None
 ) -> tuple[np.ndarray, dict]:
     """A spline layer's output from its plane: one product with the weight block.
 
-    The returned cache feeds kan_layer_backward; ``dplane`` None (a plane
-    built without derivatives) gives a backward pass that yields the weight
+    The returned cache feeds kan_layer_backward; ``dterms`` are the plane's
+    derivative terms as ``kan_plane`` returns them, and None (a plane built
+    without derivatives) gives a backward pass that yields the weight
     gradient only.
     """
     w = params.weights
     out = plane @ w.reshape(*w.shape[:-3], -1, w.shape[-1])
-    return out, {"plane": plane, "dplane": dplane}
+    return out, {"plane": plane, "dterms": dterms}
 
 
 def kan_layer_forward(
@@ -198,13 +206,13 @@ def kan_layer_forward(
 
     inputs has shape (..., batch, in_width); the result has shape
     (..., batch, out_width).  With ``derivative=False`` the basis
-    derivatives are not evaluated and the cache holds ``dplane=None``: a
+    derivatives are not evaluated and the cache holds ``dterms=None``: a
     backward pass over it yields the weight gradient only, for a layer
     whose input gradient nobody reads.
     """
     _check_inputs(inputs, params.in_width)
-    plane, dplane = kan_plane(inputs, params.grid, derivative)
-    return kan_product(plane, params, dplane)
+    plane, dterms = kan_plane(inputs, params.grid, derivative)
+    return kan_product(plane, params, dterms)
 
 
 def kan_layer_backward(
@@ -218,18 +226,31 @@ def kan_layer_backward(
     as a segment view of a gradient buffer does: the product is written
     through that reshaped view.  A cache built with ``derivative=False``
     gives None for the inputs' gradient and computes none of it.
+
+    The inputs' gradient reads the plane's gradient ``G = upstream @
+    block.T`` at each input's order + 1 basis positions and its ``silu``
+    slot only.  Each input's sum runs in one fixed order: the basis terms
+    ``G * B'`` from the first nonzero basis to the last, then ``G * silu'``.
+    A point's bits therefore do not depend on the other points, stacked
+    clients included.
     """
     plane = cache["plane"]
     _check_upstream(upstream, plane, params.out_width)
     w = params.weights
     flat = w.reshape(*w.shape[:-3], -1, w.shape[-1])
     np.matmul(plane.swapaxes(-1, -2), upstream, out=d_weights.reshape(flat.shape))
-    dplane = cache["dplane"]
-    if dplane is None:
+    dterms = cache["dterms"]
+    if dterms is None:
         return None
-    # Each input's gradient sums its num_bases + 1 slots.
-    d_plane = (upstream @ flat.swapaxes(-1, -2)) * dplane
-    return d_plane.reshape(*plane.shape[:-1], params.in_width, -1).sum(axis=-1)
+    pieces, index, dsilu = dterms
+    d_plane = upstream @ flat.swapaxes(-1, -2)
+    terms = np.take(d_plane, index)
+    terms *= pieces
+    d_inputs = terms[0]
+    for term in terms[1:]:
+        d_inputs += term
+    d_inputs += dsilu.reshape(-1) * d_plane.reshape(dsilu.size, -1)[:, 0]
+    return d_inputs.reshape(dsilu.shape)
 
 
 def linear_forward(

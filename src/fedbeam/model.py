@@ -292,7 +292,10 @@ def forward_with_caches(
     drawn ahead, one per entry of ``dropout_widths`` and each of that
     layer's output shape, as ``fedbeam.layers.dropout_scale`` builds them;
     None applies no dropout.  The first block's input gradient is never
-    read, so a spline layer there caches no basis derivatives.
+    read, so a spline layer there caches no basis derivatives; every later
+    spline layer caches its derivative terms as ``kan_plane`` returns them,
+    the order + 1 nonzero basis derivatives per input and ``silu'``, and
+    no dense derivative plane.
 
     When the first block is a spline block, the batch may instead hold
     rows of its plane (``fedbeam.layers.kan_plane``), ``(..., n,

@@ -29,11 +29,14 @@ either.
 The derivatives with respect to the input come from the same powers of
 ``u`` and are only computed when asked for: a forward pass whose input
 gradient nobody reads evaluates the values alone.  Values and derivatives
-are laid out one ``(order + 1, n)`` row per nonzero basis and scattered
-into their dense planes through one shared index.  A caller may ask for
-leading free slots in every row of those planes (a spline layer keeps
-``silu`` there), so the bases land where the layer's product reads them
-without a copy.
+are laid out one ``(order + 1, n)`` row per nonzero basis.  The values
+are scattered into their dense plane through an index of flat positions;
+the derivatives stay as those rows, handed back with the same index, so
+a backward pass gathers exactly the ``order + 1`` entries per input that
+pair with them and never touches the zeros of a dense plane.  A caller
+may ask for leading free slots in every row of the values plane (a
+spline layer keeps ``silu`` there), so the bases land where the layer's
+product reads them without a copy.
 """
 
 from __future__ import annotations
@@ -159,15 +162,20 @@ def basis_and_derivative(
     derivative: bool = True,
     pad: int = 0,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Evaluate bases and, if asked, their derivatives with respect to the input.
 
-    Returns two arrays of shape (len(x), pad + grid.num_bases): the first
-    ``pad`` slots of each row are left zero for the caller to fill, and the
-    bases follow in order.  With ``derivative=False`` the second is None and
-    no derivative is computed.  ``out``, a C-contiguous float64 array of the
-    first result's shape, receives the values in place of a new array (its
-    pad slots are zeroed too) and is returned.
+    Returns the values plane and the derivative terms.  The plane has shape
+    (len(x), pad + grid.num_bases): the first ``pad`` slots of each row are
+    left zero for the caller to fill, and the bases follow in order.  The
+    terms are two ``(order + 1, len(x))`` arrays: row r of the first holds
+    every point's derivative of its r-th nonzero basis, and the same entry
+    of the second that basis's flat position in the values plane.  A dense
+    derivative plane would hold each derivative at its position and zero
+    elsewhere.  With ``derivative=False`` the terms are None and no
+    derivative is computed.  ``out``, a C-contiguous float64 array of the
+    plane's shape, receives the values in place of a new array (its pad
+    slots are zeroed too) and is returned.
     The values are the same bits either way, and a point's bits do not
     depend on the other points evaluated with it.  Clamped points
     contribute zero derivative (the clamp is flat outside the range), which
@@ -228,6 +236,4 @@ def basis_and_derivative(
     pieces = (derivs @ powers)[:, :n]
     # d/du -> d/dx; clamped points get zero.
     pieces *= (x == xc) / grid.spacing
-    dbases = np.zeros((n, width))
-    dbases.reshape(-1)[index] = pieces
-    return bases, dbases
+    return bases, (pieces, index)

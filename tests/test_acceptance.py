@@ -68,8 +68,8 @@ GRADIENT_SEEDS = 20
 # BLAS build; a mismatch on another machine is a finding to report, not a
 # reason to turn the pin into a tolerance.
 PROTOCOL_DIGESTS = {
-    "comparison.csv": "3597c50c111f7b453fe5b9f6894a174cf60ba81d9515185ab7d5269fe66f3187",
-    "report_fed_kan.csv": "29618573be68d86373a32ced4fd3e6168f64ac6c76f11243632a7beace1d19ee",
+    "comparison.csv": "6096c3e34ac60d34073ac53ebf1d5b26a24c4c25b07538b8f57d78c422fde82d",
+    "report_fed_kan.csv": "ae6931742a97497f34dadc86f852da5bbcb0882e81fc566851b0c6615f5b61ea",
     "report_fed_mlp.csv": "4f81cb1cc5ad11ebb597e8b4a33a1028c72dc70f768f6bd37e221f2d3c184fd6",
 }
 
@@ -78,8 +78,8 @@ PROTOCOL_DIGESTS = {
 # README config (20 rounds, seed 0, every other setting at its default).
 # The same rule as PROTOCOL_DIGESTS applies.
 QUICK_START_DIGESTS = {
-    "comparison.csv": "0982592699d3c335da4714c8a3fd82722e82645617c1b5f3c26e1a3cc29004d6",
-    "report_fed_kan.csv": "2b4f9b87443eb40583e11d78d388fa89f887fbeef255a29fda5b721d718773b4",
+    "comparison.csv": "af16f185ec3813653af4912a9c710e64c5b1b600a09a0a9be8b7a98eecdfe840",
+    "report_fed_kan.csv": "3630a357f1b80f9f187e946e6d8f2f2c5bec23d9488c6a5ac27bfb865ec20b5b",
     "report_fed_mlp.csv": "d74293fb5d6c9ce927407c12813539ab87c0b1e881f519cfa2b7d99e9220d10a",
 }
 

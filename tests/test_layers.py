@@ -23,7 +23,7 @@ from fedbeam.layers import (
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
 from gradcheck import finite_difference_gradient
-from helpers import basis_matrix
+from helpers import basis_matrix, dense_derivative
 
 GRID = SplineGrid.uniform(5, 3)
 
@@ -123,6 +123,28 @@ def test_kan_backward_matches_finite_differences():
     assert rel_err(d_in.reshape(-1), fd_in) < 1e-4
 
 
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("intervals", [1, 5, 17])
+def test_kan_input_gradient_matches_finite_differences_across_grids(order, intervals):
+    # At order 0 only silu' flows; at 17 intervals most slots are empty.
+    grid = SplineGrid.uniform(intervals, order)
+    rng = np.random.default_rng(order * 100 + intervals)
+    params = KanLayerParams(rng.standard_normal((2, grid.num_bases + 1, 3)), grid)
+    x = rng.uniform(-1.2, 1.2, 64)
+    # Central differences need the points off the knots, where B' jumps.
+    x = x[np.min(np.abs(x[:, None] - grid.knots), axis=1) > 1e-3][:8].reshape(4, 2)
+    probe = rng.standard_normal((4, 3))
+    _, cache = kan_layer_forward(x, params)
+    d_in, _ = kan_grads(probe, params, cache)
+
+    def loss_of_inputs(flat: np.ndarray) -> float:
+        o, _ = kan_layer_forward(flat.reshape(x.shape), params)
+        return float(np.sum(o * probe))
+
+    fd_in = finite_difference_gradient(loss_of_inputs, x.reshape(-1))
+    assert rel_err(d_in.reshape(-1), fd_in) < 1e-4
+
+
 def test_base_weight_grad_closed_form():
     rng = np.random.default_rng(9)
     params = KanLayerParams.initialized(1, 1, GRID, rng)
@@ -150,7 +172,9 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     d_base, d_coeffs = d_weights[:, 0], d_weights[:, 1:]
 
     shape = (batch, in_width, GRID.num_bases)
-    bases, dbases = (b.reshape(shape) for b in basis_and_derivative(x.reshape(-1), GRID))
+    bases, terms = basis_and_derivative(x.reshape(-1), GRID)
+    dbases = dense_derivative(bases.shape, terms).reshape(shape)
+    bases = bases.reshape(shape)
     base, coeffs = params.weights[:, 0], params.weights[:, 1:]
     sig = 1.0 / (1.0 + np.exp(-x))
     expected_out = (x * sig) @ base + np.einsum("bim,imo->bo", bases, coeffs)
@@ -166,7 +190,7 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     # Without basis derivatives: the same output and parameter gradients, no input gradient.
     out_v, cache_v = kan_layer_forward(x, params, derivative=False)
     none, d_weights_v = kan_grads(upstream, params, cache_v)
-    assert none is None and cache_v["dplane"] is None
+    assert none is None and cache_v["dterms"] is None
     assert out_v.tobytes() == out.tobytes()
     assert d_weights_v.tobytes() == d_weights.tobytes()
 
@@ -300,7 +324,8 @@ def test_sigmoid_edges_are_exact_and_quiet():
 def test_silu_derivative_matches_finite_differences():
     # Slot 0 of the derivative plane is silu'(x) = s(x) * (1 + x * (1 - s(x))).
     x = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e-300, 1e-300]])
-    _, dplane = kan_plane(x[:, None], GRID, derivative=True)
+    plane, terms = kan_plane(x[:, None], GRID, derivative=True)
+    dplane = dense_derivative(plane.shape, terms)
     step = 1e-6
 
     def silu(v):
@@ -308,6 +333,19 @@ def test_silu_derivative_matches_finite_differences():
 
     fd = (silu(x + step) - silu(x - step)) / (2.0 * step)
     np.testing.assert_allclose(dplane[:, 0], fd, rtol=1e-7, atol=1e-8)
+
+
+def test_plane_derivative_terms_densify_to_silu_and_the_kernel_derivatives():
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-1.3, 1.3, (3, 5, 4))
+    plane, terms = kan_plane(x, GRID, derivative=True)
+    dense = dense_derivative(plane.shape, terms).reshape(*x.shape, -1)
+    sig = sigmoid(x)
+    assert dense[..., 0].tobytes() == (sig * (1.0 + x * (1.0 - sig))).tobytes()
+    bases, basis_terms = basis_and_derivative(x.reshape(-1), GRID)
+    dbases = dense_derivative(bases.shape, basis_terms)
+    assert dense[..., 1:].reshape(dbases.shape).tobytes() == dbases.tobytes()
+    assert kan_plane(x, GRID)[1] is None
 
 
 def test_array_holding_params_compare_by_identity():
@@ -407,6 +445,11 @@ def test_a_plane_written_into_a_buffer_row_is_the_same_bits():
         kan_plane(features, GRID, out=np.empty((7, 2 * width))[:, :width])
     with pytest.raises(ContractViolationError):
         basis_and_derivative(features.reshape(-1), GRID, pad=1, out=np.empty((28, 3)))
+    # Each must be exactly the plane's shape, not merely as many entries.
+    inputs = rng.uniform(-1.0, 1.0, (4, 10))
+    for shape in ((4, 91), (4, 7), (2, 180)):
+        with pytest.raises(ContractViolationError):
+            kan_plane(inputs, GRID, out=np.empty(shape))
 
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, -2.5, 3.5])
 

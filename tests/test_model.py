@@ -189,7 +189,7 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
         assert out.tobytes() == cached.tobytes()
         # Only the spline layers after the first cache basis derivatives,
         # and the backward pass returns no gradient for the batch.
-        kan = [c["layer"]["dplane"] is None for c in caches if "plane" in c["layer"]]
+        kan = [c["layer"]["dterms"] is None for c in caches if "plane" in c["layer"]]
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
         grads = segment_views(m.layout, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None

@@ -10,7 +10,7 @@ import pytest
 from fedbeam.errors import ConfigurationError
 from fedbeam.splines import SplineGrid, _piece_matrix, basis_and_derivative
 
-from helpers import basis_matrix
+from helpers import basis_matrix, dense_derivative
 
 
 def naive_cox_de_boor(x: float, k: int, i: int, knots: np.ndarray) -> float:
@@ -34,7 +34,9 @@ def reference_basis_and_derivative(x: np.ndarray, grid: SplineGrid):
     """The earlier kernel, kept as the bitwise oracle.
 
     It multiplies the powers of u by the whole piece matrix at once and
-    scatters values and derivatives into two planes through one index.
+    scatters values and derivatives into two planes through one index;
+    the package's derivative terms, scattered the same way
+    (``dense_derivative``), must give its derivative plane.
     The powers are a running product along each point's row, 1, u, u*u,
     (u*u)*u, ..., the rounding the package's powers are defined by.  For
     two or more points its bits are what every report was made with.
@@ -152,7 +154,8 @@ def test_derivative_matches_finite_differences_off_knots(order, intervals, lo, h
     rng = np.random.default_rng(order * 10 + intervals)
     xs = rng.uniform(lo, hi, size=50)
     xs = xs[np.min(np.abs(xs[:, None] - g.knots[None, :]), axis=1) > 1e-3]
-    _, analytic = basis_and_derivative(xs, g)
+    bases, terms = basis_and_derivative(xs, g)
+    analytic = dense_derivative(bases.shape, terms)
     h = 1e-6
     numeric = (basis_matrix(xs + h, g) - basis_matrix(xs - h, g)) / (2 * h)
     assert np.max(np.abs(analytic - numeric)) < 1e-6
@@ -169,7 +172,8 @@ def test_derivative_matches_finite_differences():
     g = SplineGrid.uniform(5, 3)
     rng = np.random.default_rng(3)
     xs = rng.uniform(-0.95, 0.95, size=50)
-    _, analytic = basis_and_derivative(xs, g)
+    bases, terms = basis_and_derivative(xs, g)
+    analytic = dense_derivative(bases.shape, terms)
     h = 1e-6
     numeric = (basis_matrix(xs + h, g) - basis_matrix(xs - h, g)) / (2 * h)
     assert np.max(np.abs(analytic - numeric)) < 1e-6
@@ -177,13 +181,15 @@ def test_derivative_matches_finite_differences():
 
 def test_derivative_zero_outside_range():
     g = SplineGrid.uniform(5, 3)
-    _, deriv = basis_and_derivative(np.array([3.0, -2.5]), g)
+    bases, terms = basis_and_derivative(np.array([3.0, -2.5]), g)
+    deriv = dense_derivative(bases.shape, terms)
     assert np.array_equal(deriv, np.zeros_like(deriv))
 
 
 def test_order_zero_derivative_is_zero():
     g = SplineGrid.uniform(4, 0)
-    _, deriv = basis_and_derivative(np.array([-0.3, 0.4]), g)
+    bases, terms = basis_and_derivative(np.array([-0.3, 0.4]), g)
+    deriv = dense_derivative(bases.shape, terms)
     assert np.array_equal(deriv, np.zeros_like(deriv))
 
 
@@ -211,12 +217,15 @@ def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi
             rng.uniform(lo - 0.5, hi + 0.5, 40),
         ]
     )
-    bases, dbases = basis_and_derivative(xs, g)
+    bases, terms = basis_and_derivative(xs, g)
+    assert terms[0].shape == terms[1].shape == (order + 1, len(xs))
+    dbases = dense_derivative(bases.shape, terms)
     values, none = basis_and_derivative(xs, g, derivative=False)
     assert none is None
     assert values.tobytes() == bases.tobytes()
     # With a free leading slot per point, the planes hold the same bits after it.
-    padded, dpadded = basis_and_derivative(xs, g, pad=1)
+    padded, padded_terms = basis_and_derivative(xs, g, pad=1)
+    dpadded = dense_derivative(padded.shape, padded_terms)
     values_padded, none = basis_and_derivative(xs, g, derivative=False, pad=1)
     assert none is None
     zeros = np.zeros(len(xs)).tobytes()
@@ -231,7 +240,8 @@ def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi
     # The same points one, two and three at a time.
     for n in (1, 2, 3):
         for i in range(len(xs) - n + 1):
-            few_bases, few_dbases = basis_and_derivative(xs[i : i + n], g)
+            few_bases, few_terms = basis_and_derivative(xs[i : i + n], g)
+            few_dbases = dense_derivative(few_bases.shape, few_terms)
             assert few_bases.tobytes() == ref_bases[i : i + n].tobytes()
             assert few_dbases.tobytes() == ref_dbases[i : i + n].tobytes()
 
@@ -245,4 +255,5 @@ def test_a_lone_point_gets_the_bits_it_gets_among_others(order):
         lone = basis_and_derivative(x[:1], g)
         among = basis_and_derivative(x, g)
         assert lone[0].tobytes() == among[0][:1].tobytes()
-        assert lone[1].tobytes() == among[1][:1].tobytes()
+        lone_dense = dense_derivative(lone[0].shape, lone[1])
+        assert lone_dense.tobytes() == dense_derivative(among[0].shape, among[1])[:1].tobytes()
