@@ -42,12 +42,28 @@ A stacked call whose rows share a batch start reads its batch, targets
 and dropout flags as basic-slice views of those buffers; rows at different
 starts are gathered row by row.  Every layer's product runs the same BLAS
 call on a view as on a copy, so views cannot change results either.
+
+A run uses every CPU this process may run on.  ``run_experiment`` owns a
+``Helpers``: one process per usable CPU beyond the first, and never more
+than there are clients minus one, forked from this one at the first round
+with two or more participants, so that each inherits the run's clients,
+template and config.  Such a round deals its participants round-robin
+across this process and the helpers, by descending sample count with ties
+in client-id order; a helper receives only client indices, the weights and
+those participants' generators, and every process calls the same
+``local_train`` on its share.  Evaluation is dealt the same way.  The
+updates go back into participant order and the test losses into client-id
+order before they are combined, and any grouping trains and evaluates each
+client exactly as alone, so the reports are byte-identical to running the
+round in one process.  With one usable CPU, one client or one participant,
+or where the platform cannot fork, the round runs in this process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
@@ -83,12 +99,13 @@ AGG_UNIFORM = "uniform"
 AGG_SAMPLE_WEIGHTED = "sample_weighted"
 
 # Most batch rows (clients x samples) one stacked training call may take.
-# On kan_fleet (batch 128, ~12 participants a round, 2-core machine, one
-# BLAS thread) caps of 384, 768 and 1,536 rows and no cap trained its 20
-# rounds in 0.76-0.87, 0.78-0.81, 0.75-0.80 and 0.76-0.80 s and peaked at
-# 43.3, 45.2, 48.9 and 50.2 MB RSS; one client per call took 1.12-1.23 s
-# at 42.1 MB.  768 is as fast as no cap for 10% less memory.
-MAX_STACK_ROWS = 768
+# On kan_fleet (batch 128, ~12 participants a round dealt across 2
+# processes, 2-core machine, one BLAS thread) caps of 384, 768 and 1,536
+# rows and no cap gave a median round of 0.0184, 0.0171, 0.0166 and
+# 0.0165 s over 6 rotated runs, and the main process peaked at 43.9, 45.9,
+# 47.0 and 47.0 MB RSS.  In 10 alternating pairs at each of two data seeds
+# 1,536 beat 768 in every pair, by 2.6-2.9%, for 2.1-2.4% more memory.
+MAX_STACK_ROWS = 1536
 
 # Most doubles one generator call draws for a client's epoch of dropout
 # flags.  The float64 draws live beside the epoch's bool flags until they
@@ -518,16 +535,186 @@ def _availability_draw(
     return [c for c, keep in zip(clients, mask) if keep]
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _deal(clients: list[ClientState], shares: int) -> list[list[int]]:
+    """Positions in ``clients`` dealt round-robin into at most ``shares``
+    groups, by descending sample count with ties in client-id order."""
+    ranked = sorted(
+        range(len(clients)), key=lambda i: (-clients[i].sample_count, clients[i].client_id)
+    )
+    return [ranked[k::shares] for k in range(min(shares, len(ranked)))]
+
+
+def _share_work(
+    clients: list[ClientState],
+    template: Model,
+    fed_config: FederationConfig,
+    weights: np.ndarray,
+    rngs: list[np.random.Generator] | None,
+) -> list:
+    """One share of a round, in whichever process runs it: ``local_train``'s
+    updates when given generators, else each client's test loss from
+    ``evaluate_global``.  One result per client, in the order of ``clients``."""
+    if rngs is None:
+        losses = evaluate_global(weights, clients, template)[0]
+        return [losses[c.client_id] for c in clients]
+    return local_train(clients, template, weights, fed_config, rngs)
+
+
+def _receive(conn):
+    """A helper's answer, or the error that stands for a helper gone."""
+    try:
+        return conn.recv()
+    except EOFError:
+        return ChildProcessError("a helper process ended before it answered")
+
+
+class Helpers:
+    """Processes forked from this one that train and evaluate shares of one
+    run's clients (see the module docstring).
+
+    There is one helper per usable CPU beyond the first, never more than
+    there are clients minus one, and none where the platform cannot fork.
+    None starts before ``run`` first has work for it: fork and the import of
+    ``multiprocessing`` then cost a round, not the set-up.  The package runs
+    no thread of its own, and OpenBLAS stops its pool before a fork, so the
+    fork copies a one-thread process.  ``close``, or leaving a ``with``
+    block, ends them.
+    """
+
+    def __init__(
+        self, clients: list[ClientState], template: Model, fed_config: FederationConfig
+    ) -> None:
+        self.clients, self.template, self.fed_config = clients, template, fed_config
+        self.count = min(_usable_cpus(), len(clients)) - 1 if hasattr(os, "fork") else 0
+        self._position = {c.client_id: i for i, c in enumerate(clients)}
+        self._conns: list = []
+        self._processes: list = []
+
+    def __enter__(self) -> "Helpers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(self, groups: list[list[ClientState]], weights: np.ndarray, rngs: list) -> list:
+        """``_share_work`` on each group, with its entry of ``rngs``: the
+        first group in this process, group k in helper k.  Returns the
+        answers in group order.  Every group finishes before an error is
+        raised: this process's own first, then the helpers' in order, so
+        which error a failing round raises does not depend on timing."""
+        if not self._processes:
+            self._start()
+        busy = self._conns[: len(groups) - 1]
+        for conn, group, group_rngs in zip(busy, groups[1:], rngs[1:]):
+            conn.send(([self._position[c.client_id] for c in group], weights, group_rngs))
+        try:
+            own = _share_work(groups[0], self.template, self.fed_config, weights, rngs[0])
+        finally:
+            answers = [_receive(conn) for conn in busy]
+        for answer in answers:
+            if isinstance(answer, BaseException):
+                raise answer
+        return [own, *answers]
+
+    def close(self) -> None:
+        """Close this process's end of every pipe and join the helpers,
+        which exit when they read its end of file."""
+        for conn in self._conns:
+            conn.close()
+        for process in self._processes:
+            process.join()
+        self._conns, self._processes = [], []
+
+    def _start(self) -> None:
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        for _ in range(self.count):
+            ours, theirs = context.Pipe()
+            process = context.Process(
+                target=self._serve, args=(theirs, [*self._conns, ours]), daemon=True
+            )
+            process.start()
+            theirs.close()
+            self._conns.append(ours)
+            self._processes.append(process)
+
+    def _serve(self, conn, parent_ends: list) -> None:
+        """A helper's loop: answer each share until the parent's end of
+        ``conn`` closes.  A failed share answers with its exception."""
+        import signal
+
+        # An interrupt reaches the whole process group; the parent handles it
+        # and closes its ends, which ends this loop.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # The parent's ends that the fork copied: open here, they would keep
+        # this helper's pipe, or an earlier helper's, from reaching EOF.
+        for end in parent_ends:
+            end.close()
+        while True:
+            try:
+                indices, weights, rngs = conn.recv()
+            except EOFError:
+                return
+            group = [self.clients[i] for i in indices]
+            try:
+                answer = _share_work(group, self.template, self.fed_config, weights, rngs)
+            except Exception as exc:  # the parent raises it
+                answer = exc
+            try:
+                conn.send(answer)
+            except BrokenPipeError:  # the parent has closed its end
+                return
+
+
+def _in_shares(
+    helpers: Helpers | None,
+    clients: list[ClientState],
+    template: Model,
+    fed_config: FederationConfig,
+    weights: np.ndarray,
+    rngs: list[np.random.Generator] | None = None,
+) -> list:
+    """``_share_work`` on clients dealt across this process and ``helpers``;
+    one result per client, in the order of ``clients``."""
+    groups = _deal(clients, 1 + (helpers.count if helpers else 0))
+    if len(groups) == 1:
+        return _share_work(clients, template, fed_config, weights, rngs)
+    answers = helpers.run(
+        [[clients[i] for i in group] for group in groups],
+        weights,
+        [None if rngs is None else [rngs[i] for i in group] for group in groups],
+    )
+    results: list = [None] * len(clients)
+    for group, answer in zip(groups, answers):
+        for i, result in zip(group, answer):
+            results[i] = result
+    return results
+
+
 def run_round(
     global_weights: np.ndarray,
     clients: list[ClientState],
     template: Model,
     fed_config: FederationConfig,
     round_index: int,
+    *,
+    helpers: Helpers | None = None,
 ) -> tuple[np.ndarray, RoundReport]:
     """One synchronous round; evaluates the new weights on every client.
 
-    All participants train in one local_train call.
+    All participants train in one local_train call, or, with ``helpers``
+    (built over these clients, template and config) and two or more
+    participants, in one call per process: the participants are dealt
+    across this process and the helpers, and so are the evaluated clients
+    (see the module docstring).  The report is the same bytes either way.
     """
     if not clients:
         raise ContractViolationError("cannot run a round with zero clients")
@@ -545,10 +732,14 @@ def run_round(
         )
         for c in participants
     ]
-    updates = local_train(participants, template, global_weights, fed_config, rngs)
+    # A lone participant's round runs in this process.
+    shares = helpers if len(participants) > 1 else None
+    updates = _in_shares(shares, participants, template, fed_config, global_weights, rngs)
 
     new_weights = aggregate(updates, fed_config.aggregation)
-    per_client, avg_test = evaluate_global(new_weights, ordered, template)
+    losses = _in_shares(shares, ordered, template, fed_config, new_weights)
+    per_client = {c.client_id: loss for c, loss in zip(ordered, losses)}
+    avg_test = float(np.mean(losses))
     avg_train = float(np.mean([u.local_train_loss for u in updates]))
     report = RoundReport(
         round_index=round_index,
@@ -574,7 +765,12 @@ def run_experiment(
     window_hours: int = 5,
     train_fraction: float = 0.8,
 ) -> ExperimentReport:
-    """Full FedAvg run: build clients, train for rounds, report."""
+    """Full FedAvg run: build clients, train for rounds, report.
+
+    The rounds share one ``Helpers`` over the run's clients, so a round uses
+    every usable CPU (see the module docstring); every helper has exited
+    when this returns or raises.
+    """
     if not beams:
         raise ConfigurationError("run_experiment needs at least one beam")
     check_model_fits_data(model_config, window_hours)
@@ -587,11 +783,12 @@ def run_experiment(
     global_weights = export_weights(template)
     digest = dataset_digest(clients)
     reports = []
-    for round_index in range(1, fed_config.rounds + 1):
-        global_weights, report = run_round(
-            global_weights, clients, template, fed_config, round_index
-        )
-        reports.append(report)
+    with Helpers(clients, template, fed_config) as helpers:
+        for round_index in range(1, fed_config.rounds + 1):
+            global_weights, report = run_round(
+                global_weights, clients, template, fed_config, round_index, helpers=helpers
+            )
+            reports.append(report)
     return ExperimentReport(
         model_config=model_config,
         federation_config=fed_config,

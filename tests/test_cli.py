@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import ctypes
+import dataclasses
 import hashlib
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -12,6 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +138,29 @@ def test_diverging_run_exits_4_with_one_error_line(tmp_path, capsys, recwarn, ki
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "non-finite loss" in err[0]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+def test_a_failure_in_a_helper_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    build_client = fedbeam.federation.build_client
+
+    def build_client_poisoned(series, *args):
+        client = build_client(series, *args)
+        if series.beam_id != "beam-02":
+            return client
+        targets = client.train_targets.copy()
+        targets[3, 0] = np.inf
+        return dataclasses.replace(client, train_targets=targets)
+
+    monkeypatch.setattr(fedbeam.federation, "build_client", build_client_poisoned)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    # Two equal beams: beam-02 is dealt to the helper.
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: client 'beam-02' produced a non-finite loss"]
+    assert multiprocessing.active_children() == []
 
 
 def test_train_missing_config_file_is_io_error(tmp_path, capsys):

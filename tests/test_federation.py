@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import itertools
+import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -23,6 +26,7 @@ from fedbeam.federation import (
     ClientState,
     ClientUpdate,
     FederationConfig,
+    Helpers,
     aggregate,
     build_client,
     dataset_digest,
@@ -49,6 +53,7 @@ from fedbeam.model import (
     segment_views,
 )
 from fedbeam.optim import adam_step, clip_gradient_norm, mse_loss
+from fedbeam.report import render_experiment_csv
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
 from helpers import initial_adam_state
@@ -543,7 +548,7 @@ def lockstep_calls_all_at_once(counts, epochs, batch_size):
 @pytest.mark.parametrize(
     "counts",
     # The last one splits calls at MAX_STACK_ROWS when the batch is 128.
-    [[60], [92, 72, 60, 60], [590, 589, 17, 16, 1], [2000, 1990, 7, 7, 7, 3], [300] * 7],
+    [[60], [92, 72, 60, 60], [590, 589, 17, 16, 1], [2000, 1990, 7, 7, 7, 3], [300] * 13],
 )
 def test_lockstep_calls_match_the_whole_schedule_built_at_once(counts, epochs, batch_size):
     lazy = _lockstep_calls(counts, epochs, batch_size)
@@ -590,6 +595,8 @@ def test_layer_zero_training_planes_are_built_once_per_round(monkeypatch, epochs
 
     monkeypatch.setattr(fedbeam.layers, "basis_and_derivative", recording_basis)
     monkeypatch.setattr(fedbeam.federation, "local_train", recording_local_train)
+    # The stubs record in this process only, so no share may go to a helper.
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 1)
     report = run_experiment(ModelConfig.fed_kan(), fed, beams)
     assert len(report.rounds) == 3 and all(len(r.participants) == 4 for r in report.rounds)
     # In training, layer 0 is the only spline layer evaluated without derivatives.
@@ -823,3 +830,144 @@ def test_dataset_digest_hashes_each_arrays_bytes_in_c_order():
             h.update(arr.tobytes())
     assert dataset_digest(clients) == h.hexdigest()
     assert dataset_digest(clients) == dataset_digest(small_clients(2))
+
+
+# A fleet-shaped run (uneven beams, partial rounds, sample-weighted, one
+# epoch) and a protocol-shaped one (equal beams, every client, several epochs).
+SHARED_RUNS = {
+    "fleet": (
+        (80, 95, 120, 140, 100, 110),
+        FederationConfig(
+            rounds=3,
+            local_epochs=1,
+            batch_size=16,
+            availability_prob=0.75,
+            aggregation="sample_weighted",
+            seed=5,
+        ),
+    ),
+    "protocol": ((120,) * 4, FAST_FED),
+}
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+
+
+@needs_fork
+@pytest.mark.parametrize("make", [ModelConfig.fed_kan, ModelConfig.fed_mlp])
+@pytest.mark.parametrize("shape", sorted(SHARED_RUNS))
+def test_a_run_is_byte_identical_on_any_number_of_cpus(monkeypatch, shape, make):
+    hours, fed = SHARED_RUNS[shape]
+    beams = [generate_synthetic(3, h, p) for h, p in zip(hours, default_profiles(len(hours)))]
+    shares = []
+    run = Helpers.run
+
+    def recording_run(self, groups, *args):
+        shares.append(len(groups))
+        return run(self, groups, *args)
+
+    monkeypatch.setattr(Helpers, "run", recording_run)
+    outputs = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
+        shares.clear()
+        report = run_experiment(make(), fed, beams)
+        outputs.add((render_experiment_csv(report), report.final_weights.tobytes()))
+        # Every process took a share of some round.
+        assert max(shares, default=1) == cpus
+        assert multiprocessing.active_children() == []
+    assert len(outputs) == 1
+
+
+def poison_target(client: ClientState) -> ClientState:
+    poisoned = client.train_targets.copy()
+    poisoned[3, 0] = np.nan
+    return dataclasses.replace(client, train_targets=poisoned)
+
+
+def no_training_rows(client: ClientState) -> ClientState:
+    return dataclasses.replace(
+        client, train_features=client.train_features[:0], train_targets=client.train_targets[:0]
+    )
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "cpus, spoil, error, bad",
+    [
+        # Equal counts deal in client-id order: beam-02 goes to the helper.
+        (2, poison_target, NumericsError, [1]),
+        # Both shares fail, and this process's share is reported: beam-03.
+        (2, poison_target, NumericsError, [1, 2]),
+        # A client without training rows is dealt last: to the second helper.
+        (3, no_training_rows, ConfigurationError, [0]),
+    ],
+)
+def test_a_failed_share_raises_its_error_in_the_parent(monkeypatch, cpus, spoil, error, bad):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: cpus)
+    clients = small_clients(3)
+    for i in bad:
+        clients[i] = spoil(clients[i])
+    template = build_model(ModelConfig.fed_kan(), seed=5)
+    with Helpers(clients, template, FAST_FED) as helpers:
+        with pytest.raises(error) as err:
+            run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
+    assert multiprocessing.active_children() == []
+    named = [c.client_id for c in clients if c.client_id in str(err.value)]
+    assert named == [clients[bad[-1]].client_id], str(err.value)
+
+
+@needs_fork
+def test_no_helper_outlives_a_run_that_fails(monkeypatch):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 3)
+    spoiled = fedbeam.federation.build_client
+
+    def build_client_poisoned(series, *args):
+        client = spoiled(series, *args)
+        return poison_target(client) if series.beam_id == "beam-03" else client
+
+    monkeypatch.setattr(fedbeam.federation, "build_client", build_client_poisoned)
+    beams = [generate_synthetic(3, 80, p) for p in default_profiles(3)]
+    with pytest.raises(NumericsError, match="'beam-03'"):
+        run_experiment(ModelConfig.fed_mlp(), FAST_FED, beams)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_helper_that_died_is_an_os_error(monkeypatch):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    clients = small_clients(2)
+    template = build_model(ModelConfig.fed_mlp(), seed=5)
+    weights = export_weights(template)
+    with Helpers(clients, template, FAST_FED) as helpers:
+        run_round(weights, clients, template, FAST_FED, 1, helpers=helpers)
+        [process] = multiprocessing.active_children()
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=30)
+        with pytest.raises(OSError):
+            run_round(weights, clients, template, FAST_FED, 2, helpers=helpers)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_helper_ignores_interrupts_and_exits_quietly_at_end_of_file(monkeypatch, capfd):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    clients = small_clients(2)
+    template = build_model(ModelConfig.fed_mlp(), seed=5)
+    helpers = Helpers(clients, template, FAST_FED)
+    try:
+        # After one answered round the helper is in its loop.
+        run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
+        [process] = multiprocessing.active_children()
+        os.kill(process.pid, signal.SIGINT)
+        process.join(timeout=0.5)
+        assert process.is_alive()
+        # This process holds the only open copy of the parent's end.
+        helpers._conns[0].close()
+        process.join(timeout=30)
+        assert not process.is_alive() and process.exitcode == 0
+    finally:
+        # Alive here only when the test failed; close() would wait for it.
+        for child in multiprocessing.active_children():
+            child.kill()
+        helpers.close()
+    assert capfd.readouterr() == ("", "")
