@@ -441,9 +441,10 @@ def local_train(
     final_sizes: list[list[int]] = [[] for _ in rows]
     for g, lo, hi, size, starts, final in _lockstep_calls(counts, epochs, batch_size):
         if (lo, hi) not in stacks:
+            part = with_weights(model, model.weights[lo:hi])
             stacks[lo, hi] = (
-                with_weights(model, model.weights[lo:hi]),
-                grads[lo:hi],
+                part,
+                with_weights(part, grads[lo:hi]),
                 segment_views(model.layout, grads[lo:hi]),
                 AdamState(first[lo:hi], second[lo:hi], *rates),
             )
@@ -462,9 +463,9 @@ def local_train(
         if not finite.all():
             bad = ", ".join(repr(rows[lo + i].client_id) for i in np.flatnonzero(~finite))
             raise NumericsError(f"client {bad} produced a non-finite loss")
-        model_backward(part, caches, loss_grad, segments)
-        clip_gradient_norm(part_grads, fed_config.max_grad_norm, segments)
-        adam_step(part.weights, part_grads, state, g + 1)
+        model_backward(part, caches, loss_grad, part_grads)
+        clip_gradient_norm(part_grads.weights, fed_config.max_grad_norm, segments)
+        adam_step(part.weights, part_grads.weights, state, g + 1)
         for r in final:
             final_losses[r].append(losses[r - lo])
             final_sizes[r].append(size)

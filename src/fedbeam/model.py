@@ -14,11 +14,12 @@ reshaped view into it.  A spline layer is one array, its weight block
 (base weight and spline coefficients per input, in the order its forward
 product reads them); an affine layer is two, weights and biases.
 ``parameter_layout`` fixes the order and shape of those arrays (the
-segments), and the same layout serves the gradient buffer, whose segment
-views ``model_backward`` fills.  Only this module knows the layout: the
-federation exchanges plain read-only ``(parameters,)`` float64 arrays in
-it, which ``export_weights`` copies out of a model and ``import_weights``
-copies into one.
+segments).  A gradient buffer has the same layout: ``model_backward``
+fills it through the model re-viewed over it (``with_weights``), block by
+block.  Only this module knows the layout.  The federation exchanges plain
+read-only ``(parameters,)`` float64 arrays in it, which ``export_weights``
+copies out of a model and ``import_weights`` copies into one, and the
+optimizer clips and steps gradient and weight rows as flat vectors.
 
 A ``ModelConfig`` is checked when it is built, so every config that exists
 is valid.  ``build_model`` is the only step that plans: it lays out the
@@ -359,44 +360,35 @@ def _forward(
     return x
 
 
-def model_backward(
-    model: Model, caches: list[dict], upstream: np.ndarray, grad_views: list[np.ndarray]
-) -> None:
+def model_backward(model: Model, caches: list[dict], upstream: np.ndarray, grads: Model) -> None:
     """Backpropagate the loss gradient through every block.
 
-    ``grad_views`` are the gradient buffer's per-segment views, in the
-    model's layout (see ``segment_views``); each block's backward writes
-    its parameter gradients straight into its views, one for a spline block
-    and two for an affine block, walking the segments from the last.  A
-    training loop builds the views once per buffer and passes them to every
-    step.  Nothing is returned: no caller reads the gradient with respect
-    to the batch, and the first block, spline or affine, does not compute
-    it.
+    ``grads`` is the model re-viewed over a gradient buffer of its weights'
+    shape (``with_weights(model, buffer)``); each block's backward writes
+    its parameter gradients straight into the matching block of ``grads``.
+    A training loop builds it once per buffer and passes it to every step.
+    Nothing is returned: no caller reads the gradient with respect to the
+    batch, and the first block, spline or affine, does not compute it.
     """
     if len(caches) != len(model.blocks):
         raise ContractViolationError(
             f"cache list of length {len(caches)} does not match {len(model.blocks)} blocks"
         )
-    first_shape = model.weights.shape[:-1] + model.layout[0][1]
-    if len(grad_views) != len(model.layout) or grad_views[0].shape != first_shape:
+    if (grads.weights.shape, grads.layout) != (model.weights.shape, model.layout):
         raise ContractViolationError(
-            f"gradient views do not match the {len(model.layout)} segments of "
-            f"weights shaped {model.weights.shape}"
+            f"a gradient model of weights shaped {grads.weights.shape} does not "
+            f"match the layout of weights shaped {model.weights.shape}"
         )
     u = upstream
-    j = len(grad_views)
     for i in range(len(model.blocks) - 1, -1, -1):
-        block = model.blocks[i]
-        entry = caches[i]
+        block, grad, entry = model.blocks[i], grads.blocks[i], caches[i]
         if isinstance(block, KanLayerParams):
-            j -= 1
-            u = kan_layer_backward(u, block, entry["layer"], grad_views[j])
+            u = kan_layer_backward(u, block, entry["layer"], grad.weights)
         else:
             if entry["mask"] is not None:
                 u = relu_backward(u, entry["mask"])
-            j -= 2
             u = linear_backward(
-                u, block, entry["layer"], grad_views[j], grad_views[j + 1], input_grad=i > 0
+                u, block, entry["layer"], grad.weights, grad.biases, input_grad=i > 0
             )
 
 

@@ -161,7 +161,7 @@ def full_model_gradcheck(config: ModelConfig, seed: int) -> float:
     preds, caches = forward_with_caches(template, batch)
     _, loss_grad = mse_loss(preds, targets)
     analytic = np.empty_like(template.weights)
-    model_backward(template, caches, loss_grad, segment_views(template.layout, analytic))
+    model_backward(template, caches, loss_grad, with_weights(template, analytic))
     numeric = stacked_finite_difference_gradient(stacked_loss, template.weights)
     return max_rel_err(analytic, numeric)
 

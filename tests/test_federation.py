@@ -51,6 +51,7 @@ from fedbeam.model import (
     import_weights,
     model_backward,
     segment_views,
+    with_weights,
 )
 from fedbeam.optim import adam_step, clip_gradient_norm, mse_loss
 from fedbeam.report import render_experiment_csv
@@ -386,6 +387,7 @@ def train_alone(client, template, weights, fed, rng):
     drop_prob = template.config.dropout_p
     widths = dropout_widths(template)
     grads = np.zeros_like(model.weights)
+    gradient = with_weights(model, grads)
     segments = segment_views(model.layout, grads)
     state = initial_adam_state(grads.shape, fed.learning_rate, fed.weight_decay)
     n = client.sample_count
@@ -403,7 +405,7 @@ def train_alone(client, template, weights, fed, rng):
                 ]
             preds, caches = forward_with_caches(model, features, masks)
             loss, loss_grad = mse_loss(preds, client.train_targets[start:stop])
-            model_backward(model, caches, loss_grad, segments)
+            model_backward(model, caches, loss_grad, gradient)
             clip_gradient_norm(grads, fed.max_grad_norm, segments)
             step += 1
             adam_step(model.weights, grads, state, step)

@@ -191,8 +191,27 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
         # and the backward pass returns no gradient for the batch.
         kan = [c["layer"]["dterms"] is None for c in caches if "plane" in c["layer"]]
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
-        grads = segment_views(m.layout, np.empty_like(m.weights))
+        grads = with_weights(m, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None
+
+
+def test_model_backward_rejects_a_gradient_model_of_another_layout():
+    # Two configs of 632 parameters each, laid out differently.
+    model = build_model(ModelConfig.fed_kan(kan_hidden_widths=(4, 2, 8), fc_head_widths=(4, 4)), 4)
+    other = build_model(ModelConfig.fed_kan(kan_hidden_widths=(2, 8, 4), fc_head_widths=(4,)), 4)
+    assert model.weights.shape == other.weights.shape == (632,)
+    stacked = import_weights(model, export_weights(model), copies=3)
+    batch = np.random.default_rng(2).random((3, 5, 10))
+    out, caches = forward_with_caches(stacked, batch)
+    upstream = np.ones_like(out)
+    for grads in (
+        with_weights(other, np.empty((3, other.weights.shape[-1]))),  # another config
+        with_weights(model, np.empty((2, model.weights.shape[-1]))),  # another row count
+        with_weights(model, np.empty(model.weights.shape)),  # one model for a stack
+    ):
+        with pytest.raises(ContractViolationError, match="gradient model"):
+            model_backward(stacked, caches, upstream, grads)
+    model_backward(stacked, caches, upstream, with_weights(stacked, np.empty_like(stacked.weights)))
 
 
 def test_forward_with_caches_rejects_masks_that_do_not_fit():
@@ -223,8 +242,8 @@ def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
     assert planned_caches[0]["layer"]["plane"].tobytes() == caches[0]["layer"]["plane"].tobytes()
     grads = np.empty((2, *stacked.weights.shape))
     upstream = np.ones_like(out)
-    model_backward(stacked, caches, upstream, segment_views(stacked.layout, grads[0]))
-    model_backward(stacked, planned_caches, upstream, segment_views(stacked.layout, grads[1]))
+    model_backward(stacked, caches, upstream, with_weights(stacked, grads[0]))
+    model_backward(stacked, planned_caches, upstream, with_weights(stacked, grads[1]))
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
