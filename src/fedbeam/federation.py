@@ -88,7 +88,6 @@ from .model import (
     forward_with_caches,
     import_weights,
     model_backward,
-    segment_views,
     with_weights,
 )
 from .optim import AdamState, adam_step, clip_gradient_norm, mse_loss
@@ -193,6 +192,12 @@ class ClientUpdate:
     weights: np.ndarray
     sample_count: int
     local_train_loss: float
+
+    def __setstate__(self, state: dict) -> None:
+        # An update from a helper arrives by pickle, which gives its weights
+        # back writeable; they are read-only here as everywhere.
+        state["weights"].flags.writeable = False
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)
@@ -445,10 +450,9 @@ def local_train(
             stacks[lo, hi] = (
                 part,
                 with_weights(part, grads[lo:hi]),
-                segment_views(model.layout, grads[lo:hi]),
                 AdamState(first[lo:hi], second[lo:hi], *rates),
             )
-        part, part_grads, segments, state = stacks[lo, hi]
+        part, part_grads, state = stacks[lo, hi]
         xb = _take(sources, lo, starts, size)
         yb = _take(targets, lo, starts, size)
         masks = None
@@ -464,7 +468,7 @@ def local_train(
             bad = ", ".join(repr(rows[lo + i].client_id) for i in np.flatnonzero(~finite))
             raise NumericsError(f"client {bad} produced a non-finite loss")
         model_backward(part, caches, loss_grad, part_grads)
-        clip_gradient_norm(part_grads.weights, fed_config.max_grad_norm, segments)
+        clip_gradient_norm(part_grads.weights, fed_config.max_grad_norm)
         adam_step(part.weights, part_grads.weights, state, g + 1)
         for r in final:
             final_losses[r].append(losses[r - lo])

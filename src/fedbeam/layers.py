@@ -13,9 +13,9 @@ A hidden affine layer's ReLU and dropout are one elementwise mask
 the two applied in turn.
 All arithmetic is float64 and every backward consumes the cache produced by
 the matching forward.  A backward writes its parameter gradients with
-``out=`` into the arrays it is given (in training, the segment views of the
-gradient buffer, so no copy follows) and returns only the input gradient;
-a view's bits are those of a new array.
+``out=`` into the arrays it is given (in training, a gradient model's
+views of the gradient buffer, so no copy follows) and returns only the
+input gradient; a view's bits are those of a new array.
 
 Every layer also accepts a stack of batches: inputs of shape
 ``(clients, batch, width)`` with parameters carrying the same leading
@@ -223,7 +223,7 @@ def kan_layer_backward(
 
     ``d_weights`` has the weights' shape and must reshape to the flat
     ``(..., in_width * (num_bases + 1), out_width)`` block without a copy,
-    as a segment view of a gradient buffer does: the product is written
+    as the weights of a gradient model's block do: the product is written
     through that reshaped view.  A cache built with ``derivative=False``
     gives None for the inputs' gradient and computes none of it.
 

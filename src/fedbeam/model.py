@@ -193,7 +193,7 @@ def _plan_layout(plan: list[tuple[str, int, int]], bases: int) -> Layout:
     return tuple(layout)
 
 
-def segment_views(layout: Layout, flat: np.ndarray) -> list[np.ndarray]:
+def _segment_views(layout: Layout, flat: np.ndarray) -> list[np.ndarray]:
     """One view into ``flat`` per segment of the layout, in its shape.
 
     ``flat`` may carry leading axes, ``(*lead, parameters)``; each view then
@@ -237,7 +237,7 @@ def with_weights(model: Model, weights: np.ndarray) -> Model:
             f"weight buffer of shape {weights.shape} does not hold "
             f"{model.weights.shape[-1]} parameters per row"
         )
-    views = iter(segment_views(model.layout, weights))
+    views = iter(_segment_views(model.layout, weights))
     blocks = [
         KanLayerParams(next(views), block.grid)
         if isinstance(block, KanLayerParams)

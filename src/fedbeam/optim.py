@@ -1,11 +1,9 @@
 """Loss, gradient clipping, and the Adam update rule.
 
-Clipping and adam_step work on flat float64 vectors in the model's
-parameter layout, in place: the training loop clips the flat gradient
-buffer, and adam_step updates the model's weight buffer and the Adam
-moments it is given.  The clip norm is taken per segment, and only in a
-call where some row may clip: a cheaper flat sum screens the rest out
-without changing a bit (see clip_gradient_norm).
+Clipping and adam_step work on flat float64 vectors in place, and need
+not know the model's parameter layout: the training loop clips the flat
+gradient buffer by its L2 norm, and adam_step updates the model's weight
+buffer and the Adam moments it is given.
 A stack of models, ``(clients, parameters)``, is one row per client: every
 loss, norm and clip decision is per row, and each row's arithmetic is the
 same as for that client's flat vector alone.
@@ -15,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -44,61 +41,20 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     return loss, grad
 
 
-# The clip screen: a row whose flat sum of squares is below max_norm**2 by
-# this factor cannot clip, for rows of at most _SCREEN_PARAMETERS entries
-# (see clip_gradient_norm).
-_SCREEN_MARGIN = 1.0 - 1e-9
-_SCREEN_PARAMETERS = 10**6
-_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-
-
-def clip_gradient_norm(
-    grads: np.ndarray, max_norm: float, segments: Iterable[np.ndarray]
-) -> None:
+def clip_gradient_norm(grads: np.ndarray, max_norm: float) -> None:
     """Scale each row of the gradient in place so its L2 norm is <= max_norm.
 
-    ``grads`` is ``(parameters,)`` or ``(clients, parameters)`` and
-    ``segments`` are its per-segment views in layout order (see
-    ``fedbeam.model.segment_views``).  The norm that decides a clip is the
-    per-segment one: ``grads`` is squared once, the squares are summed one
-    segment slice at a time and those partial sums added left to right,
-    which fixes the floating-point summation order (a single sum over the
-    flat buffer would round differently).  Rows whose norm is within
-    ``max_norm`` are left untouched.
-
-    Most calls clip no row, so a screen comes first: each row's squares
-    summed in one flat pass.  If every such sum is below ``max_norm**2 *
-    (1 - 1e-9)`` the call returns without the per-segment norm.  Both sums
-    add the same P non-negative squares in different orders, so each lies
-    within a relative (P - 1) * u / (1 - (P - 1) * u) of the exact sum (u =
-    2**-53; Higham, SIAM J. Sci. Comput. 14(4), 1993).  For P <= 10**6
-    that is below 1.2e-10, so a row that passes the screen has a
-    per-segment sum below ``max_norm**2 * (1 - 7e-10)`` and a norm that
-    rounds to at most ``max_norm``: the per-segment path would not clip it
-    either, and the result is the same bits.  Longer rows, a ``max_norm**2``
-    that is subnormal or overflows, and any row whose sum is NaN or
-    infinite (NaN or infinite entries, overflowing squares) take the
-    per-segment path, which alone decides the clip.
+    ``grads`` is ``(parameters,)`` or ``(clients, parameters)``.  A row's
+    norm is the square root of its flat sum of squares (``np.add.reduce``,
+    NumPy's pairwise sum).  A row whose norm is above ``max_norm`` is
+    scaled by ``max_norm / norm``; the others, a NaN norm included, are
+    left untouched.
     """
     if not math.isfinite(max_norm) or max_norm <= 0.0:
         raise ContractViolationError(
             f"max_norm must be positive and finite, got {max_norm}"
         )
-    squares = grads * grads
-    # A Python float's square overflows to inf without a warning.
-    bound = float(max_norm) * float(max_norm)
-    if _SMALLEST_NORMAL <= bound < math.inf and grads.shape[-1] <= _SCREEN_PARAMETERS:
-        largest = np.maximum.reduce(np.add.reduce(squares, axis=-1), axis=None)
-        if largest < bound * _SCREEN_MARGIN:
-            return
-    lead = grads.ndim - 1
-    total = 0.0
-    start = 0
-    for seg in segments:
-        stop = start + math.prod(seg.shape[lead:])
-        total = total + np.add.reduce(squares[..., start:stop], axis=-1)
-        start = stop
-    norm = np.sqrt(total)
+    norm = np.sqrt(np.add.reduce(grads * grads, axis=-1))
     over = norm > max_norm
     if over.any():
         grads[over] *= (max_norm / norm[over])[:, None]

@@ -46,7 +46,6 @@ from fedbeam.model import (
     count_parameters,
     forward_with_caches,
     model_backward,
-    segment_views,
     with_weights,
 )
 from fedbeam.optim import mse_loss
@@ -68,9 +67,9 @@ GRADIENT_SEEDS = 20
 # BLAS build; a mismatch on another machine is a finding to report, not a
 # reason to turn the pin into a tolerance.
 PROTOCOL_DIGESTS = {
-    "comparison.csv": "6096c3e34ac60d34073ac53ebf1d5b26a24c4c25b07538b8f57d78c422fde82d",
-    "report_fed_kan.csv": "ae6931742a97497f34dadc86f852da5bbcb0882e81fc566851b0c6615f5b61ea",
-    "report_fed_mlp.csv": "4f81cb1cc5ad11ebb597e8b4a33a1028c72dc70f768f6bd37e221f2d3c184fd6",
+    "comparison.csv": "c6975967c3dfc9a3f81f6ed6af2721547076af4644d976fce016aa6d8fafbff7",
+    "report_fed_kan.csv": "b22287aa6c4ffcceb600f7df57fb439015e452cf96df42758fecee53f1b82769",
+    "report_fed_mlp.csv": "f5123ff2d5dfc251f94a31073e669654b208f1259183a554b2548172ecceb268",
 }
 
 # SHA-256 of the three files the README quick start writes: the same seed-7
@@ -78,9 +77,9 @@ PROTOCOL_DIGESTS = {
 # README config (20 rounds, seed 0, every other setting at its default).
 # The same rule as PROTOCOL_DIGESTS applies.
 QUICK_START_DIGESTS = {
-    "comparison.csv": "af16f185ec3813653af4912a9c710e64c5b1b600a09a0a9be8b7a98eecdfe840",
-    "report_fed_kan.csv": "3630a357f1b80f9f187e946e6d8f2f2c5bec23d9488c6a5ac27bfb865ec20b5b",
-    "report_fed_mlp.csv": "d74293fb5d6c9ce927407c12813539ab87c0b1e881f519cfa2b7d99e9220d10a",
+    "comparison.csv": "b414fe350af90a2664ac48237e64273036033d37866f3ccb37c4e4f26515ddb6",
+    "report_fed_kan.csv": "6195a96912026ed9c1ce7a9048676fb47437d48698d96261e68e2cc93cafe2c1",
+    "report_fed_mlp.csv": "0b5d61ff3ce15a5e6bdeb72f354420e3bce2cd47027f12edf65e2f322ffaabdb",
 }
 
 PAPER_FEDERATION = {

@@ -50,7 +50,6 @@ from fedbeam.model import (
     forward_with_caches,
     import_weights,
     model_backward,
-    segment_views,
     with_weights,
 )
 from fedbeam.optim import adam_step, clip_gradient_norm, mse_loss
@@ -388,7 +387,6 @@ def train_alone(client, template, weights, fed, rng):
     widths = dropout_widths(template)
     grads = np.zeros_like(model.weights)
     gradient = with_weights(model, grads)
-    segments = segment_views(model.layout, grads)
     state = initial_adam_state(grads.shape, fed.learning_rate, fed.weight_decay)
     n = client.sample_count
     step = 0
@@ -406,7 +404,7 @@ def train_alone(client, template, weights, fed, rng):
             preds, caches = forward_with_caches(model, features, masks)
             loss, loss_grad = mse_loss(preds, client.train_targets[start:stop])
             model_backward(model, caches, loss_grad, gradient)
-            clip_gradient_norm(grads, fed.max_grad_norm, segments)
+            clip_gradient_norm(grads, fed.max_grad_norm)
             step += 1
             adam_step(model.weights, grads, state, step)
             if epoch == fed.local_epochs - 1:
@@ -916,6 +914,26 @@ def test_a_failed_share_raises_its_error_in_the_parent(monkeypatch, cpus, spoil,
     assert multiprocessing.active_children() == []
     named = [c.client_id for c in clients if c.client_id in str(err.value)]
     assert named == [clients[bad[-1]].client_id], str(err.value)
+
+
+@needs_fork
+def test_every_update_reaching_aggregate_is_read_only(monkeypatch):
+    # A helper's updates arrive by pickle, which gives back writeable arrays.
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    writeable = []
+    aggregate = fedbeam.federation.aggregate
+
+    def recording_aggregate(updates, *args):
+        writeable.extend(u.weights.flags.writeable for u in updates)
+        return aggregate(updates, *args)
+
+    monkeypatch.setattr(fedbeam.federation, "aggregate", recording_aggregate)
+    clients = small_clients(3)
+    template = build_model(ModelConfig.fed_mlp(), seed=5)
+    with Helpers(clients, template, FAST_FED) as helpers:
+        run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
+    assert multiprocessing.active_children() == []
+    assert writeable == [False] * 3
 
 
 @needs_fork

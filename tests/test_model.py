@@ -26,7 +26,6 @@ from fedbeam.model import (
     import_weights,
     layer_plan,
     model_backward,
-    segment_views,
     with_weights,
 )
 from fedbeam.optim import mse_loss
@@ -211,7 +210,8 @@ def test_model_backward_rejects_a_gradient_model_of_another_layout():
     ):
         with pytest.raises(ContractViolationError, match="gradient model"):
             model_backward(stacked, caches, upstream, grads)
-    model_backward(stacked, caches, upstream, with_weights(stacked, np.empty_like(stacked.weights)))
+    matching = with_weights(stacked, np.empty_like(stacked.weights))
+    model_backward(stacked, caches, upstream, matching)
 
 
 def test_forward_with_caches_rejects_masks_that_do_not_fit():
@@ -308,11 +308,10 @@ def test_stacked_copies_run_a_stack_of_batches():
 
 def test_zeroed_final_layer_gives_zero_outputs():
     model = build_model(ModelConfig.fed_mlp(), seed=3)
-    flat = export_weights(model).copy()
-    for (name, _), view in zip(model.layout, segment_views(model.layout, flat)):
-        if name.startswith("layer03."):
-            view[...] = 0.0
-    zeroed = import_weights(model, flat)
+    zeroed = import_weights(model, export_weights(model))
+    readout = zeroed.blocks[-1]
+    readout.weights[...] = 0.0
+    readout.biases[...] = 0.0
     out = forward(zeroed, np.random.default_rng(0).random((3, 10)))
     assert np.array_equal(out, np.zeros((3, 4)))
 

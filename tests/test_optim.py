@@ -4,27 +4,17 @@ import numpy as np
 import pytest
 
 from fedbeam.errors import ContractViolationError
-from fedbeam.model import ModelConfig, count_parameters, parameter_layout, segment_views
+from fedbeam.model import ModelConfig, count_parameters
 from fedbeam.optim import AdamState, adam_step, clip_gradient_norm, mse_loss
 
 from gradcheck import finite_difference_gradient
 from helpers import initial_adam_state
 
 
-def flat_of(*arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat gradient buffer holding the arrays, and its per-array views."""
-    flat = np.concatenate([a.reshape(-1) for a in arrays])
-    layout = tuple((f"g{i}", a.shape) for i, a in enumerate(arrays))
-    return flat, segment_views(layout, flat)
-
-
-def per_segment_norm(segments, lead=()):
-    """The per-segment L2 norm clipping has always used, as an oracle: each
-    segment squared and summed on its own, the sums added in layout order."""
-    total = 0.0
-    for seg in segments:
-        total = total + (seg * seg).reshape(*lead, -1).sum(axis=-1)
-    return np.sqrt(total)
+def flat_norm(row: np.ndarray) -> np.float64:
+    """The L2 norm clipping uses, as an oracle: one row's squares summed in
+    one flat pass."""
+    return np.sqrt(np.sum(row * row))
 
 
 def test_mse_zero_when_equal():
@@ -63,48 +53,44 @@ def test_mse_grad_matches_finite_differences():
 
 
 def test_clip_below_threshold_is_unchanged():
-    g, views = flat_of(np.array([[0.3]]), np.array([0.4]))
+    g = np.array([0.3, 0.4])
     before = g.copy()
-    # A NumPy max_norm whose square overflows warns of nothing.
     for max_norm in (1.0, np.float64(1e300)):
-        clip_gradient_norm(g, max_norm, views)
+        clip_gradient_norm(g, max_norm)
         assert np.array_equal(g, before)
 
 
 def test_clip_hand_example():
-    g, views = flat_of(np.array([[2.0]]), np.array([0.0]))
-    clip_gradient_norm(g, 1.0, views)
-    assert np.array_equal(views[0], np.array([[1.0]]))
-    assert np.array_equal(views[1], np.array([0.0]))
+    g = np.array([2.0, 0.0])
+    clip_gradient_norm(g, 1.0)
+    assert np.array_equal(g, np.array([1.0, 0.0]))
 
 
 def test_clip_scales_to_max_norm():
-    rng = np.random.default_rng(5)
-    raw = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
-    norm = per_segment_norm(raw)
-    g, views = flat_of(*(a * (7.3 / norm) for a in raw))
+    raw = np.random.default_rng(5).standard_normal(16)
+    g = raw * (7.3 / flat_norm(raw))
     before = g.copy()
-    clip_gradient_norm(g, 1.0, views)
-    assert per_segment_norm(views) == pytest.approx(1.0, abs=1e-9)
+    clip_gradient_norm(g, 1.0)
+    assert flat_norm(g) == pytest.approx(1.0, abs=1e-9)
     # Direction preserved.
     cosine = float(np.dot(before, g) / (np.linalg.norm(before) * np.linalg.norm(g)))
     assert cosine == pytest.approx(1.0, abs=1e-12)
 
 
-def clip_by_reference(raw, max_norm, layout, lead):
-    """``raw`` clipped with the per-segment norm deciding every row."""
+def clip_by_reference(raw, max_norm):
+    """``raw`` clipped one row at a time, each row's flat norm deciding it."""
     expected = raw.copy()
-    norm = np.atleast_1d(per_segment_norm(segment_views(layout, expected), lead))
-    over = norm > max_norm
-    rows = expected.reshape(-1, expected.shape[-1])
-    rows[over] *= (max_norm / norm[over])[:, None]
+    for row in expected.reshape(-1, expected.shape[-1]):
+        norm = flat_norm(row)
+        if norm > max_norm:
+            row *= max_norm / norm
     return expected
 
 
-def edge_rows(layout, size, rng):
-    """(rows, max_norm) cases at the edges of the clip screen."""
+def edge_rows(size, rng):
+    """(rows, max_norm) cases at the edges of the clip decision."""
     base = rng.standard_normal(size)
-    norm = float(per_segment_norm(segment_views(layout, base)))
+    norm = float(flat_norm(base))
     cases = []
     # Row norms within 1e-12 relative of max_norm, on either side, and one
     # ulp either side of it.
@@ -130,8 +116,7 @@ def edge_rows(layout, size, rng):
 
 
 @pytest.mark.parametrize("config", [ModelConfig.fed_kan(), ModelConfig.fed_mlp()])
-def test_clip_is_bitwise_the_per_segment_norm(config):
-    layout = parameter_layout(config)
+def test_clip_is_bitwise_the_per_row_flat_norm(config):
     size = count_parameters(config)
     rng = np.random.default_rng(17)
     for clients in (None, 1, 4, 12):
@@ -141,28 +126,26 @@ def test_clip_is_bitwise_the_per_segment_norm(config):
             # Row norms from 1e-8 to 1e3 around max_norm 1.
             raw *= 10.0 ** rng.uniform(-8.0, 3.0, (*lead, 1)) / np.sqrt(raw.shape[-1])
             grads = raw.copy()
-            clip_gradient_norm(grads, 1.0, segment_views(layout, grads))
-            assert grads.tobytes() == clip_by_reference(raw, 1.0, layout, lead).tobytes()
-    # The screen's edges, each row alone and all of a case's rows stacked.
+            clip_gradient_norm(grads, 1.0)
+            assert grads.tobytes() == clip_by_reference(raw, 1.0).tobytes()
+    # The edges of the decision, each row alone and all of a case's rows stacked.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, max_norm in edge_rows(layout, size, rng):
-            for raw, lead in [(row, ()) for row in rows] + [(rows, rows.shape[:1])]:
+        for rows, max_norm in edge_rows(size, rng):
+            for raw in [*rows, rows]:
                 grads = raw.copy()
-                clip_gradient_norm(grads, max_norm, segment_views(layout, grads))
-                expected = clip_by_reference(raw, max_norm, layout, lead)
-                assert grads.tobytes() == expected.tobytes()
+                clip_gradient_norm(grads, max_norm)
+                assert grads.tobytes() == clip_by_reference(raw, max_norm).tobytes()
 
 
-def test_clip_screen_edges_do_clip_where_the_norm_says():
+def test_clip_edges_do_clip_where_the_norm_says():
     # The edge cases are not vacuous: the rows one ulp over max_norm, the
     # infinite and overflowing rows are clipped; the NaN row is not.
-    layout = parameter_layout(ModelConfig.fed_mlp())
-    cases = edge_rows(layout, count_parameters(ModelConfig.fed_mlp()), np.random.default_rng(3))
+    cases = edge_rows(count_parameters(ModelConfig.fed_mlp()), np.random.default_rng(3))
     with np.errstate(over="ignore", invalid="ignore"):
         changed = []
         for rows, max_norm in cases:
             grads = rows.copy()
-            clip_gradient_norm(grads, max_norm, segment_views(layout, grads))
+            clip_gradient_norm(grads, max_norm)
             changed.append([g.tobytes() != r.tobytes() for g, r in zip(grads, rows)])
     assert changed[1] == [True] and changed[2] == [False] and changed[3] == [False]
     assert changed[4] == [False, True, True, True, False]
@@ -170,10 +153,10 @@ def test_clip_screen_edges_do_clip_where_the_norm_says():
 
 
 def test_clip_rejects_bad_max_norm():
-    g, views = flat_of(np.array([[1.0]]), np.array([0.0]))
+    g = np.array([1.0, 0.0])
     for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ContractViolationError):
-            clip_gradient_norm(g, bad, views)
+            clip_gradient_norm(g, bad)
 
 
 def test_adam_zero_grad_is_identity():
@@ -258,7 +241,6 @@ def test_adam_rejects_length_mismatch():
 
 def test_stacked_rows_match_each_row_alone():
     rng = np.random.default_rng(41)
-    layout = (("a", (3, 4)), ("b", (4,)))
     # Row 0 is clipped, row 1 is left alone, row 2 is clipped.
     grads = rng.standard_normal((3, 16)) * np.array([[5.0], [0.01], [3.0]])
     params = rng.standard_normal((3, 16))
@@ -266,7 +248,7 @@ def test_stacked_rows_match_each_row_alone():
 
     losses, loss_grad = mse_loss(preds, targets)
     stacked = grads.copy()
-    clip_gradient_norm(stacked, 1.0, segment_views(layout, stacked))
+    clip_gradient_norm(stacked, 1.0)
     new_params = params.copy()
     state = initial_adam_state((3, 16), learning_rate=0.01, weight_decay=1e-5)
     adam_step(new_params, stacked, state, 1)
@@ -282,7 +264,7 @@ def test_stacked_rows_match_each_row_alone():
         loss_c, grad_c = mse_loss(preds[c], targets[c])
         assert losses[c] == loss_c and np.array_equal(loss_grad[c], grad_c)
         row = grads[c].copy()
-        clip_gradient_norm(row, 1.0, segment_views(layout, row))
+        clip_gradient_norm(row, 1.0)
         assert np.array_equal(stacked[c], row)
         params_c = params[c].copy()
         alone = initial_adam_state(16, learning_rate=0.01, weight_decay=1e-5)
