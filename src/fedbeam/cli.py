@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .federation import (
     ExperimentReport,
     FederationConfig,
     check_model_fits_data,
+    deal_experiments,
     run_experiment,
 )
 from .model import KIND_FED_KAN, KIND_FED_MLP, ModelConfig
@@ -231,23 +233,36 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(config: RunConfig, kind: str, beams: list[BeamSeries]) -> ExperimentReport:
+def _run_one(
+    config: RunConfig, kind: str, beams: list[BeamSeries], cpus: int | None = None
+) -> ExperimentReport:
     return run_experiment(
         dataclasses.replace(config.model, kind=kind),
         config.federation,
         beams,
         window_hours=config.window_hours,
         train_fraction=config.train_fraction,
+        cpus=cpus,
     )
+
+
+def _output_dir(config: RunConfig) -> Path:
+    """The run's out_dir, created, once it has taken a file; checked before
+    any beam is read, so that a directory that cannot take the reports
+    fails the run before its work (exit 3)."""
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryFile(dir=out_dir):
+        pass
+    return out_dir
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=True), args)
+    out_dir = _output_dir(config)
     beams = _load_beams(config)
     report = _run_one(config, config.model.kind, beams)
     text = render_experiment_csv(report)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"report_{config.model.kind}.csv"
     out_path.write_text(text, encoding="utf-8")
     print(f"wrote {out_path}")
@@ -257,16 +272,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=False), args)
+    out_dir = _output_dir(config)
     beams = _load_beams(config)
-    kan_report = _run_one(config, KIND_FED_KAN, beams)
-    mlp_report = _run_one(config, KIND_FED_MLP, beams)
+    # The two models train side by side when there are CPUs for both.
+    kinds = (KIND_FED_KAN, KIND_FED_MLP)
+    kan_report, mlp_report = deal_experiments(
+        lambda k, cpus: _run_one(config, kinds[k], beams, cpus), len(kinds)
+    )
 
     kan_text = render_experiment_csv(kan_report)
     mlp_text = render_experiment_csv(mlp_report)
     comparison_text = render_comparison_csv(kan_report, mlp_report)
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in (
         ("report_fed_kan.csv", kan_text),
         ("report_fed_mlp.csv", mlp_text),

@@ -43,20 +43,28 @@ and dropout flags as basic-slice views of those buffers; rows at different
 starts are gathered row by row.  Every layer's product runs the same BLAS
 call on a view as on a copy, so views cannot change results either.
 
-A run uses every CPU this process may run on.  ``run_experiment`` owns a
-``Helpers``: one process per usable CPU beyond the first, and never more
-than there are clients minus one, forked from this one at the first round
-with two or more participants, so that each inherits the run's clients,
-template and config.  Such a round deals its participants round-robin
-across this process and the helpers, by descending sample count with ties
-in client-id order; a helper receives only client indices, the weights and
-those participants' generators, and every process calls the same
-``local_train`` on its share.  Evaluation is dealt the same way.  The
-updates go back into participant order and the test losses into client-id
-order before they are combined, and any grouping trains and evaluates each
-client exactly as alone, so the reports are byte-identical to running the
-round in one process.  With one usable CPU, one client or one participant,
-or where the platform cannot fork, the round runs in this process.
+A run uses every CPU this process may run on, dealt whole experiments
+first and clients second, over plain forked processes (``fedbeam.pool``).
+``deal_experiments`` runs side-by-side experiments, such as ``compare``'s
+two models, one per process when there are CPUs for all of them, and deals
+the usable CPUs across them round-robin; with fewer CPUs they run one after
+another here.  Each ``run_experiment`` owns a ``Helpers`` over its share of
+CPUs (every usable CPU when it runs alone): this process and one helper per
+CPU beyond the first, never more than there are clients minus one, forked
+from the process that runs the experiment at its first round with two or
+more participants, so that each inherits the run's clients, template and
+config.  Such a round deals its participants round-robin across this
+process and the helpers, by descending sample count with ties in client-id
+order; a helper receives only client ids, the weights and those
+participants' generators, and every process calls the same ``local_train``
+on its share.  Evaluation is dealt the same way.  The updates go back into
+participant order and the test losses into client-id order before they are
+combined, and any grouping trains and evaluates each client exactly as
+alone, so the reports are byte-identical to running the round in one
+process.  With one CPU in the share, one client or one participant, or
+where the platform cannot fork, the round runs in this process.  However
+the CPUs are dealt, no more processes run at once than there are usable
+CPUs.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -91,6 +99,7 @@ from .model import (
     with_weights,
 )
 from .optim import AdamState, adam_step, clip_gradient_norm, mse_loss
+from .pool import ForkPool
 
 log = logging.getLogger(__name__)
 
@@ -186,7 +195,7 @@ class ClientState:
         return self.train_features.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientUpdate:
     client_id: str
     weights: np.ndarray
@@ -541,8 +550,9 @@ def _availability_draw(
 
 
 def _usable_cpus() -> int:
-    """How many CPUs this process may run on; 1 where the platform cannot say."""
-    if not hasattr(os, "sched_getaffinity"):
+    """How many processes a run may spread over: the CPUs this process may
+    run on, or 1 where the platform cannot say or cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -572,111 +582,39 @@ def _share_work(
     return local_train(clients, template, weights, fed_config, rngs)
 
 
-def _receive(conn):
-    """A helper's answer, or the error that stands for a helper gone."""
-    try:
-        return conn.recv()
-    except EOFError:
-        return ChildProcessError("a helper process ended before it answered")
-
-
-class Helpers:
-    """Processes forked from this one that train and evaluate shares of one
-    run's clients (see the module docstring).
-
-    There is one helper per usable CPU beyond the first, never more than
-    there are clients minus one, and none where the platform cannot fork.
-    None starts before ``run`` first has work for it: fork and the import of
-    ``multiprocessing`` then cost a round, not the set-up.  The package runs
-    no thread of its own, and OpenBLAS stops its pool before a fork, so the
-    fork copies a one-thread process.  ``close``, or leaving a ``with``
-    block, ends them.
+class Helpers(ForkPool):
+    """The processes that train and evaluate shares of one run's clients (see
+    the module docstring): a ``ForkPool`` of this process and one helper
+    per CPU of ``cpus`` (default: every usable CPU) beyond the first, never
+    more than there are clients minus one.  A helper is forked the first
+    time ``run`` has a share for it, so it inherits the run's clients,
+    template and config; a share crosses as client ids, the weights and its
+    generators.  ``close``, or leaving a ``with`` block, ends them.
     """
 
     def __init__(
-        self, clients: list[ClientState], template: Model, fed_config: FederationConfig
+        self,
+        clients: list[ClientState],
+        template: Model,
+        fed_config: FederationConfig,
+        cpus: int | None = None,
     ) -> None:
-        self.clients, self.template, self.fed_config = clients, template, fed_config
-        self.count = min(_usable_cpus(), len(clients)) - 1 if hasattr(os, "fork") else 0
-        self._position = {c.client_id: i for i, c in enumerate(clients)}
-        self._conns: list = []
-        self._processes: list = []
+        by_id = {c.client_id: c for c in clients}
 
-    def __enter__(self) -> "Helpers":
-        return self
+        def share(item: tuple) -> list:
+            ids, weights, rngs = item
+            return _share_work([by_id[i] for i in ids], template, fed_config, weights, rngs)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        super().__init__(share, min(_usable_cpus() if cpus is None else cpus, len(clients)))
 
     def run(self, groups: list[list[ClientState]], weights: np.ndarray, rngs: list) -> list:
-        """``_share_work`` on each group, with its entry of ``rngs``: the
-        first group in this process, group k in helper k.  Returns the
-        answers in group order.  Every group finishes before an error is
-        raised: this process's own first, then the helpers' in order, so
-        which error a failing round raises does not depend on timing."""
-        if not self._processes:
-            self._start()
-        busy = self._conns[: len(groups) - 1]
-        for conn, group, group_rngs in zip(busy, groups[1:], rngs[1:]):
-            conn.send(([self._position[c.client_id] for c in group], weights, group_rngs))
-        try:
-            own = _share_work(groups[0], self.template, self.fed_config, weights, rngs[0])
-        finally:
-            answers = [_receive(conn) for conn in busy]
-        for answer in answers:
-            if isinstance(answer, BaseException):
-                raise answer
-        return [own, *answers]
-
-    def close(self) -> None:
-        """Close this process's end of every pipe and join the helpers,
-        which exit when they read its end of file."""
-        for conn in self._conns:
-            conn.close()
-        for process in self._processes:
-            process.join()
-        self._conns, self._processes = [], []
-
-    def _start(self) -> None:
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        for _ in range(self.count):
-            ours, theirs = context.Pipe()
-            process = context.Process(
-                target=self._serve, args=(theirs, [*self._conns, ours]), daemon=True
-            )
-            process.start()
-            theirs.close()
-            self._conns.append(ours)
-            self._processes.append(process)
-
-    def _serve(self, conn, parent_ends: list) -> None:
-        """A helper's loop: answer each share until the parent's end of
-        ``conn`` closes.  A failed share answers with its exception."""
-        import signal
-
-        # An interrupt reaches the whole process group; the parent handles it
-        # and closes its ends, which ends this loop.
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # The parent's ends that the fork copied: open here, they would keep
-        # this helper's pipe, or an earlier helper's, from reaching EOF.
-        for end in parent_ends:
-            end.close()
-        while True:
-            try:
-                indices, weights, rngs = conn.recv()
-            except EOFError:
-                return
-            group = [self.clients[i] for i in indices]
-            try:
-                answer = _share_work(group, self.template, self.fed_config, weights, rngs)
-            except Exception as exc:  # the parent raises it
-                answer = exc
-            try:
-                conn.send(answer)
-            except BrokenPipeError:  # the parent has closed its end
-                return
+        """``_share_work`` on each group, with its entry of ``rngs``, by
+        ``map``: the first group in this process, group k in helper k, the
+        answers in group order, and the first failed group's error raised
+        once every group has finished."""
+        return self.map(
+            [([c.client_id for c in group], weights, r) for group, r in zip(groups, rngs)]
+        )
 
 
 def _in_shares(
@@ -689,7 +627,7 @@ def _in_shares(
 ) -> list:
     """``_share_work`` on clients dealt across this process and ``helpers``;
     one result per client, in the order of ``clients``."""
-    groups = _deal(clients, 1 + (helpers.count if helpers else 0))
+    groups = _deal(clients, helpers.processes if helpers else 1)
     if len(groups) == 1:
         return _share_work(clients, template, fed_config, weights, rngs)
     answers = helpers.run(
@@ -769,12 +707,14 @@ def run_experiment(
     beams: list[BeamSeries],
     window_hours: int = 5,
     train_fraction: float = 0.8,
+    *,
+    cpus: int | None = None,
 ) -> ExperimentReport:
     """Full FedAvg run: build clients, train for rounds, report.
 
-    The rounds share one ``Helpers`` over the run's clients, so a round uses
-    every usable CPU (see the module docstring); every helper has exited
-    when this returns or raises.
+    The rounds share one ``Helpers`` over the run's clients, so a round
+    spreads over ``cpus`` processes, by default one per usable CPU (see the
+    module docstring); every helper has exited when this returns or raises.
     """
     if not beams:
         raise ConfigurationError("run_experiment needs at least one beam")
@@ -788,7 +728,7 @@ def run_experiment(
     global_weights = export_weights(template)
     digest = dataset_digest(clients)
     reports = []
-    with Helpers(clients, template, fed_config) as helpers:
+    with Helpers(clients, template, fed_config, cpus) as helpers:
         for round_index in range(1, fed_config.rounds + 1):
             global_weights, report = run_round(
                 global_weights, clients, template, fed_config, round_index, helpers=helpers
@@ -807,3 +747,24 @@ def run_experiment(
         final_avg_test_loss=reports[-1].avg_test_loss,
         final_weights=global_weights,
     )
+
+
+def deal_experiments(
+    work: Callable[[int, int], ExperimentReport], count: int
+) -> list[ExperimentReport]:
+    """``work(k, cpus)`` for each experiment k in range(count), dealt across
+    processes before its clients are; the reports in k order.
+
+    With at least ``count`` usable CPUs, experiment k runs in process k of a
+    ``ForkPool`` (0 is this process), and ``cpus`` is its share of the usable
+    CPUs, dealt round-robin from experiment 0, for its own client shares.
+    Every experiment finishes before the first failed one's error is raised.
+    With fewer CPUs the experiments run one after another in this process,
+    and the first error stops the rest.
+    """
+    cpus = _usable_cpus()
+    if cpus < count:
+        return [work(k, cpus) for k in range(count)]
+    shares = [len(range(k, cpus, count)) for k in range(count)]
+    with ForkPool(lambda k: work(k, shares[k]), count) as pool:
+        return pool.map(range(count))

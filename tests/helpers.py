@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import fedbeam
 from fedbeam.optim import AdamState
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
@@ -40,3 +46,22 @@ def initial_adam_state(
 ) -> AdamState:
     """Adam state with zero moments for parameters of this shape."""
     return AdamState(np.zeros(shape), np.zeros(shape), learning_rate, weight_decay)
+
+
+def has_no_child() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by this interpreter in a new process, with this checkout's
+    package on its path."""
+    src = str(Path(fedbeam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )

@@ -6,7 +6,6 @@ import hashlib
 import importlib
 import inspect
 import json
-import multiprocessing
 import os
 import platform
 import subprocess
@@ -24,12 +23,16 @@ import fedbeam.cli
 import fedbeam.federation
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedbeam.data import default_profiles, generate_synthetic, render_csv
-from fedbeam.errors import IngestionError
+from fedbeam.errors import IngestionError, NumericsError
 from fedbeam.report import (
     loss_reduction_percent,
     parse_comparison_csv,
     parse_experiment_csv,
 )
+
+from helpers import has_no_child, run_python
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
 
 
 def write_config(path, **overrides):
@@ -140,7 +143,7 @@ def test_diverging_run_exits_4_with_one_error_line(tmp_path, capsys, recwarn, ki
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+@needs_fork
 def test_a_failure_in_a_helper_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
     build_client = fedbeam.federation.build_client
@@ -160,7 +163,7 @@ def test_a_failure_in_a_helper_exits_4_with_one_error_line(tmp_path, capsys, mon
     assert main(["train", "--config", str(cfg_path)]) == EXIT_NUMERIC
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: client 'beam-02' produced a non-finite loss"]
-    assert multiprocessing.active_children() == []
+    assert has_no_child()
 
 
 def test_train_missing_config_file_is_io_error(tmp_path, capsys):
@@ -241,15 +244,51 @@ FLEET_DIGESTS = {
 }
 
 
-def test_fleet_shaped_compare_matches_its_pinned_digests(tmp_path, monkeypatch):
-    # beam-0k comes from a set generated at its own length, so the three
-    # clients train 92, 73 and 60 windows: last batches of 12, 9 and 12.
+def fleet_beam_files(tmp_path) -> list[str]:
+    """Three uneven beams as CSV files: beam-0k comes from a set generated at
+    its own length, so the clients train 92, 73 and 60 windows, with last
+    batches of 12, 9 and 12."""
     files = []
     for k, hours in enumerate((120, 97, 81), start=1):
         out = tmp_path / f"h{hours}"
         argv = ["generate", "--seed", "3", "--hours", str(hours), "--beams", "3", "--out", str(out)]
         assert main(argv) == EXIT_OK
         files.append(str(out / f"beam-{k:02d}.csv"))
+    return files
+
+
+FLEET_FEDERATION = {
+    "rounds": 3,
+    "local_epochs": 1,
+    "batch_size": 16,
+    "availability_prob": 0.75,
+    "aggregation": "sample_weighted",
+    "seed": 5,
+}
+
+
+def test_fleet_shaped_compare_matches_its_pinned_digests(tmp_path, monkeypatch):
+    first_rounds = []
+    render_comparison_csv = fedbeam.cli.render_comparison_csv
+
+    def recording_render(kan_report, mlp_report):
+        # Both reports reach this process, whichever process trained them.
+        first_rounds.extend(report.rounds[0].participants for report in (kan_report, mlp_report))
+        return render_comparison_csv(kan_report, mlp_report)
+
+    monkeypatch.setattr(fedbeam.cli, "render_comparison_csv", recording_render)
+    cfg_path = tmp_path / "cfg.json"
+    files = fleet_beam_files(tmp_path)
+    write_config(cfg_path, model=None, federation=FLEET_FEDERATION, data={"beam_files": files})
+    assert main(["compare", "--config", str(cfg_path)]) == EXIT_OK
+    # Round 1 of each model trains only two of the three clients.
+    assert first_rounds == [("beam-02", "beam-03")] * 2
+    for name, digest in FLEET_DIGESTS.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_a_train_run_calls_run_round_here_with_arguments_bound_by_name(tmp_path, monkeypatch):
     participants = []
     run_round = fedbeam.federation.run_round
     signature = inspect.signature(run_round)
@@ -268,23 +307,117 @@ def test_fleet_shaped_compare_matches_its_pinned_digests(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
-        model=None,
-        federation={
-            "rounds": 3,
-            "local_epochs": 1,
-            "batch_size": 16,
-            "availability_prob": 0.75,
-            "aggregation": "sample_weighted",
-            "seed": 5,
-        },
-        data={"beam_files": files},
+        model={"kind": "fed_mlp"},
+        federation=FLEET_FEDERATION,
+        data={"beam_files": fleet_beam_files(tmp_path)},
     )
-    assert main(["compare", "--config", str(cfg_path)]) == EXIT_OK
-    # Round 1 of each model trains only two of the three clients.
-    assert participants[0] == participants[3] == ("beam-02", "beam-03")
-    for name, digest in FLEET_DIGESTS.items():
-        data = (tmp_path / "out" / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, name
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    assert len(participants) == 3 and participants[0] == ("beam-02", "beam-03")
+
+
+@needs_fork
+def test_compare_is_byte_identical_on_any_number_of_cpus(tmp_path, monkeypatch):
+    # Every process that trains or evaluates a share logs its pid and model.
+    log = tmp_path / "shares.log"
+    share_work = fedbeam.federation._share_work
+
+    def logging_share_work(clients, template, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {template.config.kind}\n")
+        return share_work(clients, template, *args)
+
+    monkeypatch.setattr(fedbeam.federation, "_share_work", logging_share_work)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={})
+    names = ("report_fed_kan.csv", "report_fed_mlp.csv", "comparison.csv")
+    outputs = set()
+    # Processes per model: the models first, then the clients of each, fed_kan first.
+    for cpus, processes in ((1, [1, 1]), (2, [1, 1]), (3, [2, 1])):
+        monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
+        log.unlink(missing_ok=True)
+        out = tmp_path / f"cpus-{cpus}"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert has_no_child()
+        outputs.add(tuple((out / name).read_bytes() for name in names))
+        pids: dict[str, set[int]] = {"fed_kan": set(), "fed_mlp": set()}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, kind = line.split()
+            pids[kind].add(int(pid))
+        assert [len(pids["fed_kan"]), len(pids["fed_mlp"])] == processes
+        assert os.getpid() in pids["fed_kan"]
+        assert len(pids["fed_kan"] | pids["fed_mlp"]) == cpus
+    assert len(outputs) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "failing, code, message",
+    [
+        # fed_kan's error wins, as when fed_mlp never starts after it.
+        ({"fed_kan", "fed_mlp"}, EXIT_NUMERIC, "error: fed_kan diverged"),
+        ({"fed_mlp"}, EXIT_IO, "error: fed_mlp lost its beams"),
+    ],
+)
+def test_a_failed_model_fails_compare_as_the_sequential_run(
+    tmp_path, capsys, monkeypatch, cpus, failing, code, message
+):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: cpus)
+    run_experiment = fedbeam.cli.run_experiment
+    errors = {
+        "fed_kan": NumericsError("fed_kan diverged"),
+        "fed_mlp": IngestionError("fed_mlp lost its beams"),
+    }
+
+    def failing_run(model_config, *args, **kwargs):
+        report = run_experiment(model_config, *args, **kwargs)
+        if model_config.kind in failing:
+            raise errors[model_config.kind]
+        return report
+
+    monkeypatch.setattr(fedbeam.cli, "run_experiment", failing_run)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={})
+    assert main(["compare", "--config", str(cfg_path)]) == code
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert has_no_child()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_an_out_dir_that_names_a_file_exits_3_before_any_beam_is_read(
+    tmp_path, capsys, monkeypatch, command
+):
+    calls = []
+    monkeypatch.setattr(fedbeam.cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    # Reading the missing beam file would exit 3 too, naming it.
+    write_config(cfg_path, data={"beam_files": [str(tmp_path / "missing.csv")]}, out_dir=str(taken))
+    assert main([command, "--config", str(cfg_path)]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(taken) in err[0]
+    assert "missing.csv" not in err[0] and calls == []
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+@needs_fork
+def test_a_train_run_with_a_helper_never_imports_multiprocessing(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    result = run_python(
+        "import os, sys\n"
+        "import fedbeam.cli, fedbeam.federation\n"
+        "fedbeam.federation._usable_cpus = lambda: 2\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"code = fedbeam.cli.main(['train', '--config', {str(cfg_path)!r}])\n"
+        "print(code, len(forks), 'multiprocessing' in sys.modules)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    # Two clients on two CPUs: one helper.
+    assert result.stdout.splitlines()[-1] == "0 1 False"
 
 
 def test_compare_outputs_and_summary(tmp_path, capsys):

@@ -3,9 +3,9 @@
 import dataclasses
 import hashlib
 import itertools
-import multiprocessing
 import os
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -56,7 +56,7 @@ from fedbeam.optim import adam_step, clip_gradient_norm, mse_loss
 from fedbeam.report import render_experiment_csv
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
-from helpers import initial_adam_state
+from helpers import has_no_child, initial_adam_state
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
 
@@ -146,6 +146,13 @@ def test_aggregate_respects_convex_hull():
         out = aggregate(updates, scheme)
         assert np.all(out >= values.min(axis=0) - 1e-12)
         assert np.all(out <= values.max(axis=0) + 1e-12)
+
+
+def test_client_updates_compare_by_identity_and_hash():
+    # A generated __eq__ would compare the weight arrays and raise.
+    update, twin = update_of("b", 0.0, 1), update_of("b", 0.0, 1)
+    assert update == update and update != twin
+    assert len({update, twin}) == 2
 
 
 def test_aggregate_rejects_empty_and_mismatched():
@@ -874,7 +881,7 @@ def test_a_run_is_byte_identical_on_any_number_of_cpus(monkeypatch, shape, make)
         outputs.add((render_experiment_csv(report), report.final_weights.tobytes()))
         # Every process took a share of some round.
         assert max(shares, default=1) == cpus
-        assert multiprocessing.active_children() == []
+        assert has_no_child()
     assert len(outputs) == 1
 
 
@@ -911,7 +918,7 @@ def test_a_failed_share_raises_its_error_in_the_parent(monkeypatch, cpus, spoil,
     with Helpers(clients, template, FAST_FED) as helpers:
         with pytest.raises(error) as err:
             run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
-    assert multiprocessing.active_children() == []
+    assert has_no_child()
     named = [c.client_id for c in clients if c.client_id in str(err.value)]
     assert named == [clients[bad[-1]].client_id], str(err.value)
 
@@ -932,7 +939,7 @@ def test_every_update_reaching_aggregate_is_read_only(monkeypatch):
     template = build_model(ModelConfig.fed_mlp(), seed=5)
     with Helpers(clients, template, FAST_FED) as helpers:
         run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
-    assert multiprocessing.active_children() == []
+    assert has_no_child()
     assert writeable == [False] * 3
 
 
@@ -949,7 +956,7 @@ def test_no_helper_outlives_a_run_that_fails(monkeypatch):
     beams = [generate_synthetic(3, 80, p) for p in default_profiles(3)]
     with pytest.raises(NumericsError, match="'beam-03'"):
         run_experiment(ModelConfig.fed_mlp(), FAST_FED, beams)
-    assert multiprocessing.active_children() == []
+    assert has_no_child()
 
 
 @needs_fork
@@ -960,12 +967,29 @@ def test_a_helper_that_died_is_an_os_error(monkeypatch):
     weights = export_weights(template)
     with Helpers(clients, template, FAST_FED) as helpers:
         run_round(weights, clients, template, FAST_FED, 1, helpers=helpers)
-        [process] = multiprocessing.active_children()
-        os.kill(process.pid, signal.SIGKILL)
-        process.join(timeout=30)
+        [worker] = helpers._workers
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
         with pytest.raises(OSError):
             run_round(weights, clients, template, FAST_FED, 2, helpers=helpers)
-    assert multiprocessing.active_children() == []
+    assert has_no_child()
+
+
+@needs_fork
+def test_a_helper_forks_at_the_first_round_with_two_participants(monkeypatch):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    clients = small_clients(2)
+    template = build_model(ModelConfig.fed_mlp(), seed=5)
+    # At availability 0.5, seed 5 draws one client in round 1 and both in round 2.
+    fed = dataclasses.replace(FAST_FED, availability_prob=0.5)
+    with Helpers(clients, template, fed) as helpers:
+        assert has_no_child()
+        weights = export_weights(template)
+        weights, report = run_round(weights, clients, template, fed, 1, helpers=helpers)
+        assert len(report.participants) == 1 and has_no_child()
+        _, report = run_round(weights, clients, template, fed, 2, helpers=helpers)
+        assert len(report.participants) == 2 and not has_no_child()
+    assert has_no_child()
 
 
 @needs_fork
@@ -973,21 +997,24 @@ def test_a_helper_ignores_interrupts_and_exits_quietly_at_end_of_file(monkeypatc
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
     clients = small_clients(2)
     template = build_model(ModelConfig.fed_mlp(), seed=5)
-    helpers = Helpers(clients, template, FAST_FED)
-    try:
+    statuses = []
+    waitpid = os.waitpid
+
+    def recording_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    with Helpers(clients, template, FAST_FED) as helpers:
         # After one answered round the helper is in its loop.
         run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
-        [process] = multiprocessing.active_children()
-        os.kill(process.pid, signal.SIGINT)
-        process.join(timeout=0.5)
-        assert process.is_alive()
-        # This process holds the only open copy of the parent's end.
-        helpers._conns[0].close()
-        process.join(timeout=30)
-        assert not process.is_alive() and process.exitcode == 0
-    finally:
-        # Alive here only when the test failed; close() would wait for it.
-        for child in multiprocessing.active_children():
-            child.kill()
-        helpers.close()
+        [worker] = helpers._workers
+        os.kill(worker.pid, signal.SIGINT)
+        time.sleep(0.5)
+        assert os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    # Closing this process's ends is what ends the helper.
+    assert statuses == [0]
+    monkeypatch.undo()
+    assert has_no_child()
     assert capfd.readouterr() == ("", "")
