@@ -257,15 +257,38 @@ def _output_dir(config: RunConfig) -> Path:
     return out_dir
 
 
+def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each text to its file name in ``out_dir``, as one set.
+
+    Every text goes to a temporary file in ``out_dir`` first, and the
+    targets are replaced (``os.replace``) only once every write has
+    succeeded, so a failed write leaves the earlier set whole and no
+    temporary file behind.  A file's ``wrote`` line is printed once it is in
+    place.  The files take the mode ``open`` would give them.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: dict[str, str] = {}
+    try:
+        for name, text in files.items():
+            fd, temps[name] = tempfile.mkstemp(prefix=f".{name}.", dir=out_dir)
+            with open(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
+                fh.write(text)
+        for name in files:
+            os.replace(temps.pop(name), out_dir / name)
+            print(f"wrote {out_dir / name}")
+    finally:
+        for temp in temps.values():
+            os.unlink(temp)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=True), args)
     out_dir = _output_dir(config)
     beams = _load_beams(config)
     report = _run_one(config, config.model.kind, beams)
-    text = render_experiment_csv(report)
-    out_path = out_dir / f"report_{config.model.kind}.csv"
-    out_path.write_text(text, encoding="utf-8")
-    print(f"wrote {out_path}")
+    _write_outputs(out_dir, {f"report_{config.model.kind}.csv": render_experiment_csv(report)})
     print(f"final average test loss ({config.model.kind}): {report.final_avg_test_loss:.6f}")
     return EXIT_OK
 
@@ -279,18 +302,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     kan_report, mlp_report = deal_experiments(
         lambda k, cpus: _run_one(config, kinds[k], beams, cpus), len(kinds)
     )
-
-    kan_text = render_experiment_csv(kan_report)
-    mlp_text = render_experiment_csv(mlp_report)
-    comparison_text = render_comparison_csv(kan_report, mlp_report)
-
-    for name, text in (
-        ("report_fed_kan.csv", kan_text),
-        ("report_fed_mlp.csv", mlp_text),
-        ("comparison.csv", comparison_text),
-    ):
-        (out_dir / name).write_text(text, encoding="utf-8")
-        print(f"wrote {out_dir / name}")
+    _write_outputs(
+        out_dir,
+        {
+            "report_fed_kan.csv": render_experiment_csv(kan_report),
+            "report_fed_mlp.csv": render_experiment_csv(mlp_report),
+            "comparison.csv": render_comparison_csv(kan_report, mlp_report),
+        },
+    )
     print(summary_table(kan_report, mlp_report))
     return EXIT_OK
 

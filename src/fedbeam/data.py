@@ -40,7 +40,7 @@ CSV_HEADER = "hour,downlink,uplink," + ",".join(CATEGORIES)
 SHARE_SUM_TOLERANCE = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeamSeries:
     """One beam's hourly series as column arrays; row t is hour t.
 
@@ -62,7 +62,7 @@ class BeamSeries:
         return self.hourly_volumes.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scaler:
     """Per-feature min-max ranges, fit on training features only."""
 

@@ -49,22 +49,23 @@ first and clients second, over plain forked processes (``fedbeam.pool``).
 two models, one per process when there are CPUs for all of them, and deals
 the usable CPUs across them round-robin; with fewer CPUs they run one after
 another here.  Each ``run_experiment`` owns a ``Helpers`` over its share of
-CPUs (every usable CPU when it runs alone): this process and one helper per
-CPU beyond the first, never more than there are clients minus one, forked
-from the process that runs the experiment at its first round with two or
-more participants, so that each inherits the run's clients, template and
-config.  Such a round deals its participants round-robin across this
-process and the helpers, by descending sample count with ties in client-id
-order; a helper receives only client ids, the weights and those
-participants' generators, and every process calls the same ``local_train``
-on its share.  Evaluation is dealt the same way.  The updates go back into
-participant order and the test losses into client-id order before they are
-combined, and any grouping trains and evaluates each client exactly as
-alone, so the reports are byte-identical to running the round in one
-process.  With one CPU in the share, one client or one participant, or
-where the platform cannot fork, the round runs in this process.  However
-the CPUs are dealt, no more processes run at once than there are usable
-CPUs.
+CPUs (every usable CPU when it runs alone): a ``ForkPool`` of this process
+and one helper per CPU beyond the first, never more than there are clients
+minus one.  Every round takes one path through that pool.  It deals its
+participants round-robin into one share per process, by descending sample
+count with ties in client-id order, and maps the shares: the first runs in
+this process and share k in helper k, forked the first time a map has a
+share for it, so that it inherits the run's clients, template and config.
+A helper receives only client ids, the weights and those participants'
+generators, and every process calls the same ``local_train`` on its share.
+Evaluation of every client is dealt and mapped the same way.  The updates
+go back into participant order and the test losses into client-id order
+before they are combined, and any grouping trains and evaluates each client
+exactly as alone, so the reports are byte-identical to running the round in
+one process.  A map of one share forks nothing, so with one CPU or one
+client for the run, or where the platform cannot fork, every round runs in
+this process.  However the CPUs are dealt, no more processes run at once
+than there are usable CPUs.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class FederationConfig:
         return cls(**raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientState:
     """One beam's windowed, scaled, split data."""
 
@@ -218,7 +219,7 @@ class RoundReport:
     avg_test_loss: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     model_config: ModelConfig
     federation_config: FederationConfig
@@ -227,6 +228,12 @@ class ExperimentReport:
     rounds: tuple[RoundReport, ...]
     final_avg_test_loss: float
     final_weights: np.ndarray
+
+    def __setstate__(self, state: dict) -> None:
+        # A report trained in another process arrives by pickle, which below
+        # protocol 5 gives its weights back writeable; they stay read-only.
+        state["final_weights"].flags.writeable = False
+        self.__dict__.update(state)
 
 
 def check_model_fits_data(model_config: ModelConfig, window_hours: int) -> None:
@@ -423,9 +430,7 @@ def local_train(
     if epochs > 1:
         layer0 = template.blocks[0]
         spline_first = isinstance(layer0, KanLayerParams)
-        width = template.config.input_width
-        if spline_first:
-            width *= layer0.grid.num_bases + 1
+        width = layer0.plane_width if spline_first else template.config.input_width
         sources = np.empty((len(rows), counts[0], width))
         targets = np.empty((len(rows), counts[0], template.config.output_width))
         for r, client in enumerate(rows):
@@ -566,30 +571,16 @@ def _deal(clients: list[ClientState], shares: int) -> list[list[int]]:
     return [ranked[k::shares] for k in range(min(shares, len(ranked)))]
 
 
-def _share_work(
-    clients: list[ClientState],
-    template: Model,
-    fed_config: FederationConfig,
-    weights: np.ndarray,
-    rngs: list[np.random.Generator] | None,
-) -> list:
-    """One share of a round, in whichever process runs it: ``local_train``'s
-    updates when given generators, else each client's test loss from
-    ``evaluate_global``.  One result per client, in the order of ``clients``."""
-    if rngs is None:
-        losses = evaluate_global(weights, clients, template)[0]
-        return [losses[c.client_id] for c in clients]
-    return local_train(clients, template, weights, fed_config, rngs)
-
-
 class Helpers(ForkPool):
     """The processes that train and evaluate shares of one run's clients (see
     the module docstring): a ``ForkPool`` of this process and one helper
     per CPU of ``cpus`` (default: every usable CPU) beyond the first, never
-    more than there are clients minus one.  A helper is forked the first
-    time ``run`` has a share for it, so it inherits the run's clients,
-    template and config; a share crosses as client ids, the weights and its
-    generators.  ``close``, or leaving a ``with`` block, ends them.
+    more than there are clients minus one.  Its work is one share, ``(client
+    ids, weights, generators)``: those clients' ``local_train`` updates, or
+    with ``None`` for generators, their test losses from ``evaluate_global``;
+    one result per client, in the order of the ids.  A helper is forked the
+    first time a map has a share for it, so it inherits the run's clients,
+    template and config.  ``close``, or leaving a ``with`` block, ends them.
     """
 
     def __init__(
@@ -603,37 +594,34 @@ class Helpers(ForkPool):
 
         def share(item: tuple) -> list:
             ids, weights, rngs = item
-            return _share_work([by_id[i] for i in ids], template, fed_config, weights, rngs)
+            group = [by_id[i] for i in ids]
+            if rngs is None:
+                losses = evaluate_global(weights, group, template)[0]
+                return [losses[i] for i in ids]
+            return local_train(group, template, weights, fed_config, rngs)
 
         super().__init__(share, min(_usable_cpus() if cpus is None else cpus, len(clients)))
 
-    def run(self, groups: list[list[ClientState]], weights: np.ndarray, rngs: list) -> list:
-        """``_share_work`` on each group, with its entry of ``rngs``, by
-        ``map``: the first group in this process, group k in helper k, the
-        answers in group order, and the first failed group's error raised
-        once every group has finished."""
-        return self.map(
-            [([c.client_id for c in group], weights, r) for group, r in zip(groups, rngs)]
-        )
-
 
 def _in_shares(
-    helpers: Helpers | None,
+    helpers: Helpers,
     clients: list[ClientState],
-    template: Model,
-    fed_config: FederationConfig,
     weights: np.ndarray,
     rngs: list[np.random.Generator] | None = None,
 ) -> list:
-    """``_share_work`` on clients dealt across this process and ``helpers``;
-    one result per client, in the order of ``clients``."""
-    groups = _deal(clients, helpers.processes if helpers else 1)
-    if len(groups) == 1:
-        return _share_work(clients, template, fed_config, weights, rngs)
-    answers = helpers.run(
-        [[clients[i] for i in group] for group in groups],
-        weights,
-        [None if rngs is None else [rngs[i] for i in group] for group in groups],
+    """One result per client, in the order of ``clients``: the clients are
+    dealt into one share per process of ``helpers``, each share with its
+    clients' entries of ``rngs``, and the shares mapped through them."""
+    groups = _deal(clients, helpers.processes)
+    answers = helpers.map(
+        [
+            (
+                [clients[i].client_id for i in group],
+                weights,
+                None if rngs is None else [rngs[i] for i in group],
+            )
+            for group in groups
+        ]
     )
     results: list = [None] * len(clients)
     for group, answer in zip(groups, answers):
@@ -653,11 +641,12 @@ def run_round(
 ) -> tuple[np.ndarray, RoundReport]:
     """One synchronous round; evaluates the new weights on every client.
 
-    All participants train in one local_train call, or, with ``helpers``
-    (built over these clients, template and config) and two or more
-    participants, in one call per process: the participants are dealt
-    across this process and the helpers, and so are the evaluated clients
-    (see the module docstring).  The report is the same bytes either way.
+    The participants are dealt across the processes of ``helpers`` (built
+    over these clients, template and config), one ``local_train`` call per
+    process, and then so are the evaluated clients (see the module
+    docstring).  Without ``helpers`` the round runs on a one-process
+    ``Helpers``, which forks nothing.  The report is the same bytes however
+    the round is dealt.
     """
     if not clients:
         raise ContractViolationError("cannot run a round with zero clients")
@@ -675,12 +664,12 @@ def run_round(
         )
         for c in participants
     ]
-    # A lone participant's round runs in this process.
-    shares = helpers if len(participants) > 1 else None
-    updates = _in_shares(shares, participants, template, fed_config, global_weights, rngs)
+    if helpers is None:
+        helpers = Helpers(clients, template, fed_config, cpus=1)
+    updates = _in_shares(helpers, participants, global_weights, rngs)
 
     new_weights = aggregate(updates, fed_config.aggregation)
-    losses = _in_shares(shares, ordered, template, fed_config, new_weights)
+    losses = _in_shares(helpers, ordered, new_weights)
     per_client = {c.client_id: loss for c, loss in zip(ordered, losses)}
     avg_test = float(np.mean(losses))
     avg_train = float(np.mean([u.local_train_loss for u in updates]))

@@ -80,6 +80,12 @@ class KanLayerParams:
     def out_width(self) -> int:
         return self.weights.shape[-1]
 
+    @property
+    def plane_width(self) -> int:
+        """Width of this layer's plane (``kan_plane``): num_bases + 1 slots
+        per input, the rows of the flattened block."""
+        return self.in_width * (self.grid.num_bases + 1)
+
 
 @dataclass(frozen=True, eq=False)
 class LinearLayerParams:

@@ -324,7 +324,7 @@ def _forward(
     lead = model.weights.shape[:-1]
     width = model.config.input_width
     first = model.blocks[0]
-    plane_width = width * (first.grid.num_bases + 1) if isinstance(first, KanLayerParams) else None
+    plane_width = first.plane_width if isinstance(first, KanLayerParams) else None
     shaped = batch.ndim == len(lead) + 2 and batch.shape[:-2] == lead
     if not shaped or batch.shape[-1] not in (width, plane_width):
         raise ContractViolationError(

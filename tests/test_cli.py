@@ -317,16 +317,16 @@ def test_a_train_run_calls_run_round_here_with_arguments_bound_by_name(tmp_path,
 
 @needs_fork
 def test_compare_is_byte_identical_on_any_number_of_cpus(tmp_path, monkeypatch):
-    # Every process that trains or evaluates a share logs its pid and model.
+    # Every process evaluates a share of every round, and logs its pid and model.
     log = tmp_path / "shares.log"
-    share_work = fedbeam.federation._share_work
+    evaluate_global = fedbeam.federation.evaluate_global
 
-    def logging_share_work(clients, template, *args):
+    def logging_evaluate_global(weights, clients, template):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {template.config.kind}\n")
-        return share_work(clients, template, *args)
+        return evaluate_global(weights, clients, template)
 
-    monkeypatch.setattr(fedbeam.federation, "_share_work", logging_share_work)
+    monkeypatch.setattr(fedbeam.federation, "evaluate_global", logging_evaluate_global)
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, model={})
     names = ("report_fed_kan.csv", "report_fed_mlp.csv", "comparison.csv")
@@ -564,6 +564,39 @@ def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command)
     assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "14.9 GiB" in err
+
+
+def test_a_failed_write_leaves_the_earlier_outputs_whole(tmp_path):
+    resource = pytest.importorskip("resource")
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg_path)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # Under a 1 KiB cap on file size both reports can be written, and
+    # comparison.csv cannot.
+    cap = 1024
+    assert max(len(before["report_fed_kan.csv"]), len(before["report_fed_mlp.csv"])) < cap
+    assert len(before["comparison.csv"]) > cap
+    src = str(Path(fedbeam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "fedbeam", "compare", "--config", str(cfg_path), "--seed", "6"],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap)),
+    )
+    assert result.returncode == EXIT_IO
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    # Nothing was replaced, and no temporary file is left.
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    # Without the cap the same run replaces every file.
+    assert main(["compare", "--config", str(cfg_path), "--seed", "6"]) == EXIT_OK
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert after.keys() == before.keys()
+    assert all(after[name] != before[name] for name in before)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import fedbeam.federation
 import fedbeam.layers
 import fedbeam.model
-from fedbeam.data import default_profiles, generate_synthetic
+from fedbeam.data import BeamSeries, Scaler, default_profiles, generate_synthetic
 from fedbeam.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -25,11 +26,13 @@ from fedbeam.errors import (
 from fedbeam.federation import (
     ClientState,
     ClientUpdate,
+    ExperimentReport,
     FederationConfig,
     Helpers,
     aggregate,
     build_client,
     dataset_digest,
+    deal_experiments,
     evaluate_global,
     local_train,
     _lockstep_calls,
@@ -866,13 +869,13 @@ def test_a_run_is_byte_identical_on_any_number_of_cpus(monkeypatch, shape, make)
     hours, fed = SHARED_RUNS[shape]
     beams = [generate_synthetic(3, h, p) for h, p in zip(hours, default_profiles(len(hours)))]
     shares = []
-    run = Helpers.run
+    map_ = Helpers.map
 
-    def recording_run(self, groups, *args):
-        shares.append(len(groups))
-        return run(self, groups, *args)
+    def recording_map(self, items):
+        shares.append(len(items))
+        return map_(self, items)
 
-    monkeypatch.setattr(Helpers, "run", recording_run)
+    monkeypatch.setattr(Helpers, "map", recording_map)
     outputs = set()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -944,6 +947,40 @@ def test_every_update_reaching_aggregate_is_read_only(monkeypatch):
 
 
 @needs_fork
+def test_a_report_keeps_its_weights_read_only_across_processes(monkeypatch):
+    # compare's second model trains in a forked process, and its report
+    # crosses a pipe; a pickle below protocol 5 gives back writeable arrays.
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    beams = [generate_synthetic(3, 80, p) for p in default_profiles(2)]
+    fed = dataclasses.replace(FAST_FED, rounds=1)
+    reports = deal_experiments(
+        lambda k, cpus: run_experiment(ModelConfig.fed_mlp(), fed, beams, cpus=cpus), 2
+    )
+    assert has_no_child()
+    assert reports[0].final_weights.tobytes() == reports[1].final_weights.tobytes()
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        reports.append(pickle.loads(pickle.dumps(reports[0], protocol)))
+    assert [r.final_weights.flags.writeable for r in reports] == [False] * len(reports)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BeamSeries("b", np.zeros((3, 2)), np.full((3, 4), 0.25)),
+        lambda: Scaler(np.zeros(2), np.ones(2)),
+        lambda: small_clients(1)[0],
+        lambda: ExperimentReport(ModelConfig.fed_mlp(), FAST_FED, {}, "d", (), 0.5, np.zeros(3)),
+    ],
+    ids=["BeamSeries", "Scaler", "ClientState", "ExperimentReport"],
+)
+def test_types_holding_arrays_compare_and_hash_by_identity(make):
+    # Field-by-field equality would ask NumPy for the truth of an array.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
+
+
+@needs_fork
 def test_no_helper_outlives_a_run_that_fails(monkeypatch):
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 3)
     spoiled = fedbeam.federation.build_client
@@ -976,20 +1013,46 @@ def test_a_helper_that_died_is_an_os_error(monkeypatch):
 
 
 @needs_fork
-def test_a_helper_forks_at_the_first_round_with_two_participants(monkeypatch):
-    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+def test_a_round_with_one_participant_trains_here_and_deals_its_evaluation(
+    monkeypatch, tmp_path
+):
+    # Every share logs the process that runs it and what it does.
+    log = tmp_path / "shares.log"
+
+    def log_calls(name):
+        work = getattr(fedbeam.federation, name)
+
+        def logged(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return work(*args)
+
+        monkeypatch.setattr(fedbeam.federation, name, logged)
+
+    log_calls("local_train")
+    log_calls("evaluate_global")
     clients = small_clients(2)
     template = build_model(ModelConfig.fed_mlp(), seed=5)
-    # At availability 0.5, seed 5 draws one client in round 1 and both in round 2.
+    weights = export_weights(template)
+    # At availability 0.5, seed 5 draws one client in round 1.
     fed = dataclasses.replace(FAST_FED, availability_prob=0.5)
-    with Helpers(clients, template, fed) as helpers:
+    rounds = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
+        log.unlink(missing_ok=True)
+        with Helpers(clients, template, fed) as helpers:
+            new_weights, report = run_round(weights, clients, template, fed, 1, helpers=helpers)
+            assert len(report.participants) == 1
+            assert has_no_child() == (cpus == 1)
         assert has_no_child()
-        weights = export_weights(template)
-        weights, report = run_round(weights, clients, template, fed, 1, helpers=helpers)
-        assert len(report.participants) == 1 and has_no_child()
-        _, report = run_round(weights, clients, template, fed, 2, helpers=helpers)
-        assert len(report.participants) == 2 and not has_no_child()
-    assert has_no_child()
+        rounds.append((new_weights.tobytes(), repr(report)))
+        pids = {"local_train": set(), "evaluate_global": set()}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            name, pid = line.split()
+            pids[name].add(int(pid))
+        assert pids["local_train"] == {os.getpid()}
+        assert len(pids["evaluate_global"]) == cpus and os.getpid() in pids["evaluate_global"]
+    assert rounds[0] == rounds[1]
 
 
 @needs_fork

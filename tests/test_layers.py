@@ -52,6 +52,12 @@ def test_zero_params_give_zero_output():
     assert np.array_equal(out, np.zeros((5, 2)))
 
 
+def test_a_spline_layers_plane_width_is_its_planes_and_its_blocks():
+    params = KanLayerParams(weights=np.zeros((3, GRID.num_bases + 1, 2)), grid=GRID)
+    plane, _ = kan_plane(np.zeros((5, 3)), GRID)
+    assert params.plane_width == plane.shape[-1] == params.weights[..., 0].size
+
+
 def test_identity_interpolation_on_grid_interior():
     # Fit spline coefficients so the 1x1 edge reproduces f(x) = x.
     xs = np.linspace(-1.0, 1.0, 200)
