@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -234,12 +235,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _run_one(
-    config: RunConfig, kind: str, beams: list[BeamSeries], cpus: int | None = None
+    config: RunConfig,
+    kind: str,
+    load: Callable[[], list[BeamSeries]],
+    cpus: int | None = None,
 ) -> ExperimentReport:
+    """One experiment on the beams ``load()`` returns.  The list goes
+    straight to ``run_experiment``, which lets it go once its clients are
+    built, so nothing here keeps the raw series alive while it trains."""
     return run_experiment(
         dataclasses.replace(config.model, kind=kind),
         config.federation,
-        beams,
+        load(),
         window_hours=config.window_hours,
         train_fraction=config.train_fraction,
         cpus=cpus,
@@ -286,8 +293,7 @@ def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=True), args)
     out_dir = _output_dir(config)
-    beams = _load_beams(config)
-    report = _run_one(config, config.model.kind, beams)
+    report = _run_one(config, config.model.kind, lambda: _load_beams(config))
     _write_outputs(out_dir, {f"report_{config.model.kind}.csv": render_experiment_csv(report)})
     print(f"final average test loss ({config.model.kind}): {report.final_avg_test_loss:.6f}")
     return EXIT_OK
@@ -300,7 +306,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # The two models train side by side when there are CPUs for both.
     kinds = (KIND_FED_KAN, KIND_FED_MLP)
     kan_report, mlp_report = deal_experiments(
-        lambda k, cpus: _run_one(config, kinds[k], beams, cpus), len(kinds)
+        lambda k, cpus: _run_one(config, kinds[k], lambda: beams, cpus), len(kinds)
     )
     _write_outputs(
         out_dir,

@@ -203,12 +203,6 @@ class ClientUpdate:
     sample_count: int
     local_train_loss: float
 
-    def __setstate__(self, state: dict) -> None:
-        # An update from a helper arrives by pickle, which gives its weights
-        # back writeable; they are read-only here as everywhere.
-        state["weights"].flags.writeable = False
-        self.__dict__.update(state)
-
 
 @dataclass(frozen=True)
 class RoundReport:
@@ -407,6 +401,12 @@ def local_train(
     steps pass to ``forward_with_caches`` instead of feature rows.  A call
     whose rows share a batch start reads its batch, targets and dropout
     flags as views (see ``_take``).
+
+    No array a step builds outlives it: the batch, targets, masks,
+    predictions, caches and loss gradient are dropped after the backward,
+    so the next step's forward never allocates beside them.  With freed
+    pages kept in the process (see ``fedbeam.cli``), any overlap would set
+    the peak memory of the whole run.
     """
     if not clients or len(rngs) != len(clients):
         raise ContractViolationError(
@@ -482,6 +482,8 @@ def local_train(
             bad = ", ".join(repr(rows[lo + i].client_id) for i in np.flatnonzero(~finite))
             raise NumericsError(f"client {bad} produced a non-finite loss")
         model_backward(part, caches, loss_grad, part_grads)
+        # Free this step's arrays before the next step's forward (see above).
+        del xb, yb, masks, preds, caches, loss_grad
         clip_gradient_norm(part_grads.weights, fed_config.max_grad_norm)
         adam_step(part.weights, part_grads.weights, state, g + 1)
         for r in final:
@@ -704,11 +706,16 @@ def run_experiment(
     The rounds share one ``Helpers`` over the run's clients, so a round
     spreads over ``cpus`` processes, by default one per usable CPU (see the
     module docstring); every helper has exited when this returns or raises.
+    The clients copy what they read of ``beams``, and the run keeps no
+    reference to the list once they are built, so a caller that does not
+    keep it either frees the raw series before round 1 (and before any
+    helper is forked).  The caller's list is never changed.
     """
     if not beams:
         raise ConfigurationError("run_experiment needs at least one beam")
     check_model_fits_data(model_config, window_hours)
     clients = [build_client(b, window_hours, train_fraction) for b in beams]
+    del beams  # the clients hold copies of what the rounds read (see above)
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate beam ids: {sorted(ids)}")

@@ -10,6 +10,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -313,6 +314,35 @@ def test_a_train_run_calls_run_round_here_with_arguments_bound_by_name(tmp_path,
     )
     assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
     assert len(participants) == 3 and participants[0] == ("beam-02", "beam-03")
+
+
+def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch):
+    series: list[weakref.ref] = []
+    alive = []
+    load_csv = fedbeam.cli.load_csv
+    run_round = fedbeam.federation.run_round
+
+    def watched_load_csv(*args, **kwargs):
+        beam = load_csv(*args, **kwargs)
+        series.extend(weakref.ref(x) for x in (beam, beam.hourly_volumes, beam.hourly_shares))
+        return beam
+
+    def watched_run_round(*args, **kwargs):
+        if not alive:
+            alive.append(sum(ref() is not None for ref in series))
+        return run_round(*args, **kwargs)
+
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        model={"kind": "fed_mlp"},
+        federation=FLEET_FEDERATION,
+        data={"beam_files": fleet_beam_files(tmp_path)},
+    )
+    monkeypatch.setattr(fedbeam.cli, "load_csv", watched_load_csv)
+    monkeypatch.setattr(fedbeam.federation, "run_round", watched_run_round)
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    assert len(series) == 9 and alive == [0]
 
 
 @needs_fork

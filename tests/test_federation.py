@@ -8,6 +8,7 @@ import pickle
 import signal
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,42 @@ def test_training_leaves_template_and_global_weights_unchanged():
     assert snapshot() == before
     run_round(global_weights, clients, template, FAST_FED, 1)
     assert snapshot() == before
+
+
+def arrays_in(value) -> list[np.ndarray]:
+    """Every array in a nest of dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("cfg", DROPOUT_CONFIGS[:2])
+def test_no_array_of_a_step_is_alive_when_the_next_forward_starts(monkeypatch, cfg, epochs):
+    # The batch, masks, predictions and caches of one step, checked by weak
+    # reference as the next step's forward starts.
+    previous: list[weakref.ref] = []
+    alive = []
+    forward_with_caches = fedbeam.federation.forward_with_caches
+
+    def watched(model, batch, masks):
+        alive.append(sum(ref() is not None for ref in previous))
+        preds, caches = forward_with_caches(model, batch, masks)
+        previous[:] = [weakref.ref(a) for a in arrays_in((batch, masks, preds, caches))]
+        return preds, caches
+
+    monkeypatch.setattr(fedbeam.federation, "forward_with_caches", watched)
+    clients = small_clients(3)
+    template = build_model(cfg, seed=5)
+    fed = dataclasses.replace(FAST_FED, local_epochs=epochs)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    local_train(clients, template, export_weights(template), fed, rngs)
+    assert len(previous) > 5 and len(alive) > 2
+    assert alive == [0] * len(alive)
 
 
 def test_federation_config_validation():
@@ -786,6 +823,28 @@ def test_run_experiment_is_deterministic():
     assert a.dataset_digest == b.dataset_digest
 
 
+def test_run_experiment_lets_the_raw_series_go_before_round_1(monkeypatch):
+    # Given a list its caller does not keep, no series and none of its
+    # arrays is alive when the rounds start: the clients hold copies.
+    series: list[weakref.ref] = []
+    alive = []
+    run_round = fedbeam.federation.run_round
+
+    def watched(*args, **kwargs):
+        if not alive:
+            alive.append(sum(ref() is not None for ref in series))
+        return run_round(*args, **kwargs)
+
+    def beams() -> list[BeamSeries]:
+        made = [generate_synthetic(3, 80, p) for p in default_profiles(3)]
+        series.extend(weakref.ref(x) for b in made for x in (b, b.hourly_volumes, b.hourly_shares))
+        return made
+
+    monkeypatch.setattr(fedbeam.federation, "run_round", watched)
+    run_experiment(ModelConfig.fed_mlp(), dataclasses.replace(FAST_FED, rounds=1), beams())
+    assert len(series) == 9 and alive == [0]
+
+
 def test_run_experiment_layout_is_conserved():
     profiles = default_profiles(2)
     beams = [generate_synthetic(3, 80, p) for p in profiles]
@@ -928,7 +987,8 @@ def test_a_failed_share_raises_its_error_in_the_parent(monkeypatch, cpus, spoil,
 
 @needs_fork
 def test_every_update_reaching_aggregate_is_read_only(monkeypatch):
-    # A helper's updates arrive by pickle, which gives back writeable arrays.
+    # A helper's updates arrive by pickle at protocol 5, which hands a
+    # read-only array back read-only.
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
     writeable = []
     aggregate = fedbeam.federation.aggregate
