@@ -14,8 +14,10 @@ loss).  FEDBEAM_LOG names the log level as the logging module spells it
 from __future__ import annotations
 
 import argparse
+import bisect
 import ctypes
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import federation
 from .data import (
     BeamSeries,
     check_train_fraction,
@@ -50,6 +53,7 @@ from .federation import (
     run_experiment,
 )
 from .model import KIND_FED_KAN, KIND_FED_MLP, ModelConfig
+from .pool import ForkPool
 from .report import render_comparison_csv, render_experiment_csv, summary_table
 
 EXIT_OK = 0
@@ -196,12 +200,49 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
     )
 
 
+def _file_size(path: str) -> int:
+    """The size of the file at ``path``, or 0 where it cannot be read (the
+    loader then reports the file)."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
+def _balanced_runs(sizes: list[int], count: int) -> list[range]:
+    """Positions 0..len(sizes)-1 cut into at most ``count`` contiguous,
+    non-empty runs, in order.  With k = min(count, len(sizes)), run j ends
+    at the first position where the cumulative size reaches (j + 1) / k of
+    the total, so no run holds more than total / k plus its last item."""
+    k = min(count, len(sizes))
+    scaled = [reached * k for reached in itertools.accumulate(sizes)]
+    total = sum(sizes)
+    cuts = {bisect.bisect_left(scaled, j * total) + 1 for j in range(1, k)}
+    edges = sorted(cuts | {0, len(sizes)})
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _load_beams(config: RunConfig) -> list[BeamSeries]:
+    """The config's beams, in config order: its beam files, or its
+    synthetic set.
+
+    Beam files are dealt over a ``ForkPool`` of one process per usable CPU
+    (``federation._usable_cpus``), in size-balanced contiguous runs (see
+    ``_balanced_runs``): run 0 is parsed in this process and run k in a
+    loader forked for it, which exits once its series are back.  Each run
+    stops at its own first bad file, and the pool raises the first failed
+    run's error, so a bad file fails the run with the error the files read
+    one by one would give.  With one usable CPU or one file nothing is
+    forked."""
     if config.beam_files is not None:
-        beams = []
-        for i, path in enumerate(config.beam_files):
-            beams.append(load_csv(path, beam_id=f"beam-{i + 1:02d}"))
-        return beams
+        paths = config.beam_files
+        runs = _balanced_runs([_file_size(p) for p in paths], federation._usable_cpus())
+
+        def load(run: range) -> list[BeamSeries]:
+            return [load_csv(paths[i], beam_id=f"beam-{i + 1:02d}") for i in run]
+
+        with ForkPool(load, len(runs)) as pool:
+            return [beam for loaded in pool.map(runs) for beam in loaded]
     settings = config.synthetic
     profiles = default_profiles(settings["beams"])
     return [generate_synthetic(settings["seed"], settings["hours"], p) for p in profiles]

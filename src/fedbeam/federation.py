@@ -56,8 +56,9 @@ participants round-robin into one share per process, by descending sample
 count with ties in client-id order, and maps the shares: the first runs in
 this process and share k in helper k, forked the first time a map has a
 share for it, so that it inherits the run's clients, template and config.
-A helper receives only client ids, the weights and those participants'
-generators, and every process calls the same ``local_train`` on its share.
+A helper receives only client ids, the weights and the round index, and
+seeds those participants' dropout generators itself, so no generator
+crosses a pipe; every process calls the same ``local_train`` on its share.
 Evaluation of every client is dealt and mapped the same way.  The updates
 go back into participant order and the test losses into client-id order
 before they are combined, and any grouping trains and evaluates each client
@@ -65,7 +66,9 @@ exactly as alone, so the reports are byte-identical to running the round in
 one process.  A map of one share forks nothing, so with one CPU or one
 client for the run, or where the platform cannot fork, every round runs in
 this process.  However the CPUs are dealt, no more processes run at once
-than there are usable CPUs.
+than there are usable CPUs.  Before the run, ``fedbeam.cli`` parses its
+beam files over every usable CPU as well: they are dealt in size-balanced
+contiguous runs, one run per process.
 """
 
 from __future__ import annotations
@@ -578,11 +581,14 @@ class Helpers(ForkPool):
     the module docstring): a ``ForkPool`` of this process and one helper
     per CPU of ``cpus`` (default: every usable CPU) beyond the first, never
     more than there are clients minus one.  Its work is one share, ``(client
-    ids, weights, generators)``: those clients' ``local_train`` updates, or
-    with ``None`` for generators, their test losses from ``evaluate_global``;
-    one result per client, in the order of the ids.  A helper is forked the
-    first time a map has a share for it, so it inherits the run's clients,
-    template and config.  ``close``, or leaving a ``with`` block, ends them.
+    ids, weights, round index)``: those clients' ``local_train`` updates in
+    that round, or with ``None`` for the round, their test losses from
+    ``evaluate_global``; one result per client, in the order of the ids.
+    Each process seeds its share's dropout generators itself, from the seed,
+    the round and each client's index in client-id order, so no generator
+    crosses a pipe.  A helper is forked the first time a map has a share for
+    it, so it inherits the run's clients, template and config.  ``close``,
+    or leaving a ``with`` block, ends them.
     """
 
     def __init__(
@@ -593,13 +599,20 @@ class Helpers(ForkPool):
         cpus: int | None = None,
     ) -> None:
         by_id = {c.client_id: c for c in clients}
+        # A client's dropout stream is fixed by its index among all clients.
+        index = {client_id: k for k, client_id in enumerate(sorted(by_id))}
 
         def share(item: tuple) -> list:
-            ids, weights, rngs = item
+            ids, weights, round_index = item
             group = [by_id[i] for i in ids]
-            if rngs is None:
+            if round_index is None:
                 losses = evaluate_global(weights, group, template)[0]
                 return [losses[i] for i in ids]
+            seed = fed_config.seed
+            rngs = [
+                np.random.default_rng(np.random.SeedSequence((seed, round_index, 1, index[i])))
+                for i in ids
+            ]
             return local_train(group, template, weights, fed_config, rngs)
 
         super().__init__(share, min(_usable_cpus() if cpus is None else cpus, len(clients)))
@@ -609,21 +622,15 @@ def _in_shares(
     helpers: Helpers,
     clients: list[ClientState],
     weights: np.ndarray,
-    rngs: list[np.random.Generator] | None = None,
+    round_index: int | None = None,
 ) -> list:
     """One result per client, in the order of ``clients``: the clients are
-    dealt into one share per process of ``helpers``, each share with its
-    clients' entries of ``rngs``, and the shares mapped through them."""
+    dealt into one share per process of ``helpers``, and the shares mapped
+    through them, to train in round ``round_index`` or, with ``None``, to
+    evaluate."""
     groups = _deal(clients, helpers.processes)
     answers = helpers.map(
-        [
-            (
-                [clients[i].client_id for i in group],
-                weights,
-                None if rngs is None else [rngs[i] for i in group],
-            )
-            for group in groups
-        ]
+        [([clients[i].client_id for i in group], weights, round_index) for group in groups]
     )
     results: list = [None] * len(clients)
     for group, answer in zip(groups, answers):
@@ -657,18 +664,9 @@ def run_round(
         np.random.SeedSequence((fed_config.seed, round_index, 0))
     )
     participants = _availability_draw(ordered, fed_config.availability_prob, avail_rng)
-
-    # A client's dropout stream is fixed by its index among all clients.
-    index = {client.client_id: idx for idx, client in enumerate(ordered)}
-    rngs = [
-        np.random.default_rng(
-            np.random.SeedSequence((fed_config.seed, round_index, 1, index[c.client_id]))
-        )
-        for c in participants
-    ]
     if helpers is None:
         helpers = Helpers(clients, template, fed_config, cpus=1)
-    updates = _in_shares(helpers, participants, global_weights, rngs)
+    updates = _in_shares(helpers, participants, global_weights, round_index)
 
     new_weights = aggregate(updates, fed_config.aggregation)
     losses = _in_shares(helpers, ordered, new_weights)

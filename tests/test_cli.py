@@ -245,14 +245,17 @@ FLEET_DIGESTS = {
 }
 
 
-def fleet_beam_files(tmp_path) -> list[str]:
-    """Three uneven beams as CSV files: beam-0k comes from a set generated at
-    its own length, so the clients train 92, 73 and 60 windows, with last
-    batches of 12, 9 and 12."""
+def fleet_beam_files(tmp_path, lengths=(120, 97, 81)) -> list[str]:
+    """Uneven beams as CSV files: beam-0k comes from a set generated at its
+    own length, ``lengths[k - 1]`` hours.  By default the clients train 92,
+    73 and 60 windows, with last batches of 12, 9 and 12."""
     files = []
-    for k, hours in enumerate((120, 97, 81), start=1):
+    for k, hours in enumerate(lengths, start=1):
         out = tmp_path / f"h{hours}"
-        argv = ["generate", "--seed", "3", "--hours", str(hours), "--beams", "3", "--out", str(out)]
+        argv = [
+            "generate", "--seed", "3", "--hours", str(hours), "--beams", str(len(lengths)),
+            "--out", str(out),
+        ]
         assert main(argv) == EXIT_OK
         files.append(str(out / f"beam-{k:02d}.csv"))
     return files
@@ -316,16 +319,20 @@ def test_a_train_run_calls_run_round_here_with_arguments_bound_by_name(tmp_path,
     assert len(participants) == 3 and participants[0] == ("beam-02", "beam-03")
 
 
-def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, pytest.param(3, marks=needs_fork)])
+def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: cpus)
     series: list[weakref.ref] = []
     alive = []
-    load_csv = fedbeam.cli.load_csv
+    load_beams = fedbeam.cli._load_beams
     run_round = fedbeam.federation.run_round
 
-    def watched_load_csv(*args, **kwargs):
-        beam = load_csv(*args, **kwargs)
-        series.extend(weakref.ref(x) for x in (beam, beam.hourly_volumes, beam.hourly_shares))
-        return beam
+    def watched_load_beams(config):
+        # Every series the run receives, parsed here or in a loader process.
+        beams = load_beams(config)
+        for beam in beams:
+            series.extend(weakref.ref(x) for x in (beam, beam.hourly_volumes, beam.hourly_shares))
+        return beams
 
     def watched_run_round(*args, **kwargs):
         if not alive:
@@ -339,7 +346,7 @@ def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch
         federation=FLEET_FEDERATION,
         data={"beam_files": fleet_beam_files(tmp_path)},
     )
-    monkeypatch.setattr(fedbeam.cli, "load_csv", watched_load_csv)
+    monkeypatch.setattr(fedbeam.cli, "_load_beams", watched_load_beams)
     monkeypatch.setattr(fedbeam.federation, "run_round", watched_run_round)
     assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
     assert len(series) == 9 and alive == [0]
@@ -433,9 +440,13 @@ def test_an_out_dir_that_names_a_file_exits_3_before_any_beam_is_read(
 
 
 @needs_fork
-def test_a_train_run_with_a_helper_never_imports_multiprocessing(tmp_path):
+@pytest.mark.parametrize("source, forks", [("synthetic", 1), ("beam_files", 2)])
+def test_a_train_run_with_a_helper_never_imports_multiprocessing(tmp_path, source, forks):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
+    if source == "beam_files":
+        write_config(cfg_path, data={"beam_files": fleet_beam_files(tmp_path)[:2]})
+    else:
+        write_config(cfg_path)
     result = run_python(
         "import os, sys\n"
         "import fedbeam.cli, fedbeam.federation\n"
@@ -446,8 +457,123 @@ def test_a_train_run_with_a_helper_never_imports_multiprocessing(tmp_path):
         "print(code, len(forks), 'multiprocessing' in sys.modules)\n"
     )
     assert result.returncode == 0, result.stderr
-    # Two clients on two CPUs: one helper.
-    assert result.stdout.splitlines()[-1] == "0 1 False"
+    # Two clients on two CPUs: one helper; and two beam files: one loader.
+    assert result.stdout.splitlines()[-1] == f"0 {forks} False"
+
+
+# Five beams of uneven length, and the runs of files each number of CPUs
+# parses them in.  Cut by file count, they would be 1-3 and 4-5 on two CPUs.
+FIVE_UNEVEN_LENGTHS = (200, 160, 81, 90, 97)
+FIVE_UNEVEN_RUNS = {1: [[1, 2, 3, 4, 5]], 2: [[1, 2], [3, 4, 5]], 3: [[1, 2], [3], [4, 5]]}
+
+
+@needs_fork
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_reports_from_beam_files_are_byte_identical_on_any_number_of_cpus(
+    tmp_path, monkeypatch, command
+):
+    # Every process logs each beam it parses.
+    log = tmp_path / "loads.log"
+    load_csv = fedbeam.cli.load_csv
+
+    def logging_load_csv(path, beam_id):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {beam_id}\n")
+        return load_csv(path, beam_id=beam_id)
+
+    monkeypatch.setattr(fedbeam.cli, "load_csv", logging_load_csv)
+    cfg_path = tmp_path / "cfg.json"
+    files = fleet_beam_files(tmp_path, FIVE_UNEVEN_LENGTHS)
+    model = {"kind": "fed_kan"} if command == "train" else None
+    write_config(cfg_path, model=model, federation=FLEET_FEDERATION, data={"beam_files": files})
+    outputs = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
+        log.unlink(missing_ok=True)
+        out = tmp_path / f"cpus-{cpus}"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert has_no_child()
+        outputs.add(tuple(sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+        runs: dict[int, list[int]] = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, beam_id = line.split()
+            runs.setdefault(int(pid), []).append(int(beam_id.removeprefix("beam-")))
+        # One run of files per CPU, the first parsed here.
+        assert sorted(runs.values()) == FIVE_UNEVEN_RUNS[cpus]
+        assert runs[os.getpid()][0] == 1
+    assert len(outputs) == 1
+
+
+def spoil_keeping_size(path: str) -> None:
+    """Turn the hour of the file's third data row into a letter."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines[3] = "x" + lines[3][1:]
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("spoiled", [["first"], ["last"], ["first", "last"]])
+def test_a_bad_beam_file_fails_the_run_as_the_one_cpu_load(
+    tmp_path, capsys, monkeypatch, cpus, spoiled
+):
+    files = fleet_beam_files(tmp_path, FIVE_UNEVEN_LENGTHS)
+    runs = fedbeam.cli._balanced_runs([os.path.getsize(f) for f in files], cpus)
+    assert len(runs) == cpus
+    # The last file of each spoiled run, so the first run's error comes after
+    # a file it parsed.
+    bad = [{"first": runs[0], "last": runs[-1]}[where][-1] for where in spoiled]
+    for i in bad:
+        spoil_keeping_size(files[i])
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, federation=FLEET_FEDERATION, data={"beam_files": files})
+    outcomes = []
+    for n in (1, cpus):
+        monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda n=n: n)
+        outcomes.append((main(["train", "--config", str(cfg_path)]), capsys.readouterr().err))
+        assert has_no_child()
+    code, err = outcomes[0]
+    assert code == EXIT_IO and len(err.splitlines()) == 1 and files[bad[0]] in err
+    assert outcomes[1] == outcomes[0]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@needs_fork
+def test_a_missing_beam_file_exits_3_and_names_it_on_any_number_of_cpus(
+    tmp_path, capsys, monkeypatch
+):
+    files = fleet_beam_files(tmp_path, FIVE_UNEVEN_LENGTHS)
+    missing = str(tmp_path / "missing.csv")
+    files.insert(3, missing)
+    assert fedbeam.cli._file_size(missing) == 0
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, federation=FLEET_FEDERATION, data={"beam_files": files})
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert main(["train", "--config", str(cfg_path)]) == EXIT_IO
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read {missing}: ")
+        assert has_no_child()
+
+
+def test_beam_files_are_cut_into_runs_by_size():
+    runs = fedbeam.cli._balanced_runs
+    assert runs([5] * 16, 2) == [range(0, 8), range(8, 16)]
+    # By bytes, not by count: four small files weigh as much as the large one.
+    assert runs([1, 1, 1, 1, 4], 2) == [range(0, 4), range(4, 5)]
+    assert runs([7, 0, 3], 1) == [range(0, 3)]
+    assert runs([0, 0, 0], 2) == [range(0, 1), range(1, 3)]
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40), st.integers(1, 8))
+def test_runs_of_beam_files_are_contiguous_non_empty_and_balanced(sizes, count):
+    runs = fedbeam.cli._balanced_runs(sizes, count)
+    assert [i for run in runs for i in run] == list(range(len(sizes)))
+    assert 1 <= len(runs) <= count and all(len(run) > 0 for run in runs)
+    k = min(count, len(sizes))
+    # No run holds more than total / k bytes plus the largest file.
+    for run in runs:
+        assert sum(sizes[i] for i in run) * k <= sum(sizes) + max(sizes) * k
 
 
 def test_compare_outputs_and_summary(tmp_path, capsys):

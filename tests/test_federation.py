@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import fedbeam.federation
 import fedbeam.layers
 import fedbeam.model
+import fedbeam.pool
 from fedbeam.data import BeamSeries, Scaler, default_profiles, generate_synthetic
 from fedbeam.errors import (
     ConfigurationError,
@@ -1004,6 +1005,27 @@ def test_every_update_reaching_aggregate_is_read_only(monkeypatch):
         run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
     assert has_no_child()
     assert writeable == [False] * 3
+
+
+@needs_fork
+def test_no_generator_crosses_a_pipe(monkeypatch):
+    # A helper seeds its share's dropout generators itself from the round index.
+    monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
+    sent = []
+    dumps = fedbeam.pool._dumps
+
+    def recording_dumps(obj):
+        sent.append(dumps(obj))
+        return sent[-1]
+
+    monkeypatch.setattr(fedbeam.pool, "_dumps", recording_dumps)
+    clients = small_clients(3)
+    template = build_model(ModelConfig.fed_kan(), seed=5)
+    with Helpers(clients, template, FAST_FED) as helpers:
+        run_round(export_weights(template), clients, template, FAST_FED, 1, helpers=helpers)
+    assert has_no_child()
+    # The shares sent from this process: one to train, one to evaluate.
+    assert len(sent) == 2 and not any(b"numpy.random" in data for data in sent)
 
 
 @needs_fork
