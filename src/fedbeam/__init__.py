@@ -26,6 +26,7 @@ from .federation import (
     RoundReport,
     aggregate,
     build_client,
+    build_clients,
     evaluate_global,
     local_train,
     run_experiment,
@@ -65,6 +66,7 @@ __all__ = [
     "RoundReport",
     "aggregate",
     "build_client",
+    "build_clients",
     "evaluate_global",
     "local_train",
     "run_experiment",

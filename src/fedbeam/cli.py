@@ -23,7 +23,6 @@ import logging
 import os
 import sys
 import tempfile
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from .errors import (
 from .federation import (
     ExperimentReport,
     FederationConfig,
+    build_clients,
     check_model_fits_data,
     deal_experiments,
     run_experiment,
@@ -210,16 +210,18 @@ def _file_size(path: str) -> int:
 
 
 def _balanced_runs(sizes: list[int], count: int) -> list[range]:
-    """Positions 0..len(sizes)-1 cut into at most ``count`` contiguous,
-    non-empty runs, in order.  With k = min(count, len(sizes)), run j ends
-    at the first position where the cumulative size reaches (j + 1) / k of
-    the total, so no run holds more than total / k plus its last item."""
-    k = min(count, len(sizes))
+    """Positions 0..len(sizes)-1 cut into k = min(count, len(sizes))
+    contiguous, non-empty runs, in order.  Run j ends at the first position
+    where the cumulative size reaches (j + 1) / k of the total, moved just
+    enough that every run keeps an item, so no run holds more than total / k
+    plus its last item."""
+    n, k, total = len(sizes), min(count, len(sizes)), sum(sizes)
     scaled = [reached * k for reached in itertools.accumulate(sizes)]
-    total = sum(sizes)
-    cuts = {bisect.bisect_left(scaled, j * total) + 1 for j in range(1, k)}
-    edges = sorted(cuts | {0, len(sizes)})
-    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    edges = [0]
+    for j in range(1, k):
+        cut = bisect.bisect_left(scaled, j * total) + 1
+        edges.append(max(edges[-1] + 1, min(cut, n - k + j)))
+    return [range(lo, hi) for lo, hi in zip(edges, [*edges[1:], n])]
 
 
 def _load_beams(config: RunConfig) -> list[BeamSeries]:
@@ -275,23 +277,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(
-    config: RunConfig,
-    kind: str,
-    load: Callable[[], list[BeamSeries]],
-    cpus: int | None = None,
-) -> ExperimentReport:
-    """One experiment on the beams ``load()`` returns.  The list goes
-    straight to ``run_experiment``, which lets it go once its clients are
-    built, so nothing here keeps the raw series alive while it trains."""
-    return run_experiment(
-        dataclasses.replace(config.model, kind=kind),
-        config.federation,
-        load(),
-        window_hours=config.window_hours,
-        train_fraction=config.train_fraction,
-        cpus=cpus,
-    )
+def _run(config: RunConfig, kinds: tuple[str, ...]) -> list[ExperimentReport]:
+    """One experiment per kind, in order, dealt by ``deal_experiments``.  The
+    clients are built once, here, before any model or helper is forked, and
+    the raw series are never bound, so they are freed before round 1."""
+    clients = build_clients(_load_beams(config), config.window_hours, config.train_fraction)
+
+    def run(k: int, cpus: int) -> ExperimentReport:
+        model = dataclasses.replace(config.model, kind=kinds[k])
+        return run_experiment(
+            model, config.federation, clients, config.window_hours, config.train_fraction, cpus=cpus
+        )
+
+    return deal_experiments(run, len(kinds))
 
 
 def _output_dir(config: RunConfig) -> Path:
@@ -334,7 +332,7 @@ def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=True), args)
     out_dir = _output_dir(config)
-    report = _run_one(config, config.model.kind, lambda: _load_beams(config))
+    [report] = _run(config, (config.model.kind,))
     _write_outputs(out_dir, {f"report_{config.model.kind}.csv": render_experiment_csv(report)})
     print(f"final average test loss ({config.model.kind}): {report.final_avg_test_loss:.6f}")
     return EXIT_OK
@@ -343,12 +341,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config, require_kind=False), args)
     out_dir = _output_dir(config)
-    beams = _load_beams(config)
-    # The two models train side by side when there are CPUs for both.
-    kinds = (KIND_FED_KAN, KIND_FED_MLP)
-    kan_report, mlp_report = deal_experiments(
-        lambda k, cpus: _run_one(config, kinds[k], lambda: beams, cpus), len(kinds)
-    )
+    kan_report, mlp_report = _run(config, (KIND_FED_KAN, KIND_FED_MLP))
     _write_outputs(
         out_dir,
         {

@@ -67,8 +67,9 @@ one process.  A map of one share forks nothing, so with one CPU or one
 client for the run, or where the platform cannot fork, every round runs in
 this process.  However the CPUs are dealt, no more processes run at once
 than there are usable CPUs.  Before the run, ``fedbeam.cli`` parses its
-beam files over every usable CPU as well: they are dealt in size-balanced
-contiguous runs, one run per process.
+beam files over every usable CPU as well, in size-balanced contiguous runs,
+then builds the clients once (``build_clients``), in its own process,
+before any model or helper is forked: ``compare``'s two models share them.
 """
 
 from __future__ import annotations
@@ -690,34 +691,36 @@ def run_round(
     return new_weights, report
 
 
+def build_clients(
+    beams: list[BeamSeries], window_hours: int, train_fraction: float
+) -> list[ClientState]:
+    """Every beam as a client (``build_client``), in order; a run builds them
+    once, before any model or helper is forked, and its models share them.
+    They copy what they read of ``beams`` and keep no reference to them."""
+    if not beams:
+        raise ConfigurationError("build_clients needs at least one beam")
+    clients = [build_client(b, window_hours, train_fraction) for b in beams]
+    ids = [c.client_id for c in clients]
+    if len(set(ids)) != len(ids):
+        raise ConfigurationError(f"duplicate beam ids: {sorted(ids)}")
+    return clients
+
+
 def run_experiment(
     model_config: ModelConfig,
     fed_config: FederationConfig,
-    beams: list[BeamSeries],
+    clients: list[ClientState],
     window_hours: int = 5,
     train_fraction: float = 0.8,
     *,
     cpus: int | None = None,
 ) -> ExperimentReport:
-    """Full FedAvg run: build clients, train for rounds, report.
-
-    The rounds share one ``Helpers`` over the run's clients, so a round
-    spreads over ``cpus`` processes, by default one per usable CPU (see the
-    module docstring); every helper has exited when this returns or raises.
-    The clients copy what they read of ``beams``, and the run keeps no
-    reference to the list once they are built, so a caller that does not
-    keep it either frees the raw series before round 1 (and before any
-    helper is forked).  The caller's list is never changed.
-    """
-    if not beams:
-        raise ConfigurationError("run_experiment needs at least one beam")
+    """Full FedAvg run over ``clients``, built by ``build_clients`` with
+    ``window_hours`` and ``train_fraction``: train for rounds, report.  The
+    rounds share one ``Helpers`` over the clients, so a round spreads over
+    ``cpus`` processes, by default one per usable CPU (see the module
+    docstring); every helper has exited when this returns or raises."""
     check_model_fits_data(model_config, window_hours)
-    clients = [build_client(b, window_hours, train_fraction) for b in beams]
-    del beams  # the clients hold copies of what the rounds read (see above)
-    ids = [c.client_id for c in clients]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError(f"duplicate beam ids: {sorted(ids)}")
-
     template = build_model(model_config, fed_config.seed)
     global_weights = export_weights(template)
     digest = dataset_digest(clients)
@@ -734,7 +737,7 @@ def run_experiment(
         data_config={
             "window_hours": window_hours,
             "train_fraction": train_fraction,
-            "beam_ids": sorted(ids),
+            "beam_ids": sorted(c.client_id for c in clients),
         },
         dataset_digest=digest,
         rounds=tuple(reports),

@@ -30,6 +30,7 @@ from fedbeam.federation import (
     FederationConfig,
     aggregate,
     build_client,
+    build_clients,
     run_experiment,
 )
 from fedbeam.layers import (
@@ -354,14 +355,15 @@ def test_criterion7_comparative_tendency(protocol_run, capsys):
             float(comparison["meta"]["final_avg_test_loss_fed_mlp"]),
         )
     ]
-    beams = [
-        generate_synthetic(PAPER_DATA["synthetic"]["seed"], 743, p)
-        for p in default_profiles(4)
-    ]
+    clients = build_clients(
+        [generate_synthetic(PAPER_DATA["synthetic"]["seed"], 743, p) for p in default_profiles(4)],
+        5,
+        0.8,
+    )
     for seed in range(1, 5):
         fed = FederationConfig(**{**PAPER_FEDERATION, "seed": seed})
-        kan = run_experiment(ModelConfig.fed_kan(), fed, beams)
-        mlp = run_experiment(ModelConfig.fed_mlp(), fed, beams)
+        kan = run_experiment(ModelConfig.fed_kan(), fed, clients)
+        mlp = run_experiment(ModelConfig.fed_mlp(), fed, clients)
         results.append((seed, kan.final_avg_test_loss, mlp.final_avg_test_loss))
 
     wins = sum(1 for _, kan_loss, mlp_loss in results if kan_loss <= mlp_loss)

@@ -319,8 +319,9 @@ def test_a_train_run_calls_run_round_here_with_arguments_bound_by_name(tmp_path,
     assert len(participants) == 3 and participants[0] == ("beam-02", "beam-03")
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("cpus", [1, pytest.param(3, marks=needs_fork)])
-def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch, cpus):
+def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch, cpus, command):
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: cpus)
     series: list[weakref.ref] = []
     alive = []
@@ -348,7 +349,8 @@ def test_a_train_run_lets_the_raw_series_go_before_round_1(tmp_path, monkeypatch
     )
     monkeypatch.setattr(fedbeam.cli, "_load_beams", watched_load_beams)
     monkeypatch.setattr(fedbeam.federation, "run_round", watched_run_round)
-    assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    # A compare run reads its beams once, for both models.
+    assert main([command, "--config", str(cfg_path)]) == EXIT_OK
     assert len(series) == 9 and alive == [0]
 
 
@@ -563,14 +565,18 @@ def test_beam_files_are_cut_into_runs_by_size():
     assert runs([1, 1, 1, 1, 4], 2) == [range(0, 4), range(4, 5)]
     assert runs([7, 0, 3], 1) == [range(0, 3)]
     assert runs([0, 0, 0], 2) == [range(0, 1), range(1, 3)]
+    # Cut only where the sizes first reach j / k, these give 3 runs on 4 CPUs and 4 on 5.
+    uneven = [16640, 9616, 14235, 11505, 19002]
+    assert runs(uneven, 4) == [range(0, 2), range(2, 3), range(3, 4), range(4, 5)]
+    assert runs(uneven, 5) == [range(i, i + 1) for i in range(5)]
 
 
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40), st.integers(1, 8))
 def test_runs_of_beam_files_are_contiguous_non_empty_and_balanced(sizes, count):
     runs = fedbeam.cli._balanced_runs(sizes, count)
     assert [i for run in runs for i in run] == list(range(len(sizes)))
-    assert 1 <= len(runs) <= count and all(len(run) > 0 for run in runs)
     k = min(count, len(sizes))
+    assert len(runs) == k and all(len(run) > 0 for run in runs)
     # No run holds more than total / k bytes plus the largest file.
     for run in runs:
         assert sum(sizes[i] for i in run) * k <= sum(sizes) + max(sizes) * k

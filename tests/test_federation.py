@@ -33,6 +33,7 @@ from fedbeam.federation import (
     Helpers,
     aggregate,
     build_client,
+    build_clients,
     dataset_digest,
     deal_experiments,
     evaluate_global,
@@ -645,7 +646,7 @@ def test_layer_zero_training_planes_are_built_once_per_round(monkeypatch, epochs
     monkeypatch.setattr(fedbeam.federation, "local_train", recording_local_train)
     # The stubs record in this process only, so no share may go to a helper.
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 1)
-    report = run_experiment(ModelConfig.fed_kan(), fed, beams)
+    report = run_experiment(ModelConfig.fed_kan(), fed, clients)
     assert len(report.rounds) == 3 and all(len(r.participants) == 4 for r in report.rounds)
     # In training, layer 0 is the only spline layer evaluated without derivatives.
     layer0 = [x for x, derivative in calls if not derivative]
@@ -802,9 +803,9 @@ def test_run_experiment_rounds_one_composes_run_round():
     beams = [generate_synthetic(3, 80, p) for p in profiles]
     cfg = ModelConfig.fed_kan()
     fed = dataclasses.replace(FAST_FED, rounds=1)
-    report = run_experiment(cfg, fed, beams)
+    clients = build_clients(beams, 5, 0.8)
+    report = run_experiment(cfg, fed, clients)
 
-    clients = [build_client(b, 5, 0.8) for b in beams]
     template = build_model(cfg, seed=fed.seed)
     weights = export_weights(template)
     manual_weights, manual_round = run_round(weights, clients, template, fed, 1)
@@ -817,40 +818,33 @@ def test_run_experiment_is_deterministic():
     profiles = default_profiles(2)
     beams = [generate_synthetic(3, 80, p) for p in profiles]
     cfg = ModelConfig.fed_kan()
-    a = run_experiment(cfg, FAST_FED, beams)
-    b = run_experiment(cfg, FAST_FED, beams)
+    a = run_experiment(cfg, FAST_FED, build_clients(beams, 5, 0.8))
+    b = run_experiment(cfg, FAST_FED, build_clients(beams, 5, 0.8))
     assert a.rounds == b.rounds
     assert np.array_equal(a.final_weights, b.final_weights)
     assert a.dataset_digest == b.dataset_digest
 
 
-def test_run_experiment_lets_the_raw_series_go_before_round_1(monkeypatch):
+def test_build_clients_lets_the_raw_series_go():
     # Given a list its caller does not keep, no series and none of its
-    # arrays is alive when the rounds start: the clients hold copies.
+    # arrays is alive once the clients are built: they hold copies.
     series: list[weakref.ref] = []
-    alive = []
-    run_round = fedbeam.federation.run_round
-
-    def watched(*args, **kwargs):
-        if not alive:
-            alive.append(sum(ref() is not None for ref in series))
-        return run_round(*args, **kwargs)
 
     def beams() -> list[BeamSeries]:
         made = [generate_synthetic(3, 80, p) for p in default_profiles(3)]
         series.extend(weakref.ref(x) for b in made for x in (b, b.hourly_volumes, b.hourly_shares))
         return made
 
-    monkeypatch.setattr(fedbeam.federation, "run_round", watched)
-    run_experiment(ModelConfig.fed_mlp(), dataclasses.replace(FAST_FED, rounds=1), beams())
-    assert len(series) == 9 and alive == [0]
+    clients = build_clients(beams(), 5, 0.8)
+    assert len(clients) == 3 and len(series) == 9
+    assert sum(ref() is not None for ref in series) == 0
 
 
 def test_run_experiment_layout_is_conserved():
     profiles = default_profiles(2)
     beams = [generate_synthetic(3, 80, p) for p in profiles]
     cfg = ModelConfig.fed_mlp()
-    report = run_experiment(cfg, FAST_FED, beams)
+    report = run_experiment(cfg, FAST_FED, build_clients(beams, 5, 0.8))
     template = build_model(cfg, seed=FAST_FED.seed)
     # The final weights are a read-only vector in the template's layout.
     assert report.final_weights.shape == template.weights.shape
@@ -860,16 +854,18 @@ def test_run_experiment_layout_is_conserved():
 
 def test_run_experiment_rejects_mismatched_window():
     profiles = default_profiles(1)
-    beams = [generate_synthetic(3, 80, p) for p in profiles]
+    clients = build_clients([generate_synthetic(3, 80, p) for p in profiles], 5, 0.8)
     with pytest.raises(ConfigurationError):
-        run_experiment(ModelConfig.fed_kan(), FAST_FED, beams, window_hours=4)
+        run_experiment(ModelConfig.fed_kan(), FAST_FED, clients, window_hours=4)
 
 
-def test_run_experiment_rejects_duplicate_beam_ids():
+def test_build_clients_rejects_empty_and_duplicate_beam_ids():
     profile = default_profiles(1)[0]
     beams = [generate_synthetic(3, 80, profile), generate_synthetic(4, 80, profile)]
-    with pytest.raises(ConfigurationError):
-        run_experiment(ModelConfig.fed_kan(), FAST_FED, beams)
+    with pytest.raises(ConfigurationError, match="duplicate beam ids"):
+        build_clients(beams, 5, 0.8)
+    with pytest.raises(ConfigurationError, match="at least one beam"):
+        build_clients([], 5, 0.8)
 
 
 def test_dataset_digest_tracks_content():
@@ -940,7 +936,7 @@ def test_a_run_is_byte_identical_on_any_number_of_cpus(monkeypatch, shape, make)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
         shares.clear()
-        report = run_experiment(make(), fed, beams)
+        report = run_experiment(make(), fed, build_clients(beams, 5, 0.8))
         outputs.add((render_experiment_csv(report), report.final_weights.tobytes()))
         # Every process took a share of some round.
         assert max(shares, default=1) == cpus
@@ -1033,10 +1029,10 @@ def test_a_report_keeps_its_weights_read_only_across_processes(monkeypatch):
     # compare's second model trains in a forked process, and its report
     # crosses a pipe; a pickle below protocol 5 gives back writeable arrays.
     monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda: 2)
-    beams = [generate_synthetic(3, 80, p) for p in default_profiles(2)]
+    clients = build_clients([generate_synthetic(3, 80, p) for p in default_profiles(2)], 5, 0.8)
     fed = dataclasses.replace(FAST_FED, rounds=1)
     reports = deal_experiments(
-        lambda k, cpus: run_experiment(ModelConfig.fed_mlp(), fed, beams, cpus=cpus), 2
+        lambda k, cpus: run_experiment(ModelConfig.fed_mlp(), fed, clients, cpus=cpus), 2
     )
     assert has_no_child()
     assert reports[0].final_weights.tobytes() == reports[1].final_weights.tobytes()
@@ -1074,7 +1070,7 @@ def test_no_helper_outlives_a_run_that_fails(monkeypatch):
     monkeypatch.setattr(fedbeam.federation, "build_client", build_client_poisoned)
     beams = [generate_synthetic(3, 80, p) for p in default_profiles(3)]
     with pytest.raises(NumericsError, match="'beam-03'"):
-        run_experiment(ModelConfig.fed_mlp(), FAST_FED, beams)
+        run_experiment(ModelConfig.fed_mlp(), FAST_FED, build_clients(beams, 5, 0.8))
     assert has_no_child()
 
 
