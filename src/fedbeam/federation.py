@@ -90,7 +90,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .layers import KanLayerParams, dropout_scale, kan_plane
+from .layers import dropout_scale, kan_plane
 from .model import (
     Model,
     ModelConfig,
@@ -433,8 +433,8 @@ def local_train(
     # block, its layer-0 plane, written there directly) and one of targets.
     if epochs > 1:
         layer0 = template.blocks[0]
-        spline_first = isinstance(layer0, KanLayerParams)
-        width = layer0.plane_width if spline_first else template.config.input_width
+        spline_first = template.splines[0]
+        width = template.plane_width if spline_first else template.config.input_width
         sources = np.empty((len(rows), counts[0], width))
         targets = np.empty((len(rows), counts[0], template.config.output_width))
         for r, client in enumerate(rows):

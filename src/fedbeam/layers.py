@@ -12,7 +12,9 @@ A hidden affine layer's ReLU and dropout are one elementwise mask
 (``relu`` with a dropout ``scale``), whose product gives the same bits as
 the two applied in turn.
 All arithmetic is float64 and every backward consumes the cache produced by
-the matching forward.  A backward writes its parameter gradients with
+the matching forward.  Each layer checks its arguments itself, with one
+compare of shapes read from its parameters' arrays, so a model's pass
+does not check them again.  A backward writes its parameter gradients with
 ``out=`` into the arrays it is given (in training, a gradient model's
 views of the gradient buffer, so no copy follows) and returns only the
 input gradient; a view's bits are those of a new array.
@@ -27,7 +29,7 @@ bitwise equal to running client ``c`` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,11 +45,19 @@ class KanLayerParams:
     of each input's group is its base weight (the ``silu`` term), slots
     1..num_bases its spline coefficients, so the block flattens to the
     (in_width * (num_bases + 1), out_width) matrix of the forward product
-    as a view.
+    as a view.  That view, ``block``, is taken once, when the parameters
+    are built, so ``weights`` must reshape to it without a copy, as a
+    model's segment views and every C-contiguous array do: a copy would
+    not see the weights change in place.
     """
 
     weights: np.ndarray
     grid: SplineGrid
+    block: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        w = self.weights
+        object.__setattr__(self, "block", w.reshape(*w.shape[:-3], -1, w.shape[-1]))
 
     @classmethod
     def initialized(
@@ -135,20 +145,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, e, out=e)
 
 
-def _check_inputs(inputs: np.ndarray, in_width: int) -> None:
-    if inputs.ndim < 2 or inputs.shape[-1] != in_width:
-        raise ContractViolationError(
-            f"expected inputs of shape (..., batch, {in_width}), got {inputs.shape}"
-        )
+# Each layer checks its arguments inline, with one compare of shapes; these
+# build the error once a check has failed.
+def _inputs_error(inputs: np.ndarray, in_width: int) -> ContractViolationError:
+    return ContractViolationError(
+        f"expected inputs of shape (..., batch, {in_width}), got {inputs.shape}"
+    )
 
 
-def _check_upstream(upstream: np.ndarray, cached: np.ndarray, out_width: int) -> None:
-    """``cached`` is the layer's inputs or plane: its rows are the output's rows."""
-    expected = (*cached.shape[:-1], out_width)
-    if upstream.shape != expected:
-        raise ContractViolationError(
-            f"upstream shape {upstream.shape} does not match layer output {expected}"
-        )
+def _upstream_error(upstream: np.ndarray, expected: tuple) -> ContractViolationError:
+    return ContractViolationError(
+        f"upstream shape {upstream.shape} does not match layer output {expected}"
+    )
 
 
 def kan_plane(
@@ -165,7 +173,8 @@ def kan_plane(
     its bases after it.  With ``derivative`` the second result holds the
     derivative terms: the ``(order + 1, n)`` basis derivatives of the n
     inputs, in the plane's order, with their flat positions in the plane
-    (see ``basis_and_derivative``), and ``silu'(x)`` in the inputs' shape.
+    (see ``basis_and_derivative``), and ``silu'(x)`` of the n inputs in the
+    same order.
     Otherwise it is None and no derivative is computed.  The plane depends
     on the inputs and the grid alone, and each row's bits on that row
     alone, so a plane built once over fixed features serves every batch
@@ -181,12 +190,13 @@ def kan_plane(
                 f"got {out.shape}"
             )
         out = out.reshape(-1, slots)
-    plane, dterms = basis_and_derivative(inputs.reshape(-1), grid, derivative, 1, out)
-    sig = sigmoid(inputs)
-    np.multiply(inputs, sig, out=plane.reshape(*inputs.shape, slots)[..., 0])
+    x = inputs.reshape(-1)
+    plane, dterms = basis_and_derivative(x, grid, derivative, 1, out)
+    sig = sigmoid(x)
+    np.multiply(x, sig, out=plane[:, 0])
     if dterms is not None:
         # d silu(x) / dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-        dterms = (*dterms, sig * (1.0 + inputs * (1.0 - sig)))
+        dterms = (*dterms, sig * (1.0 + x * (1.0 - sig)))
     return plane.reshape(*inputs.shape[:-1], -1), dterms
 
 
@@ -200,9 +210,7 @@ def kan_product(
     without derivatives) gives a backward pass that yields the weight
     gradient only.
     """
-    w = params.weights
-    out = plane @ w.reshape(*w.shape[:-3], -1, w.shape[-1])
-    return out, {"plane": plane, "dterms": dterms}
+    return plane @ params.block, {"plane": plane, "dterms": dterms}
 
 
 def kan_layer_forward(
@@ -216,7 +224,8 @@ def kan_layer_forward(
     backward pass over it yields the weight gradient only, for a layer
     whose input gradient nobody reads.
     """
-    _check_inputs(inputs, params.in_width)
+    if inputs.ndim < 2 or inputs.shape[-1] != params.weights.shape[-3]:
+        raise _inputs_error(inputs, params.in_width)
     plane, dterms = kan_plane(inputs, params.grid, derivative)
     return kan_product(plane, params, dterms)
 
@@ -236,34 +245,36 @@ def kan_layer_backward(
     The inputs' gradient reads the plane's gradient ``G = upstream @
     block.T`` at each input's order + 1 basis positions and its ``silu``
     slot only.  Each input's sum runs in one fixed order: the basis terms
-    ``G * B'`` from the first nonzero basis to the last, then ``G * silu'``.
-    A point's bits therefore do not depend on the other points, stacked
-    clients included.
+    ``G * B'`` from the first nonzero basis to the last (one reduce over
+    the terms' first axis, which adds its rows in turn), then
+    ``G * silu'``.  A point's bits therefore do not depend on the other
+    points, stacked clients included.
     """
     plane = cache["plane"]
-    _check_upstream(upstream, plane, params.out_width)
-    w = params.weights
-    flat = w.reshape(*w.shape[:-3], -1, w.shape[-1])
-    np.matmul(plane.swapaxes(-1, -2), upstream, out=d_weights.reshape(flat.shape))
+    block = params.block
+    expected = plane.shape[:-1] + block.shape[-1:]
+    if upstream.shape != expected:
+        raise _upstream_error(upstream, expected)
+    np.matmul(plane.swapaxes(-1, -2), upstream, out=d_weights.reshape(block.shape))
     dterms = cache["dterms"]
     if dterms is None:
         return None
     pieces, index, dsilu = dterms
-    d_plane = upstream @ flat.swapaxes(-1, -2)
-    terms = np.take(d_plane, index)
+    d_plane = upstream @ block.swapaxes(-1, -2)
+    terms = d_plane.take(index)
     terms *= pieces
-    d_inputs = terms[0]
-    for term in terms[1:]:
-        d_inputs += term
-    d_inputs += dsilu.reshape(-1) * d_plane.reshape(dsilu.size, -1)[:, 0]
-    return d_inputs.reshape(dsilu.shape)
+    d_inputs = np.add.reduce(terms, axis=0)
+    d_inputs += dsilu * d_plane.reshape(dsilu.size, -1)[:, 0]
+    return d_inputs.reshape(*expected[:-1], -1)
 
 
 def linear_forward(
     inputs: np.ndarray, params: LinearLayerParams
 ) -> tuple[np.ndarray, dict]:
-    _check_inputs(inputs, params.in_width)
-    out = inputs @ params.weights.swapaxes(-1, -2) + params.biases[..., None, :]
+    if inputs.ndim < 2 or inputs.shape[-1] != params.weights.shape[-1]:
+        raise _inputs_error(inputs, params.in_width)
+    out = inputs @ params.weights.swapaxes(-1, -2)
+    out += params.biases[..., None, :]
     return out, {"inputs": inputs}
 
 
@@ -281,7 +292,9 @@ def linear_backward(
     ``input_grad`` is False.
     """
     x = cache["inputs"]
-    _check_upstream(upstream, x, params.out_width)
+    expected = x.shape[:-1] + params.biases.shape[-1:]
+    if upstream.shape != expected:
+        raise _upstream_error(upstream, expected)
     np.matmul(upstream.swapaxes(-1, -2), x, out=d_weights)
     np.add.reduce(upstream, axis=-2, out=d_biases)
     return upstream @ params.weights if input_grad else None

@@ -23,9 +23,14 @@ optimizer clips and steps gradient and weight rows as flat vectors.
 
 A ``ModelConfig`` is checked when it is built, so every config that exists
 is valid.  ``build_model`` is the only step that plans: it lays out the
-blocks and builds the spline grid.  Every later model is the built
-one re-viewed over a new buffer (``with_weights``): the same blocks and
-grids, only the arrays they view change.
+blocks, builds the spline grid and records what a pass checks (the first
+block's plane width, the dropout-layer count, each block's kind).  Every
+later model is the built one re-viewed over a new buffer
+(``with_weights``): the same blocks, grids and records, only the arrays
+they view change.  So a pass checks its batch and masks with a few
+compares against those records, and each layer checks its own arguments
+with one compare of shapes (see ``fedbeam.layers``); a step rebuilds no
+list to do it.
 
 The model draws no dropout masks: a training pass is given them
 (``forward_with_caches``), and the evaluation pass (``forward``) applies
@@ -40,7 +45,7 @@ row, and is how the federation trains a round's clients in lockstep.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -217,13 +222,20 @@ class Model:
     """A built network: config, flat weight buffer, and blocks viewing it.
 
     ``weights`` is ``(parameters,)`` for one model or ``(clients,
-    parameters)`` for a stack of models.
+    parameters)`` for a stack of models.  ``build_model`` also records
+    what every pass checks or branches on, so a pass reads it instead of
+    working it out again: whether each block is a spline block, the
+    first block's plane width (None unless it is one) and the number of
+    dropout layers.
     """
 
     config: ModelConfig
     blocks: tuple[Block, ...]
     weights: np.ndarray
     layout: Layout
+    splines: tuple[bool, ...]
+    plane_width: int | None
+    dropout_layers: int
 
 
 def with_weights(model: Model, weights: np.ndarray) -> Model:
@@ -238,13 +250,13 @@ def with_weights(model: Model, weights: np.ndarray) -> Model:
             f"{model.weights.shape[-1]} parameters per row"
         )
     views = iter(_segment_views(model.layout, weights))
-    blocks = [
+    blocks = tuple(
         KanLayerParams(next(views), block.grid)
-        if isinstance(block, KanLayerParams)
+        if spline
         else LinearLayerParams(next(views), next(views))
-        for block in model.blocks
-    ]
-    return Model(model.config, tuple(blocks), weights, model.layout)
+        for block, spline in zip(model.blocks, model.splines)
+    )
+    return replace(model, blocks=blocks, weights=weights)
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
@@ -264,14 +276,19 @@ def build_model(config: ModelConfig, seed: int) -> Model:
         blocks.append(params)
     weights = np.concatenate([a.reshape(-1) for a in arrays])
     layout = _plan_layout(plan, grid.num_bases)
+    splines = tuple(kind == "kan" for kind, _, _ in plan)
+    plane_width = blocks[0].plane_width if splines[0] else None
+    # Dropout follows every affine block but the last.
+    dropout_layers = splines[:-1].count(False)
+    model = Model(config, tuple(blocks), weights, layout, splines, plane_width, dropout_layers)
     # The initial blocks hold the drawn arrays; re-view them over the buffer.
-    return with_weights(Model(config, tuple(blocks), weights, layout), weights)
+    return with_weights(model, weights)
 
 
 def dropout_widths(model: Model) -> list[int]:
     """Widths of the blocks whose outputs pass through dropout, in order:
     every affine block but the last."""
-    return [b.out_width for b in model.blocks[:-1] if isinstance(b, LinearLayerParams)]
+    return [b.out_width for b, spline in zip(model.blocks[:-1], model.splines) if not spline]
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -323,23 +340,24 @@ def _forward(
     """
     lead = model.weights.shape[:-1]
     width = model.config.input_width
-    first = model.blocks[0]
-    plane_width = first.plane_width if isinstance(first, KanLayerParams) else None
-    shaped = batch.ndim == len(lead) + 2 and batch.shape[:-2] == lead
-    if not shaped or batch.shape[-1] not in (width, plane_width):
+    if (
+        batch.ndim != len(lead) + 2
+        or batch.shape[:-2] != lead
+        or batch.shape[-1] not in (width, model.plane_width)
+    ):
         raise ContractViolationError(
             f"expected batch of shape {(*lead, 'n', width)}, got {batch.shape}"
         )
-    if masks is not None:
-        layers = len(dropout_widths(model))
-        if len(masks) != layers:
-            raise ContractViolationError(f"{len(masks)} dropout masks for {layers} dropout layers")
+    if masks is not None and len(masks) != model.dropout_layers:
+        raise ContractViolationError(
+            f"{len(masks)} dropout masks for {model.dropout_layers} dropout layers"
+        )
     ahead = iter(() if masks is None else masks)
     x = np.asarray(batch, dtype=np.float64)
     last = len(model.blocks) - 1
     for i, block in enumerate(model.blocks):
-        if isinstance(block, KanLayerParams):
-            if i == 0 and x.shape[-1] == plane_width:
+        if model.splines[i]:
+            if i == 0 and x.shape[-1] == model.plane_width:
                 x, cache = kan_product(x, block)
             else:
                 derivative = caches is not None and i > 0
@@ -382,7 +400,7 @@ def model_backward(model: Model, caches: list[dict], upstream: np.ndarray, grads
     u = upstream
     for i in range(len(model.blocks) - 1, -1, -1):
         block, grad, entry = model.blocks[i], grads.blocks[i], caches[i]
-        if isinstance(block, KanLayerParams):
+        if model.splines[i]:
             u = kan_layer_backward(u, block, entry["layer"], grad.weights)
         else:
             if entry["mask"] is not None:

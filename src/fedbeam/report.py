@@ -156,10 +156,6 @@ def render_comparison_csv(
     return "\n".join(lines)
 
 
-def parse_comparison_csv(text: str) -> dict:
-    return _parse_report(text, _COMPARISON_MAGIC, "comparison report", "comparison", [])
-
-
 def summary_table(kan_report: ExperimentReport, mlp_report: ExperimentReport) -> str:
     """Human-readable comparison block printed by the CLI."""
     kan_params = count_parameters(kan_report.model_config)

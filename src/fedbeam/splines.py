@@ -15,7 +15,8 @@ coefficients come from the truncated-power form of the cardinal B-spline.
 The last real interval is closed, so ``range_max`` and every input clamped
 there get a full set of bases.  Everything that depends on the order alone
 (the coefficient blocks and row offsets) is built once per order and
-cached.
+cached, and everything that depends on the grid (its spacing and knots)
+once per grid, when it is built.
 
 The powers of ``u`` are taken by repeated multiplication, ``u**p`` as
 ``u**(p-1) * u``: at order 3 and n = 7,680 that took 10 us against 40 us
@@ -54,17 +55,25 @@ from .errors import ConfigurationError, ContractViolationError
 class SplineGrid:
     """Extended uniform knot grid for B-splines on [range_min, range_max].
 
-    A grid is its four numbers.  They are checked, and the read-only knots
-    derived from them, once, when the grid is built, so a grid that exists
-    is well-formed.  Grids compare and hash by identity: an array field has
-    no single truth value.
+    A grid is its four numbers.  They are checked, and everything an
+    evaluation reads derived from them (the basis count, the spacing, and
+    the read-only knots with their real and interior runs), once, when the
+    grid is built, so a grid that exists is well-formed and an evaluation
+    reads its constants as plain attributes.  Grids compare and hash by
+    identity: an array field has no single truth value.
     """
 
     range_min: float
     range_max: float
     intervals: int
     order: int
+    num_bases: int = field(init=False)
+    spacing: float = field(init=False)
     knots: np.ndarray = field(init=False)
+    # knots[order : order + intervals + 1], the ends of the real intervals,
+    # and the interior ones among them, all but the first and the last.
+    real_knots: np.ndarray = field(init=False, repr=False)
+    interior_knots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.intervals < 1:
@@ -75,11 +84,20 @@ class SplineGrid:
             raise ConfigurationError(
                 f"grid range is empty: [{self.range_min}, {self.range_max}]"
             )
-        knots = self.range_min + self.spacing * np.arange(
+        spacing = (self.range_max - self.range_min) / self.intervals
+        knots = self.range_min + spacing * np.arange(
             -self.order, self.intervals + self.order + 1, dtype=np.float64
         )
         knots.flags.writeable = False
-        object.__setattr__(self, "knots", knots)
+        real = knots[self.order : self.order + self.intervals + 1]
+        for name, value in (
+            ("num_bases", self.intervals + self.order),
+            ("spacing", spacing),
+            ("knots", knots),
+            ("real_knots", real),
+            ("interior_knots", real[1:-1]),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def uniform(
@@ -91,14 +109,6 @@ class SplineGrid:
     ) -> "SplineGrid":
         """Build the canonical evenly spaced grid for the given resolution."""
         return cls(range_min, range_max, intervals, order)
-
-    @property
-    def num_bases(self) -> int:
-        return self.intervals + self.order
-
-    @property
-    def spacing(self) -> float:
-        return (self.range_max - self.range_min) / self.intervals
 
 
 # The piece matrix divides by order!, and 171! overflows a float64.
@@ -201,21 +211,22 @@ def basis_and_derivative(
         )
     xc = np.minimum(np.maximum(x, grid.range_min), grid.range_max)
     # Interval s (counted from the first real knot) holds
-    # knots[k + s] <= xc < knots[k + s + 1]; range_max joins the last one.
-    real = grid.knots[k : k + grid.intervals]
-    s = real[1:].searchsorted(xc, side="right")
-    u = (xc - real[s]) / grid.spacing
+    # real_knots[s] <= xc < real_knots[s + 1]; range_max joins the last one.
+    s = grid.interior_knots.searchsorted(xc, side="right")
 
-    # powers[p] = powers[p - 1] * u (row 1 is a slice: an order-0 grid has
-    # none).  A lone point gets a second, equal column: a one-column product
-    # goes to gemv, which can round differently from the gemm that every
-    # other n takes.
-    columns = 2 if n == 1 else n
-    powers = np.empty((k + 1, columns))
+    # powers[p] = powers[p - 1] * u, with u written straight into row 1 (an
+    # order-0 grid has no row 1 and reads no u).  A lone point gets a
+    # second, equal column, broadcast into it: a one-column product goes to
+    # gemv, which can round differently from the gemm that every other n
+    # takes.
+    powers = np.empty((k + 1, 2 if n == 1 else n))
     powers[0] = 1.0
-    powers[1:2] = u
-    for p in range(2, k + 1):
-        np.multiply(powers[p - 1], powers[1], out=powers[p])
+    if k:
+        u = powers[1]
+        np.subtract(xc, grid.real_knots[s], out=u)
+        u /= grid.spacing
+        for p in range(2, k + 1):
+            np.multiply(powers[p - 1], u, out=powers[p])
     # Row r of a piece product is the r-th nonzero basis of every point; it
     # lands on basis s + r of that point's row, after the row's pad slots.
     s += np.arange(pad, n * width, width)

@@ -11,6 +11,7 @@ import numpy as np
 
 import fedbeam
 from fedbeam.optim import AdamState
+from fedbeam.report import _COMPARISON_MAGIC, _parse_report
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
 
@@ -39,6 +40,11 @@ def dense_derivative(shape: tuple[int, ...], terms: tuple) -> np.ndarray:
     for dsilu in silu:
         dense.reshape(*dsilu.shape, -1)[..., 0] = dsilu
     return dense
+
+
+def parse_comparison_csv(text: str) -> dict:
+    """A comparison CSV read back: its metadata and its numeric table."""
+    return _parse_report(text, _COMPARISON_MAGIC, "comparison report", "comparison", [])
 
 
 def initial_adam_state(

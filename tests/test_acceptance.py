@@ -50,11 +50,11 @@ from fedbeam.model import (
     with_weights,
 )
 from fedbeam.optim import mse_loss
-from fedbeam.report import parse_comparison_csv, parse_experiment_csv
+from fedbeam.report import parse_experiment_csv
 from fedbeam.splines import SplineGrid
 
 from gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
-from helpers import basis_matrix
+from helpers import basis_matrix, parse_comparison_csv
 
 REL_TOL_GRADIENT = 1e-4
 PARTITION_TOL = 1e-9

@@ -25,13 +25,9 @@ import fedbeam.federation
 from fedbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedbeam.data import default_profiles, generate_synthetic, render_csv
 from fedbeam.errors import IngestionError, NumericsError
-from fedbeam.report import (
-    loss_reduction_percent,
-    parse_comparison_csv,
-    parse_experiment_csv,
-)
+from fedbeam.report import loss_reduction_percent, parse_experiment_csv
 
-from helpers import has_no_child, run_python
+from helpers import has_no_child, parse_comparison_csv, run_python
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
 

@@ -6,6 +6,7 @@ import itertools
 import os
 import pickle
 import signal
+import sys
 import time
 import tracemalloc
 import weakref
@@ -287,6 +288,44 @@ def test_no_array_of_a_step_is_alive_when_the_next_forward_starts(monkeypatch, c
     local_train(clients, template, export_weights(template), fed, rngs)
     assert len(previous) > 5 and len(alive) > 2
     assert alive == [0] * len(alive)
+
+
+@pytest.mark.parametrize(
+    "cfg, bound",
+    [
+        pytest.param(ModelConfig.fed_kan(), 44, id="kan"),
+        pytest.param(ModelConfig.fed_mlp(), 34, id="mlp"),
+    ],
+)
+def test_a_training_step_makes_few_python_calls(cfg, bound):
+    # Python-level calls (``sys.setprofile`` "call" events, which miss
+    # builtins and ufuncs) per step of a one-epoch local_train over two
+    # protocol clients, its set-up included.  The bounds are the counts of
+    # a step that carries only its layers' math, so a shape check or a
+    # property read that creeps back into the step fails here.
+    clients = small_clients(2, hours=743)
+    template = build_model(cfg, seed=5)
+    weights = export_weights(template)
+    fed = dataclasses.replace(FAST_FED, local_epochs=1)
+    counts = sorted((c.sample_count for c in clients), reverse=True)
+    steps = sum(1 for _ in _lockstep_calls(counts, 1, fed.batch_size))
+    assert steps == 37
+    # A first call fills the per-order caches, whose building is no step's.
+    local_train(clients, template, weights, fed, [np.random.default_rng(0)] * 2)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        local_train(clients, template, weights, fed, rngs)
+    finally:
+        sys.setprofile(previous)
+    assert calls / steps <= bound
 
 
 def test_federation_config_validation():

@@ -201,6 +201,38 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     assert d_weights_v.tobytes() == d_weights.tobytes()
 
 
+@pytest.mark.parametrize("order", range(5))
+def test_each_input_gradient_sums_its_terms_in_the_documented_order(order):
+    # Stacked inputs, some on knots and some clamped on either side.  Each
+    # point's gradient must be, bit for bit, its order + 1 basis terms
+    # G * B' added from the first nonzero basis to the last, then G * silu'.
+    grid = SplineGrid.uniform(5, order)
+    rng = np.random.default_rng(60 + order)
+    clients, batch, in_width, out_width = 3, 6, 4, 3
+    slots = grid.num_bases + 1
+    params = KanLayerParams(rng.standard_normal((clients, in_width, slots, out_width)), grid)
+    x = rng.uniform(-1.0, 1.0, (clients, batch, in_width))
+    flat = x.reshape(-1)
+    flat[: grid.knots.size] = grid.knots
+    flat[-4:] = [-1.7, 1.7, -1.0, 1.0]
+    upstream = rng.standard_normal((clients, batch, out_width))
+    _, cache = kan_layer_forward(x, params)
+    d_in, _ = kan_grads(upstream, params, cache)
+
+    pieces, index, dsilu = cache["dterms"]
+    # Row r holds each point's r-th nonzero basis: consecutive slots.
+    assert (np.diff(index, axis=0) == 1).all()
+    block = params.weights.reshape(clients, in_width * slots, out_width)
+    d_plane = (upstream @ block.swapaxes(-1, -2)).reshape(-1)
+    expected = np.empty(flat.size)
+    for j in range(flat.size):
+        total = d_plane[index[0, j]] * pieces[0, j]
+        for r in range(1, order + 1):
+            total = total + d_plane[index[r, j]] * pieces[r, j]
+        expected[j] = total + d_plane[j * slots] * dsilu[j]
+    assert d_in.tobytes() == expected.reshape(x.shape).tobytes()
+
+
 def test_linear_identity():
     params = LinearLayerParams(weights=np.eye(3), biases=np.zeros(3))
     x = np.random.default_rng(2).standard_normal((4, 3))

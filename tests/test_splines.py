@@ -64,8 +64,13 @@ def test_uniform_grid_shape():
     g = SplineGrid.uniform(5, 3)
     assert g.knots.shape == (5 + 2 * 3 + 1,)
     assert g.num_bases == 8
+    assert g.spacing == 2.0 / 5
     assert g.knots[3] == pytest.approx(-1.0)
     assert g.knots[-4] == pytest.approx(1.0)
+    # The real knots run from range_min to range_max; the interior ones
+    # leave out both ends.
+    assert g.real_knots.tobytes() == g.knots[3:9].tobytes()
+    assert g.interior_knots.tobytes() == g.knots[4:8].tobytes()
 
 
 def test_uniform_grid_rejects_bad_settings():
@@ -248,12 +253,18 @@ def test_values_only_evaluation_is_bitwise_the_full_one(order, intervals, lo, hi
 
 @pytest.mark.parametrize("order", range(16))
 def test_a_lone_point_gets_the_bits_it_gets_among_others(order):
+    # A lone point's product runs over a second, equal column of powers (see
+    # basis_and_derivative); its row must be the one it gets in a batch of
+    # two or three, with or without a leading free slot.
     g = SplineGrid.uniform(5, order)
     rng = np.random.default_rng(order)
     for _ in range(100):
         x = rng.uniform(-1.2, 1.2, 3)
-        lone = basis_and_derivative(x[:1], g)
-        among = basis_and_derivative(x, g)
-        assert lone[0].tobytes() == among[0][:1].tobytes()
-        lone_dense = dense_derivative(lone[0].shape, lone[1])
-        assert lone_dense.tobytes() == dense_derivative(among[0].shape, among[1])[:1].tobytes()
+        for pad in (0, 1):
+            lone = basis_and_derivative(x[:1], g, pad=pad)
+            lone_dense = dense_derivative(lone[0].shape, lone[1])
+            for batch in (x[:2], x):
+                among = basis_and_derivative(batch, g, pad=pad)
+                assert lone[0].tobytes() == among[0][:1].tobytes()
+                among_dense = dense_derivative(among[0].shape, among[1])
+                assert lone_dense.tobytes() == among_dense[:1].tobytes()
