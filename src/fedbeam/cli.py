@@ -160,7 +160,9 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise IngestionError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # past Python's digit limit; RecursionError, arrays nested too deep.
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
@@ -201,11 +203,11 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
 
 
 def _file_size(path: str) -> int:
-    """The size of the file at ``path``, or 0 where it cannot be read (the
-    loader then reports the file)."""
+    """The size of the file at ``path``, or 0 where it cannot be read or
+    the path holds a NUL character (the loader then reports the file)."""
     try:
         return os.path.getsize(path)
-    except OSError:
+    except (OSError, ValueError):
         return 0
 
 
@@ -297,9 +299,13 @@ def _output_dir(config: RunConfig) -> Path:
     any beam is read, so that a directory that cannot take the reports
     fails the run before its work (exit 3)."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryFile(dir=out_dir):
-        pass
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryFile(dir=out_dir):
+            pass
+    except ValueError as exc:
+        # A path with a NUL character.
+        raise IngestionError(f"cannot write to {config.out_dir!r}: {exc}") from exc
     return out_dir
 
 

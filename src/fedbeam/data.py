@@ -12,14 +12,14 @@ dropping rows) keeps the consecutive-timestamp invariant intact.
 
 A loaded beam is two column arrays, volumes and shares, not one object
 per hour: ``load_csv`` hands the data lines to NumPy's C tokenizer in one
-call, then validates whole columns and reports the first offending line.
-The tokenizer reads a subset of the spellings Python's ``int`` and
-``float`` read, to the same values; a file it refuses (``1_000``,
-full-width digits, an empty cell, a short row) is parsed again cell by
-cell with ``int`` and ``float``, so both paths accept the same files and
-every message is worded by the per-cell checks.  Windows are one strided
-view of the volume column, and a client's features are scaled in one
-expression.
+call and checks the columns whole.  A file the tokenizer refuses
+(``1_000``, full-width digits, an empty cell, a short row), or whose
+columns fail a check, is read again line by line by one reader with
+Python's ``int`` and ``float``, which read an accepted cell to the
+tokenizer's value.  Both paths accept the same files, and the reader
+words every message, for the first line that fails.  Windows are one
+strided view of the volume column, and a client's features are scaled in
+one expression.
 """
 
 from __future__ import annotations
@@ -84,21 +84,21 @@ class Scaler:
 _VALUE_COLUMNS = ("downlink", "uplink", *CATEGORIES)
 
 
-def _row_error(path: str, line_no: int, fields: list[str], expected_hour: int) -> str:
-    """The message for the first check a data line fails, in column order.
+def _row_values(path: str, line_no: int, fields: list[str], expected_hour: int) -> list[float]:
+    """One data line's six values, read with ``int`` and ``float``.
 
-    ``fields`` must fail one of them; the share sum is the last check, so
-    a line that passes every other check is reported for its sum.
+    Raises IngestionError at the first check the line fails, in column
+    order; the share sum is the last check.
     """
     where = f"{path} line {line_no}"
     if len(fields) != 7:
-        return f"{where}: expected 7 columns, got {len(fields)}"
+        raise IngestionError(f"{where}: expected 7 columns, got {len(fields)}")
     try:
         hour = int(fields[0])
     except ValueError:
-        return f"{where}: hour is not an integer: {fields[0]!r}"
+        raise IngestionError(f"{where}: hour is not an integer: {fields[0]!r}") from None
     if hour != expected_hour:
-        return (
+        raise IngestionError(
             f"{where}: hour {hour} breaks the 0-based consecutive sequence "
             f"(expected {expected_hour})"
         )
@@ -106,72 +106,68 @@ def _row_error(path: str, line_no: int, fields: list[str], expected_hour: int) -
     for column, raw in zip(_VALUE_COLUMNS, fields[1:]):
         # The volumes are checked before any share is parsed.
         if len(values) == 2 and (values[0] < 0 or values[1] < 0):
-            return f"{where}: volumes must be non-negative"
+            raise IngestionError(f"{where}: volumes must be non-negative")
         try:
             value = float(raw)
         except ValueError:
-            return f"{where}: {column} is not a number: {raw!r}"
+            raise IngestionError(f"{where}: {column} is not a number: {raw!r}") from None
         if not math.isfinite(value):
-            return f"{where}: {column} is not finite: {raw!r}"
+            raise IngestionError(f"{where}: {column} is not finite: {raw!r}")
         values.append(value)
     shares = np.array(values[2:])
     if np.any(shares < -SHARE_SUM_TOLERANCE) or np.any(shares > 1 + SHARE_SUM_TOLERANCE):
-        return f"{where}: shares must lie in [0, 1], got {shares.tolist()}"
+        raise IngestionError(f"{where}: shares must lie in [0, 1], got {shares.tolist()}")
     total = float(np.clip(shares, 0.0, 1.0).sum())
-    return f"{where}: shares sum to {total:.6f}, outside 1 +/- {SHARE_SUM_TOLERANCE}"
-
-
-def _parsed(convert, raw: str, fallback):
-    try:
-        return convert(raw)
-    except ValueError:
-        return fallback
+    if abs(total - 1.0) > SHARE_SUM_TOLERANCE:
+        raise IngestionError(
+            f"{where}: shares sum to {total:.6f}, outside 1 +/- {SHARE_SUM_TOLERANCE}"
+        )
+    return values
 
 
 # One data line as the tokenizer reads it: the hour, then the six values.
 _ROW = np.dtype([("hour", np.int64), ("values", np.float64, (6,))])
 
 
-def _tokenized(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Off-sequence hours ``(n,)`` and values ``(n, 6)`` of the data lines.
+def _tokenized(lines: list[str]) -> np.ndarray:
+    """The ``(n, 6)`` values of data lines that pass every check.
 
-    NumPy's C tokenizer reads every line in one call.  It raises
-    ValueError on a row of the wrong width or a cell it cannot read, and
-    NumPy 1.x reads an hour of ``1.0`` with a DeprecationWarning, raised
-    here as an error because ``int`` refuses that spelling.
+    NumPy's C tokenizer reads every line in one call, and the columns are
+    then checked whole.  Raises ValueError on a row of the wrong width, a
+    cell the tokenizer cannot read or a line that fails a check; NumPy
+    1.x reads an hour of ``1.0`` with a DeprecationWarning, raised here as
+    an error because ``int`` refuses that spelling.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         table = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
-    return table["hour"] != np.arange(len(lines)), table["values"]
-
-
-def _per_cell(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``_tokenized`` with Python's ``int`` and ``float``, for any lines.
-
-    An unreadable cell reads as NaN, or as an off-sequence hour; a row of
-    the wrong width reads as all-unreadable.
-    """
-    rows = [line.split(",") for line in lines]
-    rows = [fields if len(fields) == 7 else [""] * 7 for fields in rows]
-    values = np.array([[_parsed(float, raw, math.nan) for raw in row[1:]] for row in rows])
-    off_sequence = np.array([_parsed(int, row[0], None) != k for k, row in enumerate(rows)])
-    return off_sequence, values
+    values = table["values"]
+    volumes, shares = values[:, :2], values[:, 2:]
+    totals = np.clip(shares, 0.0, 1.0).sum(axis=1)
+    if (
+        (table["hour"] != np.arange(len(lines))).any()
+        or not np.isfinite(values).all()
+        or (volumes < 0).any()
+        or ((shares < -SHARE_SUM_TOLERANCE) | (shares > 1 + SHARE_SUM_TOLERANCE)).any()
+        or (np.abs(totals - 1.0) > SHARE_SUM_TOLERANCE).any()
+    ):
+        raise ValueError("a data line fails a check")
+    return values
 
 
 def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
     """Read and validate one beam CSV.
 
-    The data lines are read by NumPy's C tokenizer in one call, and by
-    Python's ``int`` (hour) and ``float`` (the rest) cell by cell when it
-    refuses the file; both read an accepted cell to the same value.  The
-    columns are then checked whole, and the first offending line is
-    reported in the per-cell checks' words.
+    The data lines are read and checked by ``_tokenized``.  When it
+    refuses them, every line is read again in order by ``_row_values``,
+    which reads an accepted cell to the tokenizer's value and reports the
+    first line that fails a check.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a path with a NUL character, or bytes that are not UTF-8.
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise IngestionError(f"{path}: file is empty")
@@ -179,34 +175,18 @@ def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
         raise IngestionError(
             f"{path}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
         )
-    body = [
-        (line_no, line)
-        for line_no, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+    body = [(line_no, line) for line_no, line in enumerate(lines[1:], start=2) if line.strip()]
     if not body:
         raise IngestionError(f"{path}: no data rows")
-    data_lines = [line for _, line in body]
     try:
-        off_sequence, values = _tokenized(data_lines)
+        values = _tokenized([line for _, line in body])
     except (ValueError, DeprecationWarning):
-        off_sequence, values = _per_cell(data_lines)
+        values = np.array(
+            [_row_values(path, no, line.split(","), k) for k, (no, line) in enumerate(body)]
+        )
     volumes, shares = values[:, :2], values[:, 2:]
     clipped = np.clip(shares, 0.0, 1.0)
     totals = clipped.sum(axis=1)
-    bad = (
-        off_sequence
-        | ~np.isfinite(values).all(axis=1)
-        | (volumes < 0).any(axis=1)
-        | ((shares < -SHARE_SUM_TOLERANCE) | (shares > 1 + SHARE_SUM_TOLERANCE)).any(axis=1)
-        | (np.abs(totals - 1.0) > SHARE_SUM_TOLERANCE)
-    )
-    if bad.any():
-        # Every line before the first flagged one is valid, so its hour
-        # must equal its row index.
-        k = int(np.argmax(bad))
-        line_no, line = body[k]
-        raise IngestionError(_row_error(path, line_no, line.split(","), k))
     name = beam_id if beam_id is not None else path
     return BeamSeries(name, volumes.copy(), clipped / totals[:, None])
 

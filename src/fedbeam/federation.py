@@ -227,12 +227,6 @@ class ExperimentReport:
     final_avg_test_loss: float
     final_weights: np.ndarray
 
-    def __setstate__(self, state: dict) -> None:
-        # A report trained in another process arrives by pickle, which below
-        # protocol 5 gives its weights back writeable; they stay read-only.
-        state["final_weights"].flags.writeable = False
-        self.__dict__.update(state)
-
 
 def check_model_fits_data(model_config: ModelConfig, window_hours: int) -> None:
     """A model reads a window's 2 * window_hours volumes and predicts the

@@ -217,7 +217,7 @@ def _segment_views(layout: Layout, flat: np.ndarray) -> list[np.ndarray]:
 Block = Union[KanLayerParams, LinearLayerParams]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """A built network: config, flat weight buffer, and blocks viewing it.
 

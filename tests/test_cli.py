@@ -112,6 +112,37 @@ def test_train_rejects_bad_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    ["[" * 200_000 + "]" * 200_000, '{"federation": {"rounds": 1' + "0" * 5_000 + "}}"],
+    ids=["nested-too-deep", "integer-past-the-digit-limit"],
+)
+def test_a_config_json_cannot_hold_exits_2_with_one_error_line(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(raw, encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: config {cfg_path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("key", ["out_dir", "beam_files"])
+def test_a_path_with_a_nul_character_exits_3_with_one_error_line(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    bad = str(tmp_path / "a\0b")
+    if key == "out_dir":
+        write_config(cfg_path, out_dir=bad)
+        expected = f"error: cannot write to {bad!r}: embedded null byte"
+    else:
+        write_config(cfg_path, data={"beam_files": [bad]})
+        expected = f"error: cannot read {bad}: embedded null byte"
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [expected]
+
+
+@pytest.mark.parametrize(
     "parse, text",
     [
         (parse_experiment_csv,

@@ -1,7 +1,8 @@
 """Beam CSV ingestion: the tokenizer path against a per-cell loader.
 
-``load_csv`` reads the data lines with NumPy's C tokenizer and parses
-cell by cell only when the tokenizer refuses a file.  The oracle here is a
+``load_csv`` reads the data lines with NumPy's C tokenizer and reads them
+again line by line, with ``int`` and ``float``, only when the tokenizer
+refuses a file or a line fails a check.  The oracle here is a
 test-local copy of the loader that parses every cell with Python's ``int``
 and ``float``: for every file, both must load the same bytes or raise the
 same ``IngestionError`` message.
@@ -171,9 +172,9 @@ def test_a_clean_file_loads_without_the_per_cell_parse(tmp_path, monkeypatch):
     expected = outcome(reference_load_csv, path)
 
     def refuse(*args):
-        raise AssertionError("the per-cell parse ran on a clean file")
+        raise AssertionError("the line reader ran on a clean file")
 
-    monkeypatch.setattr(fedbeam.data, "_parsed", refuse)
+    monkeypatch.setattr(fedbeam.data, "_row_values", refuse)
     assert outcome(load_csv, path) == expected
     assert expected[1] == (743, 2)
 
@@ -182,16 +183,16 @@ def test_python_only_spellings_load_through_the_per_cell_parse(tmp_path, monkeyp
     path = tmp_path / "beam.csv"
     rows = [f"{t},{GOOD_ROW}" for t in range(7)] + [" 7,1_000,1e3,0.25,0.25,0.25,0.25"]
     path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
-    calls = Counter()
-    parsed = fedbeam.data._parsed
+    calls = []
+    row_values = fedbeam.data._row_values
 
-    def counted(convert, raw, fallback):
-        calls[convert] += 1
-        return parsed(convert, raw, fallback)
+    def counted(*args):
+        calls.append(args[1])
+        return row_values(*args)
 
-    monkeypatch.setattr(fedbeam.data, "_parsed", counted)
+    monkeypatch.setattr(fedbeam.data, "_row_values", counted)
     assert outcome(load_csv, path) == outcome(reference_load_csv, path)
-    assert calls == {int: 8, float: 48}
+    assert calls == list(range(2, 10))
     assert load_csv(str(path)).hourly_volumes[7].tolist() == [1000.0, 1000.0]
 
 
@@ -293,24 +294,28 @@ def beam_texts(draw):
 def test_loader_matches_the_per_cell_loader_on_mutated_files(tmp_path_factory, monkeypatch):
     path = tmp_path_factory.mktemp("ingest") / "beam.csv"
     seen = Counter()
-    per_cell = fedbeam.data._per_cell
+    read_every_line = []
+    loadtxt = np.loadtxt
 
-    def counted(lines):
-        seen["per_cell"] += 1
-        return per_cell(lines)
+    def counted(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        read_every_line.append(True)
+        return table
 
-    monkeypatch.setattr(fedbeam.data, "_per_cell", counted)
+    # The reference parses with int and float alone, so only load_csv calls it.
+    monkeypatch.setattr(np, "loadtxt", counted)
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(beam_texts())
     def check(text):
         path.write_bytes(text.encode("utf-8"))
         expected = outcome(reference_load_csv, path)
-        before = seen["per_cell"]
+        read_every_line.clear()
         assert outcome(load_csv, path) == expected
-        seen[expected[0], seen["per_cell"] > before] += 1
+        seen[expected[0], bool(read_every_line)] += 1
 
     check()
-    # Each path both loads and rejects files in the sample.
-    for key in [("loaded", False), ("loaded", True), ("rejected", False), ("rejected", True)]:
+    # Files the tokenizer reads whole and files it refuses are both loaded
+    # and rejected in the sample.
+    for key in [("loaded", True), ("loaded", False), ("rejected", True), ("rejected", False)]:
         assert seen[key] >= 10, dict(seen)
