@@ -159,13 +159,13 @@ def load_run_config(path: str, require_kind: bool) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise IngestionError(f"cannot read config {path}: {exc}") from exc
+        raise IngestionError(f"cannot read config {str(path)!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
         # past Python's digit limit; RecursionError, arrays nested too deep.
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"config {str(path)!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
+        raise ConfigurationError(f"config {str(path)!r} must be a JSON object")
     known = {"model", "federation", "data", "out_dir"}
     extra = set(raw) - known
     if extra:

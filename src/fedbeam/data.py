@@ -90,7 +90,7 @@ def _row_values(path: str, line_no: int, fields: list[str], expected_hour: int) 
     Raises IngestionError at the first check the line fails, in column
     order; the share sum is the last check.
     """
-    where = f"{path} line {line_no}"
+    where = f"{str(path)!r} line {line_no}"
     if len(fields) != 7:
         raise IngestionError(f"{where}: expected 7 columns, got {len(fields)}")
     try:
@@ -168,16 +168,16 @@ def load_csv(path: str, beam_id: str | None = None) -> BeamSeries:
             lines = fh.read().splitlines()
     except (OSError, ValueError) as exc:
         # ValueError: a path with a NUL character, or bytes that are not UTF-8.
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+        raise IngestionError(f"cannot read {str(path)!r}: {exc}") from exc
     if not lines:
-        raise IngestionError(f"{path}: file is empty")
+        raise IngestionError(f"{str(path)!r}: file is empty")
     if lines[0].strip() != CSV_HEADER:
         raise IngestionError(
-            f"{path}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
+            f"{str(path)!r}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
         )
     body = [(line_no, line) for line_no, line in enumerate(lines[1:], start=2) if line.strip()]
     if not body:
-        raise IngestionError(f"{path}: no data rows")
+        raise IngestionError(f"{str(path)!r}: no data rows")
     try:
         values = _tokenized([line for _, line in body])
     except (ValueError, DeprecationWarning):

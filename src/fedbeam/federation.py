@@ -76,9 +76,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,7 +92,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .layers import dropout_scale, kan_plane
+from .layers import kan_plane
 from .model import (
     Model,
     ModelConfig,
@@ -340,35 +342,36 @@ def _draw_kept(rng: np.random.Generator, keep: float, out: np.ndarray) -> None:
 
 
 def _take(source, lo: int, starts: list[int], size: int) -> np.ndarray:
-    """Row ``lo + i``'s ``size`` samples from ``starts[i]``, for every i.
+    """Row ``lo + i``'s ``size`` samples from ``starts[i]``, for every i,
+    gathered into a new array.
 
     ``source`` is a stacked array, one row per client and samples on axis
-    1, or a list of per-client arrays.  From a stacked array, rows that
-    share one start come back as a basic-slice view; otherwise each row's
-    samples are gathered into a new array.
+    1, or a list of per-client arrays.  A training step slices a stacked
+    array itself when its rows share one start.
     """
-    a = starts[0]
-    if isinstance(source, np.ndarray) and starts.count(a) == len(starts):
-        return source[lo : lo + len(starts), a : a + size]
     return np.asarray([source[lo + i][s : s + size] for i, s in enumerate(starts)])
 
 
-def _step_masks(flags: np.ndarray, widths: list[int], drop_prob: float) -> list[np.ndarray]:
+def _step_masks(
+    flags: np.ndarray, spans: list[tuple[int, int]], drop_prob: float
+) -> list[np.ndarray]:
     """One stacked call's dropout masks from its rows' kept flags.
 
-    ``flags`` is ``(rows, size, sum(widths))``: each row's ``size *
-    sum(widths)`` flags for this step, in stream order.  They split into
-    one ``(size, w)`` piece per dropout layer, in layer order: the order
-    per-step, per-layer draws consume the stream.  Returns one ``(rows,
-    size, w)`` mask per layer.
+    ``flags`` is ``(rows, size, W)``: each row's ``size * W`` flags for
+    this step, in stream order.  They split into one ``(size, w)`` piece
+    per dropout layer, in layer order: the order per-step, per-layer draws
+    consume the stream.  ``spans`` holds each layer's ``(a, b)`` column
+    bounds in the cumulative dropout widths (``b - a = w``, the last ``b``
+    is ``W``), so its piece is flat flags ``size * a`` to ``size * b``.
+    Returns one ``(rows, size, w)`` mask per layer, ``1 / (1 - drop_prob)``
+    where kept and 0 elsewhere: one multiply of the flags, bitwise the
+    flags as floats divided by ``1 - drop_prob``.
     """
     rows, size = flags.shape[:2]
-    scale = dropout_scale(flags, drop_prob).reshape(rows, -1)
+    scale = np.multiply(flags, 1.0 / (1.0 - drop_prob)).reshape(rows, -1)
     masks = []
-    offset = 0
-    for w in widths:
-        masks.append(scale[:, offset : offset + size * w].reshape(rows, size, w))
-        offset += size * w
+    for a, b in spans:
+        masks.append(scale[:, size * a : size * b].reshape(rows, size, b - a))
     return masks
 
 
@@ -396,11 +399,21 @@ def local_train(
     once per call into one source and one target buffer; with a spline
     first block the source holds each client's layer-0 plane over all its
     training rows (``kan_plane``, written into the buffer), whose rows the
-    steps pass to ``forward_with_caches`` instead of feature rows.  A call
-    whose rows share a batch start reads its batch, targets and dropout
-    flags as views (see ``_take``).
+    steps pass to ``forward_with_caches`` instead of feature rows.
 
-    No array a step builds outlives it: the batch, targets, masks,
+    A step carries only its math between the calls the benchmark traces
+    (``forward_with_caches``, ``mse_loss``, ``model_backward``,
+    ``clip_gradient_norm``, ``adam_step``).  A call whose rows share a
+    batch start slices its batch, targets and dropout flags out of the
+    stacked buffers inline; rows at different starts, and every row of a
+    one-epoch round, are gathered (``_take``).  Rows are scanned for epoch
+    starts only when a row is at sample 0.  ``_step_masks`` turns the
+    flags into masks with one multiply and splits them by each dropout
+    layer's span, worked out once per call of this function.  The forward
+    walks the model's pass plan and returns one tuple cache per block,
+    which the backward walks in reverse (see ``fedbeam.model``).
+
+    No array a step builds outlives it: the batch, targets, flags, masks,
     predictions, caches and loss gradient are dropped after the backward,
     so the next step's forward never allocates beside them.  With freed
     pages kept in the process (see ``fedbeam.cli``), any overlap would set
@@ -425,9 +438,10 @@ def local_train(
     # arrays in a one-epoch round, which reads no row twice; otherwise one
     # stacked buffer of every row's training features (for a spline first
     # block, its layer-0 plane, written there directly) and one of targets.
-    if epochs > 1:
+    stacked = epochs > 1
+    if stacked:
         layer0 = template.blocks[0]
-        spline_first = template.splines[0]
+        spline_first = template.plan[0][1]
         width = template.plane_width if spline_first else template.config.input_width
         sources = np.empty((len(rows), counts[0], width))
         targets = np.empty((len(rows), counts[0], template.config.output_width))
@@ -440,11 +454,13 @@ def local_train(
     else:
         sources = [c.train_features for c in rows]
         targets = [c.train_targets for c in rows]
-    # Each row's kept flags for its current epoch, drawn when the epoch starts.
+    # Each row's kept flags for its current epoch, drawn when the epoch
+    # starts, and each dropout layer's columns of them.
     drop_prob = template.config.dropout_p
-    widths = dropout_widths(template)
+    bounds = [0, *accumulate(dropout_widths(template))]
+    spans = list(zip(bounds[:-1], bounds[1:]))
     if drop_prob > 0.0:
-        kept = np.empty((len(rows), counts[0], sum(widths)), dtype=bool)
+        kept = np.empty((len(rows), counts[0], bounds[-1]), dtype=bool)
 
     # One row per client in the weight, gradient and Adam moment buffers.  A
     # call over rows [lo:hi] steps their row views in place, so whichever
@@ -465,23 +481,33 @@ def local_train(
                 AdamState(first[lo:hi], second[lo:hi], *rates),
             )
         part, part_grads, state = stacks[lo, hi]
-        xb = _take(sources, lo, starts, size)
-        yb = _take(targets, lo, starts, size)
-        masks = None
+        a = starts[0]
+        shared = starts.count(a) == hi - lo
+        if shared and stacked:
+            xb, yb = sources[lo:hi, a : a + size], targets[lo:hi, a : a + size]
+        else:
+            xb, yb = _take(sources, lo, starts, size), _take(targets, lo, starts, size)
+        flags = masks = None
         if drop_prob > 0.0:
-            for r, a in zip(range(lo, hi), starts):
-                if a == 0:  # row r starts an epoch
-                    _draw_kept(rngs[order[r]], 1 - drop_prob, kept[r, : counts[r]])
-            masks = _step_masks(_take(kept, lo, starts, size), widths, drop_prob)
+            if 0 in starts:
+                for r, s in zip(range(lo, hi), starts):
+                    if s == 0:  # row r starts an epoch
+                        _draw_kept(rngs[order[r]], 1 - drop_prob, kept[r, : counts[r]])
+            flags = kept[lo:hi, a : a + size] if shared else _take(kept, lo, starts, size)
+            masks = _step_masks(flags, spans, drop_prob)
         preds, caches = forward_with_caches(part, xb, masks)
         losses, loss_grad = mse_loss(preds, yb)
-        finite = np.isfinite(losses)
-        if not finite.all():
-            bad = ", ".join(repr(rows[lo + i].client_id) for i in np.flatnonzero(~finite))
+        # A call's few row losses as floats: math.isfinite checks them in
+        # less time than one ufunc call takes.
+        losses = losses.tolist()
+        if not all(map(math.isfinite, losses)):
+            bad = ", ".join(
+                repr(rows[lo + i].client_id) for i, loss in enumerate(losses) if not math.isfinite(loss)
+            )
             raise NumericsError(f"client {bad} produced a non-finite loss")
         model_backward(part, caches, loss_grad, part_grads)
         # Free this step's arrays before the next step's forward (see above).
-        del xb, yb, masks, preds, caches, loss_grad
+        del xb, yb, flags, masks, preds, caches, loss_grad
         clip_gradient_norm(part_grads.weights, fed_config.max_grad_norm)
         adam_step(part.weights, part_grads.weights, state, g + 1)
         for r in final:

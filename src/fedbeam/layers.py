@@ -4,20 +4,24 @@ Two trainable layer kinds exist: spline layers whose per-edge activation is
 ``w_base * silu(x) + sum_m c_m * B_m(x)``, and plain affine layers.  A
 spline layer treats ``silu`` as one more basis: it evaluates every input's
 ``silu`` and bases into one plane (``kan_plane``) and multiplies that by
-one weight block (``kan_product``); a plane built in advance can be
-multiplied directly.  Its input gradient needs only the ``order + 1``
+one weight block; a plane built in advance is multiplied directly
+(``kan_product``).  Its input gradient needs only the ``order + 1``
 nonzero basis derivatives of each input and ``silu'``, so they are kept
 as those terms, never as a dense plane.
 A hidden affine layer's ReLU and dropout are one elementwise mask
 (``relu`` with a dropout ``scale``), whose product gives the same bits as
 the two applied in turn.
 All arithmetic is float64 and every backward consumes the cache produced by
-the matching forward.  Each layer checks its arguments itself, with one
-compare of shapes read from its parameters' arrays, so a model's pass
-does not check them again.  A backward writes its parameter gradients with
-``out=`` into the arrays it is given (in training, a gradient model's
-views of the gradient buffer, so no copy follows) and returns only the
-input gradient; a view's bits are those of a new array.
+the matching forward: a spline layer's is the tuple ``(plane, dterms)``,
+an affine layer's its inputs.  Each layer checks its arguments itself,
+with one compare of shapes read from its parameters' arrays, so a model's
+pass does not check them again.  The views of the parameters that the
+products read (``block`` and ``block_t``, ``weights_t`` and ``bias_row``)
+are taken once, when the parameters are built, not at every call.  A
+backward writes its parameter gradients with ``out=`` into the arrays it
+is given (in training, a gradient model's views of the gradient buffer,
+so no copy follows) and returns only the input gradient; a view's bits
+are those of a new array.
 
 Every layer also accepts a stack of batches: inputs of shape
 ``(clients, batch, width)`` with parameters carrying the same leading
@@ -45,19 +49,23 @@ class KanLayerParams:
     of each input's group is its base weight (the ``silu`` term), slots
     1..num_bases its spline coefficients, so the block flattens to the
     (in_width * (num_bases + 1), out_width) matrix of the forward product
-    as a view.  That view, ``block``, is taken once, when the parameters
-    are built, so ``weights`` must reshape to it without a copy, as a
-    model's segment views and every C-contiguous array do: a copy would
-    not see the weights change in place.
+    as a view.  That view, ``block``, and its transpose ``block_t`` are
+    taken once, when the parameters are built, so ``weights`` must reshape
+    to it without a copy, as a model's segment views and every
+    C-contiguous array do: a copy would not see the weights change in
+    place.
     """
 
     weights: np.ndarray
     grid: SplineGrid
     block: np.ndarray = field(init=False, repr=False)
+    block_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = self.weights
-        object.__setattr__(self, "block", w.reshape(*w.shape[:-3], -1, w.shape[-1]))
+        block = w.reshape(*w.shape[:-3], -1, w.shape[-1])
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "block_t", block.swapaxes(-1, -2))
 
     @classmethod
     def initialized(
@@ -102,10 +110,19 @@ class LinearLayerParams:
     """Affine layer: out = x @ weights.T + biases.
 
     weights has shape (..., out_width, in_width) and biases (..., out_width).
+    The views the forward product reads, ``weights_t`` (the weights'
+    transpose) and ``bias_row`` (the biases as one ``(..., 1, out_width)``
+    row), are taken once, when the parameters are built.
     """
 
     weights: np.ndarray
     biases: np.ndarray
+    weights_t: np.ndarray = field(init=False, repr=False)
+    bias_row: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights_t", self.weights.swapaxes(-1, -2))
+        object.__setattr__(self, "bias_row", self.biases[..., None, :])
 
     @classmethod
     def initialized(
@@ -202,36 +219,37 @@ def kan_plane(
 
 def kan_product(
     plane: np.ndarray, params: KanLayerParams, dterms: tuple | None = None
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, tuple]:
     """A spline layer's output from its plane: one product with the weight block.
 
-    The returned cache feeds kan_layer_backward; ``dterms`` are the plane's
-    derivative terms as ``kan_plane`` returns them, and None (a plane built
-    without derivatives) gives a backward pass that yields the weight
-    gradient only.
+    The returned cache, the tuple ``(plane, dterms)``, feeds
+    kan_layer_backward; ``dterms`` are the plane's derivative terms as
+    ``kan_plane`` returns them, and None (a plane built without
+    derivatives) gives a backward pass that yields the weight gradient
+    only.
     """
-    return plane @ params.block, {"plane": plane, "dterms": dterms}
+    return plane @ params.block, (plane, dterms)
 
 
 def kan_layer_forward(
     inputs: np.ndarray, params: KanLayerParams, derivative: bool = True
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, tuple]:
     """Forward pass of a spline layer: build its plane, then take the product.
 
     inputs has shape (..., batch, in_width); the result has shape
     (..., batch, out_width).  With ``derivative=False`` the basis
-    derivatives are not evaluated and the cache holds ``dterms=None``: a
+    derivatives are not evaluated and the cache's ``dterms`` are None: a
     backward pass over it yields the weight gradient only, for a layer
     whose input gradient nobody reads.
     """
     if inputs.ndim < 2 or inputs.shape[-1] != params.weights.shape[-3]:
         raise _inputs_error(inputs, params.in_width)
     plane, dterms = kan_plane(inputs, params.grid, derivative)
-    return kan_product(plane, params, dterms)
+    return plane @ params.block, (plane, dterms)
 
 
 def kan_layer_backward(
-    upstream: np.ndarray, params: KanLayerParams, cache: dict, d_weights: np.ndarray
+    upstream: np.ndarray, params: KanLayerParams, cache: tuple, d_weights: np.ndarray
 ) -> np.ndarray | None:
     """Backward pass: writes the weights' gradient into ``d_weights`` and
     returns the inputs' gradient.
@@ -250,17 +268,16 @@ def kan_layer_backward(
     ``G * silu'``.  A point's bits therefore do not depend on the other
     points, stacked clients included.
     """
-    plane = cache["plane"]
+    plane, dterms = cache
     block = params.block
     expected = plane.shape[:-1] + block.shape[-1:]
     if upstream.shape != expected:
         raise _upstream_error(upstream, expected)
     np.matmul(plane.swapaxes(-1, -2), upstream, out=d_weights.reshape(block.shape))
-    dterms = cache["dterms"]
     if dterms is None:
         return None
     pieces, index, dsilu = dterms
-    d_plane = upstream @ block.swapaxes(-1, -2)
+    d_plane = upstream @ params.block_t
     terms = d_plane.take(index)
     terms *= pieces
     d_inputs = np.add.reduce(terms, axis=0)
@@ -270,32 +287,32 @@ def kan_layer_backward(
 
 def linear_forward(
     inputs: np.ndarray, params: LinearLayerParams
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward pass of an affine layer; its cache is the inputs themselves."""
     if inputs.ndim < 2 or inputs.shape[-1] != params.weights.shape[-1]:
         raise _inputs_error(inputs, params.in_width)
-    out = inputs @ params.weights.swapaxes(-1, -2)
-    out += params.biases[..., None, :]
-    return out, {"inputs": inputs}
+    out = inputs @ params.weights_t
+    out += params.bias_row
+    return out, inputs
 
 
 def linear_backward(
     upstream: np.ndarray,
     params: LinearLayerParams,
-    cache: dict,
+    inputs: np.ndarray,
     d_weights: np.ndarray,
     d_biases: np.ndarray,
     input_grad: bool = True,
 ) -> np.ndarray | None:
-    """Backward pass: writes the weights' and biases' gradients into
-    ``d_weights`` and ``d_biases`` (arrays or views of their shapes) and
-    returns the inputs' gradient, or None without computing it when
-    ``input_grad`` is False.
+    """Backward pass over the forward's cache, its ``inputs``: writes the
+    weights' and biases' gradients into ``d_weights`` and ``d_biases``
+    (arrays or views of their shapes) and returns the inputs' gradient, or
+    None without computing it when ``input_grad`` is False.
     """
-    x = cache["inputs"]
-    expected = x.shape[:-1] + params.biases.shape[-1:]
+    expected = inputs.shape[:-1] + params.biases.shape[-1:]
     if upstream.shape != expected:
         raise _upstream_error(upstream, expected)
-    np.matmul(upstream.swapaxes(-1, -2), x, out=d_weights)
+    np.matmul(upstream.swapaxes(-1, -2), inputs, out=d_weights)
     np.add.reduce(upstream, axis=-2, out=d_biases)
     return upstream @ params.weights if input_grad else None
 
@@ -304,12 +321,12 @@ def relu(x: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np
     """ReLU, then inverted dropout when ``scale`` is given, as one mask.
 
     Returns (output, mask); the backward pass is ``relu_backward(upstream,
-    mask)``.  ``scale`` is a dropout mask as ``dropout_scale`` builds it
-    (0 or ``1 / keep`` per entry).  ``x * ((x > 0) * scale)`` is bitwise
-    ``(x * (x > 0)) * scale``, signed zeros, NaN and infinities included,
-    and so is the backward product, except where ``upstream * scale``
-    overflows at an entry the ReLU zeroes: relu then dropout gives NaN
-    there, the one mask a signed zero.
+    mask)``.  ``scale`` is a dropout mask, 0 or ``1 / keep`` per entry
+    (see ``fedbeam.federation._step_masks``).  ``x * ((x > 0) * scale)``
+    is bitwise ``(x * (x > 0)) * scale``, signed zeros, NaN and infinities
+    included, and so is the backward product, except where ``upstream *
+    scale`` overflows at an entry the ReLU zeroes: relu then dropout gives
+    NaN there, the one mask a signed zero.
     """
     mask = x > 0
     if scale is not None:
@@ -319,8 +336,3 @@ def relu(x: np.ndarray, scale: np.ndarray | None = None) -> tuple[np.ndarray, np
 
 def relu_backward(upstream: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return upstream * mask
-
-
-def dropout_scale(kept: np.ndarray, drop_prob: float) -> np.ndarray:
-    """Inverted-dropout multipliers: ``1 / (1 - drop_prob)`` where kept, else 0."""
-    return kept.astype(np.float64) / (1.0 - drop_prob)

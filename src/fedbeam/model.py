@@ -23,14 +23,19 @@ optimizer clips and steps gradient and weight rows as flat vectors.
 
 A ``ModelConfig`` is checked when it is built, so every config that exists
 is valid.  ``build_model`` is the only step that plans: it lays out the
-blocks, builds the spline grid and records what a pass checks (the first
-block's plane width, the dropout-layer count, each block's kind).  Every
-later model is the built one re-viewed over a new buffer
+blocks, builds the spline grid and records what a pass checks or branches
+on: the first block's plane width, the dropout-layer count, and the pass
+plan, one ``(index, spline, mask)`` entry per block, in order, that names
+the block, says whether it is a spline block and gives the index of the
+dropout mask that follows it (None when no ReLU and dropout follow).
+Every later model is the built one re-viewed over a new buffer
 (``with_weights``): the same blocks, grids and records, only the arrays
 they view change.  So a pass checks its batch and masks with a few
 compares against those records, and each layer checks its own arguments
 with one compare of shapes (see ``fedbeam.layers``); a step rebuilds no
-list to do it.
+list to do it.  The forward pass walks the plan and the backward pass
+walks it in reverse, and each block's cache is one tuple: a spline
+block's ``(plane, dterms)``, an affine block's ``(inputs, mask)``.
 
 The model draws no dropout masks: a training pass is given them
 (``forward_with_caches``), and the evaluation pass (``forward``) applies
@@ -45,7 +50,7 @@ row, and is how the federation trains a round's clients in lockstep.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -75,6 +80,11 @@ _WIDTH_FIELDS = ("kan_hidden_widths", "mlp_hidden_widths", "fc_head_widths")
 
 # The name and shape of every trainable array, in buffer order.
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+# The pass plan: per block, in order, (index, spline, mask), where mask is
+# the index of the dropout mask that follows the block's ReLU, or None when
+# no ReLU and dropout follow it (every spline block, and the last block).
+Plan = tuple[tuple[int, bool, int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -224,8 +234,8 @@ class Model:
     ``weights`` is ``(parameters,)`` for one model or ``(clients,
     parameters)`` for a stack of models.  ``build_model`` also records
     what every pass checks or branches on, so a pass reads it instead of
-    working it out again: whether each block is a spline block, the
-    first block's plane width (None unless it is one) and the number of
+    working it out again: the pass plan (see ``Plan``), the first block's
+    plane width (None unless it is a spline block) and the number of
     dropout layers.
     """
 
@@ -233,7 +243,7 @@ class Model:
     blocks: tuple[Block, ...]
     weights: np.ndarray
     layout: Layout
-    splines: tuple[bool, ...]
+    plan: Plan
     plane_width: int | None
     dropout_layers: int
 
@@ -254,19 +264,24 @@ def with_weights(model: Model, weights: np.ndarray) -> Model:
         KanLayerParams(next(views), block.grid)
         if spline
         else LinearLayerParams(next(views), next(views))
-        for block, spline in zip(model.blocks, model.splines)
+        for block, (_, spline, _) in zip(model.blocks, model.plan)
     )
-    return replace(model, blocks=blocks, weights=weights)
+    # Built directly: dataclasses.replace takes twice as long, and training
+    # re-views a stack for every new range of its rows.
+    return Model(
+        model.config, blocks, weights, model.layout, model.plan, model.plane_width,
+        model.dropout_layers,
+    )
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
     """Initialize a model deterministically from a seed."""
     rng = np.random.default_rng(seed)
     grid = SplineGrid.uniform(config.grid_intervals, config.spline_order)
-    plan = layer_plan(config)
+    layers = layer_plan(config)
     blocks: list[Block] = []
     arrays: list[np.ndarray] = []
-    for kind, a, b in plan:
+    for kind, a, b in layers:
         if kind == "kan":
             params = KanLayerParams.initialized(a, b, grid, rng)
             arrays.append(params.weights)
@@ -275,12 +290,18 @@ def build_model(config: ModelConfig, seed: int) -> Model:
             arrays += [params.weights, params.biases]
         blocks.append(params)
     weights = np.concatenate([a.reshape(-1) for a in arrays])
-    layout = _plan_layout(plan, grid.num_bases)
-    splines = tuple(kind == "kan" for kind, _, _ in plan)
-    plane_width = blocks[0].plane_width if splines[0] else None
-    # Dropout follows every affine block but the last.
-    dropout_layers = splines[:-1].count(False)
-    model = Model(config, tuple(blocks), weights, layout, splines, plane_width, dropout_layers)
+    layout = _plan_layout(layers, grid.num_bases)
+    plan: list[tuple[int, bool, int | None]] = []
+    dropout_layers = 0
+    for i, (kind, _, _) in enumerate(layers):
+        # ReLU and dropout follow every affine block but the last.
+        if kind == "linear" and i < len(layers) - 1:
+            plan.append((i, False, dropout_layers))
+            dropout_layers += 1
+        else:
+            plan.append((i, kind == "kan", None))
+    plane_width = blocks[0].plane_width if plan[0][1] else None
+    model = Model(config, tuple(blocks), weights, layout, tuple(plan), plane_width, dropout_layers)
     # The initial blocks hold the drawn arrays; re-view them over the buffer.
     return with_weights(model, weights)
 
@@ -288,7 +309,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 def dropout_widths(model: Model) -> list[int]:
     """Widths of the blocks whose outputs pass through dropout, in order:
     every affine block but the last."""
-    return [b.out_width for b, spline in zip(model.blocks[:-1], model.splines) if not spline]
+    return [model.blocks[i].out_width for i, _, mask in model.plan if mask is not None]
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -302,18 +323,23 @@ def forward_with_caches(
     model: Model,
     batch: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[dict]]:
-    """Forward pass keeping what model_backward needs.
+) -> tuple[np.ndarray, list[tuple]]:
+    """Forward pass keeping what model_backward needs: one cache per block.
 
     ``batch`` is ``(n, input_width)`` for one model and ``(clients, n,
     input_width)`` for a stack of models.  ``masks`` are the dropout masks
     drawn ahead, one per entry of ``dropout_widths`` and each of that
-    layer's output shape, as ``fedbeam.layers.dropout_scale`` builds them;
-    None applies no dropout.  The first block's input gradient is never
-    read, so a spline layer there caches no basis derivatives; every later
-    spline layer caches its derivative terms as ``kan_plane`` returns them,
-    the order + 1 nonzero basis derivatives per input and ``silu'``, and
-    no dense derivative plane.
+    layer's output shape and holding 0 or ``1 / (1 - dropout_p)`` per
+    entry; None applies no dropout.  The first block's input gradient is
+    never read, so a spline layer there caches no basis derivatives; every
+    later spline layer caches its derivative terms as ``kan_plane``
+    returns them, the order + 1 nonzero basis derivatives per input and
+    ``silu'``, and no dense derivative plane.
+
+    Block i's cache is a tuple, in the order of the pass plan: ``(plane,
+    dterms)`` for a spline block (``dterms`` None for the first block) and
+    ``(inputs, mask)`` for an affine block, ``mask`` being its ReLU and
+    dropout mask (None for the last block, which has neither).
 
     When the first block is a spline block, the batch may instead hold
     rows of its plane (``fedbeam.layers.kan_plane``), ``(..., n,
@@ -322,7 +348,7 @@ def forward_with_caches(
     Rows gathered from a plane built once give the same bits as building
     them here.
     """
-    caches: list[dict] = []
+    caches: list[tuple] = []
     out = _forward(model, batch, masks, caches)
     return out, caches
 
@@ -331,9 +357,10 @@ def _forward(
     model: Model,
     batch: np.ndarray,
     masks: Sequence[np.ndarray] | None,
-    caches: list[dict] | None,
+    caches: list[tuple] | None,
 ) -> np.ndarray:
-    """The forward loop; appends one cache per block to ``caches`` unless None.
+    """The forward loop over the pass plan; appends one cache per block to
+    ``caches`` unless None.
 
     A batch as wide as a spline first block's plane holds rows of that
     plane (see ``forward_with_caches``).
@@ -352,34 +379,35 @@ def _forward(
         raise ContractViolationError(
             f"{len(masks)} dropout masks for {model.dropout_layers} dropout layers"
         )
-    ahead = iter(() if masks is None else masks)
     x = np.asarray(batch, dtype=np.float64)
-    last = len(model.blocks) - 1
-    for i, block in enumerate(model.blocks):
-        if model.splines[i]:
-            if i == 0 and x.shape[-1] == model.plane_width:
-                x, cache = kan_product(x, block)
-            else:
-                derivative = caches is not None and i > 0
-                x, cache = kan_layer_forward(x, block, derivative)
-            entry = {"layer": cache}
+    blocks = model.blocks
+    derivative = caches is not None
+    for i, spline, j in model.plan:
+        if not spline:
+            x, inputs = linear_forward(x, blocks[i])
+            mask = None
+            if j is not None:
+                scale = None
+                if masks is not None:
+                    scale = masks[j]
+                    if scale.shape != x.shape:
+                        raise ContractViolationError(
+                            f"dropout mask of shape {scale.shape} for an output of {x.shape}"
+                        )
+                x, mask = relu(x, scale)
+            cache = (inputs, mask)
+        elif i == 0 and x.shape[-1] == model.plane_width:
+            x, cache = kan_product(x, blocks[0])
         else:
-            x, cache = linear_forward(x, block)
-            entry = {"layer": cache, "mask": None}
-            if i < last:
-                scale = next(ahead, None)
-                if scale is not None and scale.shape != x.shape:
-                    raise ContractViolationError(
-                        f"dropout mask of shape {scale.shape} for an output of {x.shape}"
-                    )
-                x, entry["mask"] = relu(x, scale)
+            x, cache = kan_layer_forward(x, blocks[i], derivative and i > 0)
         if caches is not None:
-            caches.append(entry)
+            caches.append(cache)
     return x
 
 
-def model_backward(model: Model, caches: list[dict], upstream: np.ndarray, grads: Model) -> None:
-    """Backpropagate the loss gradient through every block.
+def model_backward(model: Model, caches: list[tuple], upstream: np.ndarray, grads: Model) -> None:
+    """Backpropagate the loss gradient through every block, walking the
+    pass plan in reverse over ``forward_with_caches``'s caches.
 
     ``grads`` is the model re-viewed over a gradient buffer of its weights'
     shape (``with_weights(model, buffer)``); each block's backward writes
@@ -398,16 +426,16 @@ def model_backward(model: Model, caches: list[dict], upstream: np.ndarray, grads
             f"match the layout of weights shaped {model.weights.shape}"
         )
     u = upstream
-    for i in range(len(model.blocks) - 1, -1, -1):
-        block, grad, entry = model.blocks[i], grads.blocks[i], caches[i]
-        if model.splines[i]:
-            u = kan_layer_backward(u, block, entry["layer"], grad.weights)
+    blocks, grad_blocks = model.blocks, grads.blocks
+    for i, spline, _ in reversed(model.plan):
+        if spline:
+            u = kan_layer_backward(u, blocks[i], caches[i], grad_blocks[i].weights)
         else:
-            if entry["mask"] is not None:
-                u = relu_backward(u, entry["mask"])
-            u = linear_backward(
-                u, block, entry["layer"], grad.weights, grad.biases, input_grad=i > 0
-            )
+            inputs, mask = caches[i]
+            if mask is not None:
+                u = relu_backward(u, mask)
+            grad = grad_blocks[i]
+            u = linear_backward(u, blocks[i], inputs, grad.weights, grad.biases, input_grad=i > 0)
 
 
 def export_weights(model: Model) -> np.ndarray:

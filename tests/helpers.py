@@ -25,6 +25,13 @@ def basis_matrix(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
     return basis_and_derivative(x, grid, derivative=False)[0]
 
 
+def dropout_scale(kept: np.ndarray, drop_prob: float) -> np.ndarray:
+    """Inverted-dropout multipliers: ``1 / (1 - drop_prob)`` where kept,
+    else 0, by dividing the flags as floats: the oracle for the masks
+    ``fedbeam.federation._step_masks`` builds with one multiply."""
+    return kept.astype(np.float64) / (1.0 - drop_prob)
+
+
 def dense_derivative(shape: tuple[int, ...], terms: tuple) -> np.ndarray:
     """Derivative terms scattered into a zero plane of the given shape.
 

@@ -123,7 +123,7 @@ def test_a_config_json_cannot_hold_exits_2_with_one_error_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     [line] = err.splitlines()
-    assert line.startswith(f"error: config {cfg_path} is not valid JSON: ")
+    assert line.startswith(f"error: config {str(cfg_path)!r} is not valid JSON: ")
 
 
 @pytest.mark.parametrize("key", ["out_dir", "beam_files"])
@@ -135,7 +135,7 @@ def test_a_path_with_a_nul_character_exits_3_with_one_error_line(tmp_path, capsy
         expected = f"error: cannot write to {bad!r}: embedded null byte"
     else:
         write_config(cfg_path, data={"beam_files": [bad]})
-        expected = f"error: cannot read {bad}: embedded null byte"
+        expected = f"error: cannot read {bad!r}: embedded null byte"
     assert main(["train", "--config", str(cfg_path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -581,7 +581,7 @@ def test_a_missing_beam_file_exits_3_and_names_it_on_any_number_of_cpus(
         monkeypatch.setattr(fedbeam.federation, "_usable_cpus", lambda cpus=cpus: cpus)
         assert main(["train", "--config", str(cfg_path)]) == EXIT_IO
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: cannot read {missing}: ")
+        assert line.startswith(f"error: cannot read {missing!r}: ")
         assert has_no_child()
 
 

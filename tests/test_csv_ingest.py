@@ -37,7 +37,7 @@ _VALUE_COLUMNS = ("downlink", "uplink", *CATEGORIES)
 
 
 def _reference_row_error(path, line_no, fields, expected_hour):
-    where = f"{path} line {line_no}"
+    where = f"{str(path)!r} line {line_no}"
     if len(fields) != 7:
         return f"{where}: expected 7 columns, got {len(fields)}"
     try:
@@ -79,12 +79,12 @@ def reference_load_csv(path, beam_id=None):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+        raise IngestionError(f"cannot read {str(path)!r}: {exc}") from exc
     if not lines:
-        raise IngestionError(f"{path}: file is empty")
+        raise IngestionError(f"{str(path)!r}: file is empty")
     if lines[0].strip() != CSV_HEADER:
         raise IngestionError(
-            f"{path}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
+            f"{str(path)!r}: header must be exactly {CSV_HEADER!r}, got {lines[0]!r}"
         )
     body = [
         (line_no, line.split(","))
@@ -92,7 +92,7 @@ def reference_load_csv(path, beam_id=None):
         if line.strip()
     ]
     if not body:
-        raise IngestionError(f"{path}: no data rows")
+        raise IngestionError(f"{str(path)!r}: no data rows")
     rows = [fields if len(fields) == 7 else [""] * 7 for _, fields in body]
     values = np.array(
         [[_reference_parsed(float, raw, math.nan) for raw in row[1:]] for row in rows]
@@ -147,7 +147,7 @@ def test_a_form_feed_inside_a_row_splits_it(tmp_path):
     path.write_text(f"{CSV_HEADER}\n0,155.0\f,24.3,0.25,0.25,0.25,0.25\n", encoding="utf-8")
     with pytest.raises(IngestionError) as err:
         load_csv(str(path))
-    assert str(err.value) == f"{path} line 2: expected 7 columns, got 2"
+    assert str(err.value) == f"{str(path)!r} line 2: expected 7 columns, got 2"
 
 
 @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ def test_an_hour_read_through_a_float_falls_back(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", numpy_1x_loadtxt)
     with pytest.raises(IngestionError) as err:
         load_csv(str(path))
-    assert str(err.value) == f"{path} line 3: hour is not an integer: '1.0'"
+    assert str(err.value) == f"{str(path)!r} line 3: hour is not an integer: '1.0'"
 
 
 # --- Property: the tokenizer path agrees with the per-cell loader ---------

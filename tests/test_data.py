@@ -308,7 +308,7 @@ def test_csv_rejection_messages(tmp_path, lines, message):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(IngestionError) as err:
         load_csv(str(path))
-    assert str(err.value) == message.format(path=path)
+    assert str(err.value) == message.format(path=repr(str(path)))
 
 
 def test_csv_accepts_python_number_spellings(tmp_path):

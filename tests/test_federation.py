@@ -47,7 +47,7 @@ from fedbeam.federation import (
     run_experiment,
     run_round,
 )
-from fedbeam.layers import KanLayerParams, dropout_scale
+from fedbeam.layers import KanLayerParams
 from fedbeam.model import (
     ModelConfig,
     build_model,
@@ -63,7 +63,7 @@ from fedbeam.optim import adam_step, clip_gradient_norm, mse_loss
 from fedbeam.report import render_experiment_csv
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
-from helpers import has_no_child, initial_adam_state
+from helpers import dropout_scale, has_no_child, initial_adam_state
 
 FAST_FED = FederationConfig(rounds=2, local_epochs=2, batch_size=16, seed=5)
 
@@ -293,8 +293,8 @@ def test_no_array_of_a_step_is_alive_when_the_next_forward_starts(monkeypatch, c
 @pytest.mark.parametrize(
     "cfg, bound",
     [
-        pytest.param(ModelConfig.fed_kan(), 44, id="kan"),
-        pytest.param(ModelConfig.fed_mlp(), 34, id="mlp"),
+        pytest.param(ModelConfig.fed_kan(), 38, id="kan"),
+        pytest.param(ModelConfig.fed_mlp(), 31, id="mlp"),
     ],
 )
 def test_a_training_step_makes_few_python_calls(cfg, bound):
@@ -767,6 +767,7 @@ def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_
     # epoch block is drawn in several calls, and a chunk ends mid-step.
     monkeypatch.setattr(fedbeam.federation, "DRAW_CHUNK", 1000)
     counts, batch_size, widths = [60, 44], 16, [8, 16, 48]
+    spans = [(0, 8), (8, 24), (24, 72)]
     total = sum(widths)
     blocks = [np.random.default_rng(r) for r in range(2)]
     oracles = [np.random.default_rng(r) for r in range(2)]
@@ -776,7 +777,7 @@ def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_
             _draw_kept(blocks[r], 1.0 - drop_prob, kept[r, :n])
             for a in range(0, n, batch_size):
                 size = min(batch_size, n - a)
-                got = _step_masks(kept[r : r + 1, a : a + size], widths, drop_prob)
+                got = _step_masks(kept[r : r + 1, a : a + size], spans, drop_prob)
                 for mask, w in zip(got, widths, strict=True):
                     draws = oracles[r].random((1, size, w))
                     want = dropout_scale(draws < 1.0 - drop_prob, drop_prob)
@@ -784,9 +785,9 @@ def test_an_epoch_block_sliced_per_step_equals_per_step_draws(monkeypatch, drop_
         # A stacked call at different starts: each row is its own call's.
         for a, b in ((16, 32), (48, 32)):
             size = min(batch_size, counts[0] - a, counts[1] - b)
-            pair = _step_masks(_take(kept, 0, [a, b], size), widths, drop_prob)
+            pair = _step_masks(_take(kept, 0, [a, b], size), spans, drop_prob)
             alone = [
-                _step_masks(kept[r : r + 1, s : s + size], widths, drop_prob)
+                _step_masks(kept[r : r + 1, s : s + size], spans, drop_prob)
                 for r, s in ((0, a), (1, b))
             ]
             for layer, mask in enumerate(pair):

@@ -10,7 +10,6 @@ from fedbeam.errors import ContractViolationError
 from fedbeam.layers import (
     KanLayerParams,
     LinearLayerParams,
-    dropout_scale,
     kan_layer_backward,
     kan_layer_forward,
     kan_plane,
@@ -23,7 +22,7 @@ from fedbeam.layers import (
 from fedbeam.splines import SplineGrid, basis_and_derivative
 
 from gradcheck import finite_difference_gradient
-from helpers import basis_matrix, dense_derivative
+from helpers import basis_matrix, dense_derivative, dropout_scale
 
 GRID = SplineGrid.uniform(5, 3)
 
@@ -196,7 +195,7 @@ def test_kan_contractions_match_einsum_reference(batch, in_width, out_width):
     # Without basis derivatives: the same output and parameter gradients, no input gradient.
     out_v, cache_v = kan_layer_forward(x, params, derivative=False)
     none, d_weights_v = kan_grads(upstream, params, cache_v)
-    assert none is None and cache_v["dterms"] is None
+    assert none is None and cache_v[1] is None
     assert out_v.tobytes() == out.tobytes()
     assert d_weights_v.tobytes() == d_weights.tobytes()
 
@@ -219,7 +218,7 @@ def test_each_input_gradient_sums_its_terms_in_the_documented_order(order):
     _, cache = kan_layer_forward(x, params)
     d_in, _ = kan_grads(upstream, params, cache)
 
-    pieces, index, dsilu = cache["dterms"]
+    pieces, index, dsilu = cache[1]
     # Row r holds each point's r-th nonzero basis: consecutive slots.
     assert (np.diff(index, axis=0) == 1).all()
     block = params.weights.reshape(clients, in_width * slots, out_width)

@@ -9,7 +9,6 @@ from fedbeam.errors import ConfigurationError, ContractViolationError
 from fedbeam.layers import (
     KanLayerParams,
     LinearLayerParams,
-    dropout_scale,
     kan_layer_forward,
     kan_plane,
     linear_forward,
@@ -31,6 +30,7 @@ from fedbeam.model import (
 from fedbeam.optim import mse_loss
 
 from gradcheck import finite_difference_gradient, stacked_finite_difference_gradient
+from helpers import dropout_scale
 
 
 def test_fed_mlp_plan_is_four_linear_layers():
@@ -188,7 +188,7 @@ def test_forward_is_bitwise_forward_with_caches(config, mode):
         assert out.tobytes() == cached.tobytes()
         # Only the spline layers after the first cache basis derivatives,
         # and the backward pass returns no gradient for the batch.
-        kan = [c["layer"]["dterms"] is None for c in caches if "plane" in c["layer"]]
+        kan = [caches[i][1] is None for i, spline, _ in m.plan if spline]
         assert kan == ([True, False, False] if config.kind == "fed_kan" else [])
         grads = with_weights(m, np.empty_like(m.weights))
         assert model_backward(m, caches, np.ones_like(cached), grads) is None
@@ -239,7 +239,7 @@ def test_rows_of_a_prebuilt_input_plane_stand_in_for_feature_rows():
     out, caches = forward_with_caches(stacked, features[picks], masks)
     planned_out, planned_caches = forward_with_caches(stacked, plane[picks], masks)
     assert planned_out.tobytes() == out.tobytes()
-    assert planned_caches[0]["layer"]["plane"].tobytes() == caches[0]["layer"]["plane"].tobytes()
+    assert planned_caches[0][0].tobytes() == caches[0][0].tobytes()
     grads = np.empty((2, *stacked.weights.shape))
     upstream = np.ones_like(out)
     model_backward(stacked, caches, upstream, with_weights(stacked, grads[0]))

@@ -1,5 +1,6 @@
 """The benchmark tracer's span names still name functions of the package,
-and its probes still read the arguments and results of real calls.
+its probes still read the arguments and results of real calls, and every
+training step still calls each kernel it traces.
 
 ``perfbench/tracer.py`` wraps fedbeam functions by name and reports a name
 it cannot resolve as absent instead of failing, so a renamed kernel would
@@ -10,10 +11,15 @@ reads absent.  The tracer is loaded from its file, in process.
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from fedbeam.data import default_profiles, generate_synthetic
+from fedbeam.federation import FederationConfig, _lockstep_calls, build_client, local_train
 from fedbeam.model import (
     ModelConfig,
     build_model,
@@ -85,3 +91,66 @@ def test_the_clip_and_cache_probes_count_real_calls(tmp_path):
     result = tracer.finish(tmp_path / "spans.npz")
     assert {"model.cache_bytes", "optim.clip_fraction"}.isdisjoint(result["absent"])
     assert result["metrics"]["optim.clip_fraction"] == 1.0
+
+
+# Spans the training step must enter, with how many times per step: "step"
+# once, "spline"/"affine" once per spline/affine block, "hidden spline"
+# once per spline block that builds its own plane.
+STEP_SPANS = {
+    "model.forward_with_caches": "step",
+    "optim.mse_loss": "step",
+    "model.model_backward": "step",
+    "optim.clip_gradient_norm": "step",
+    "optim.adam_step": "step",
+    "layers.kan_layer_forward": "hidden spline",
+    "splines.basis_and_derivative": "hidden spline",
+    "layers.kan_layer_backward": "spline",
+    "layers.linear_forward": "affine",
+    "layers.linear_backward": "affine",
+}
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("make", [ModelConfig.fed_kan, ModelConfig.fed_mlp], ids=["kan", "mlp"])
+def test_every_training_step_calls_each_traced_kernel(monkeypatch, make, epochs):
+    # The step's functions are rebound to the tracer's own wrappers in every
+    # fedbeam module that holds them, as installing the tracer does, so a
+    # step that routes around a traced kernel shows in the span counts.
+    tracer = load_tracer().Tracer()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "fedbeam"]
+    for span in STEP_SPANS:
+        module_name, _, name = span.partition(".")
+        raw = getattr(importlib.import_module(f"fedbeam.{module_name}"), name)
+        wrapped = tracer._wrap(span, raw)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, wrapped)
+    # Rows of 60, 72 and 92 samples: stacked calls of several sizes, shared
+    # starts and, over two epochs, different ones.
+    clients = [
+        build_client(generate_synthetic(3, h, p), 5, 0.8)
+        for h, p in zip((80, 95, 120), default_profiles(3))
+    ]
+    template = build_model(make(), seed=5)
+    fed = FederationConfig(local_epochs=epochs, batch_size=16)
+    counts = sorted((c.sample_count for c in clients), reverse=True)
+    steps = sum(1 for _ in _lockstep_calls(counts, epochs, fed.batch_size))
+    rngs = [np.random.default_rng(i) for i in range(len(clients))]
+    local_train(clients, template, export_weights(template), fed, rngs)
+
+    splines = sum(spline for _, spline, _ in template.plan)
+    # With more than one epoch a spline first block reads rows of the plane
+    # built once per round (one basis call per client), not its own.
+    prebuilt = int(epochs > 1 and template.plan[0][1])
+    per_step = {
+        "step": 1,
+        "spline": splines,
+        "hidden spline": splines - prebuilt,
+        "affine": len(template.plan) - splines,
+    }
+    calls = Counter(tracer.span_names[i] for i in tracer.name)
+    setup = {"splines.basis_and_derivative": prebuilt * len(clients)}
+    assert {span: calls[span] for span in STEP_SPANS} == {
+        span: steps * per_step[kind] + setup.get(span, 0) for span, kind in STEP_SPANS.items()
+    }
